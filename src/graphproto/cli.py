@@ -20,11 +20,10 @@ import sys
 from .baseline import EditCosts, abs_threshold, knn_classify, squared_threshold
 from .clustering import hierarchical_clustering, incremental_clustering
 from .core import CostWeights
-from .efficient import suboptimal_distance
+from .efficient import METHODS, match_by_method
 from .fileio import (ParseError, format_dist_record, read_ag, read_fdg,
                      read_labelling, write_fdg)
 from .harness import (CSV_COLUMNS, GeneratorConfig, csv_row, run_experiment)
-from .matching import bnb_distance
 from .synthesis import CommonLabelling, synth_from_labelled_ags
 
 _WEIGHT_FLAGS = [("k1", 1.0), ("k2", 1.0), ("k3", 1.0), ("k4", 0.0),
@@ -128,16 +127,7 @@ def cmd_dist(args):
     g = read_ag(args.ag)
     f = read_fdg(args.fdg)
     w = _weights(args, mode=args.mode, planar=args.planar)
-    if args.method == "optimal":
-        res = bnb_distance(g, f, w)
-    elif args.method == "noniter":
-        res = suboptimal_distance(g, f, w, method="expanded", tau=args.tau)
-    elif args.method in ("relax-v", "relax-ev"):
-        init = "vertex" if args.method == "relax-v" else "expanded"
-        res = suboptimal_distance(g, f, w, method="relaxation", t_p=args.tp,
-                                  iterations=args.iters, init=init)
-    else:
-        raise ValueError("unknown method %r" % (args.method,))
+    res = match_by_method(g, f, w, args.method, args.tau, args.tp, args.iters)
     record = format_dist_record(res)
     if args.out:
         with open(args.out, "w") as fh:
@@ -226,15 +216,12 @@ def _sweep_values(cfg, key, conv, default):
 
 def cmd_bench(args):
     _fill(args, [("seed", int, 0), ("reps", int, 1),
-                 ("out", str, "results.csv")])
+                 ("out", str, "results.csv")] + _WEIGHT_SPEC)
     cfg = read_config(args.config) if args.config else {}
     base = {"nFDG": int(cfg.get("nFDG", 2)), "NT": int(cfg.get("NT", 2)),
             "nv": int(cfg.get("nv", 5)), "ne": int(cfg.get("ne", 8))}
     noise = cfg.get("noise", "delete_distort")
-    weights = CostWeights(
-        K_pr=float(cfg.get("kpr", 1e-4)),
-        **{"K%d" % (i + 1): float(cfg.get("k%d" % (i + 1), default))
-           for i, (_, default) in enumerate(_WEIGHT_FLAGS)})
+    weights = _weights(args)
     grid = [
         _sweep_values(cfg, "NR", int, 2),
         _sweep_values(cfg, "nd", int, 0),
@@ -293,8 +280,7 @@ def _parser():
     p.add_argument("--mode", choices=["restricted", "relaxed"])
     _add_weight_flags(p)
     p.add_argument("--planar", action="store_const", const=True)
-    p.add_argument("--method",
-                   choices=["optimal", "noniter", "relax-v", "relax-ev"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--tau", type=float)
     p.add_argument("--tp", type=float)
     p.add_argument("--iters", type=int)

@@ -23,23 +23,10 @@ import math
 import numpy as np
 
 from .baseline import edit_distance
-from .core import CostWeights, Labelling, extend_ag, extend_fdg
+from .core import CostWeights, Labelling, extend_ag, extend_fdg, vertex_list
+from .forg import forg_synthesize
 from .matching import bnb_distance
-from .synthesis import (
-    CommonLabelling,
-    ag_to_fdg,
-    synth_from_labelled_fdgs,
-    update_fdg_with_ag,
-)
-
-
-def _as_list(labelling, order):
-    vmap = list(labelling.vertex_map) if hasattr(labelling, "vertex_map") \
-        else list(labelling)
-    if len(vmap) != order:
-        raise ValueError("labelling arity %d does not match order %d"
-                         % (len(vmap), order))
-    return vmap
+from .synthesis import ag_to_fdg, place_fresh, update_fdg_with_ag
 
 
 def extend_labelling(g, f, labelling):
@@ -50,16 +37,10 @@ def extend_labelling(g, f, labelling):
     order; uncovered FDG slots get null AG vertices, matched in ascending
     order.  Returns (extended AG, extended FDG, bijective Labelling).
     """
-    vmap = _as_list(labelling, g.order)
-    m = f.order
-    nones = [i for i, q in enumerate(vmap) if q is None]
+    vmap = vertex_list(labelling, g.order)
     covered = set(q for q in vmap if q is not None)
-    free = [q for q in range(m) if q not in covered]
-    k = m + len(nones)
-    full = list(vmap)
-    for r, i in enumerate(nones):
-        full[i] = m + r
-    full.extend(free)
+    full, k = place_fresh(vmap, f.order)
+    full.extend(q for q in range(f.order) if q not in covered)
     return extend_ag(g, k), extend_fdg(f, k), Labelling(full)
 
 
@@ -127,7 +108,7 @@ class ClusterState:
         for i in range(count):
             for j in range(i + 1, count):
                 dij, lab = dist_fn(ags[i], ags[j])
-                vmap = _as_list(lab, ags[i].order)
+                vmap = vertex_list(lab, ags[i].order)
                 self.dist[i, j] = self.dist[j, i] = dij
                 self.phi[(i, j)] = vmap
                 self.phi[(j, i)] = _inverse(vmap, ags[j].order)
@@ -161,14 +142,8 @@ class ClusterState:
             raise ValueError("linkage must be 'single' or 'complete'")
         mx = self.phi[(x, y)]
         old_y = self.fdgs[y].order
-        nones = [s for s, q in enumerate(mx) if q is None]
-        k = old_y + len(nones)
-        full_x = list(mx)
-        for r, s in enumerate(nones):
-            full_x[s] = old_y + r
-        self.fdgs[y] = synth_from_labelled_fdgs(
-            [self.fdgs[x], self.fdgs[y]],
-            CommonLabelling([full_x, list(range(old_y))], k))
+        full_x, k = place_fresh(mx, old_y)
+        self.fdgs[y] = forg_synthesize(self.fdgs[x], self.fdgs[y], mx)
         self.members[y] |= self.members[x]
 
         for i in range(len(self.fdgs)):

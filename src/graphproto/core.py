@@ -314,6 +314,20 @@ class Labelling:
         return "Labelling(%s)" % (self.vertex_map,)
 
 
+def vertex_list(labelling, order):
+    """The vertex map of a Labelling or of a plain sequence, as a new list.
+
+    Raises ValueError unless it has exactly `order` entries, one per source
+    vertex.
+    """
+    vmap = list(labelling.vertex_map) if isinstance(labelling, Labelling) \
+        else list(labelling)
+    if len(vmap) != order:
+        raise ValueError("labelling arity %d does not match order %d"
+                         % (len(vmap), order))
+    return vmap
+
+
 class CostWeights:
     """Weights and options of the AG-to-FDG distance.
 

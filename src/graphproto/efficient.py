@@ -24,6 +24,8 @@ from .matching import _CostTables, _trunc, arc_cost, bnb_distance, vertex_cost
 
 _EPS = 1e-9
 
+METHODS = ("optimal", "noniter", "relax-v", "relax-ev")
+
 
 class ExpandedVertex:
     """A vertex with its outgoing star: the centre plus one (arc, endpoint)
@@ -205,10 +207,8 @@ def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
     support = {}
     for i in range(n):
         for j in nbrs[i]:
-            ce_ij = t.ce_present[(i, j)] if t.pn[i, j] else t.ce_absent
-            ce_ji = t.ce_present[(j, i)] if t.pn[j, i] else t.ce_absent
             cm = (t.vc[i, :m][:, None] + t.vc[j, :m][None, :]
-                  + ce_ij + ce_ji.T)
+                  + t.ce[i, j] + t.ce[j, i].T)
             support[(i, j)] = np.where(exu, np.exp(-cm), 0.0)
 
     for _ in range(iterations):
@@ -249,3 +249,24 @@ def suboptimal_distance(g, f, weights=None, method="expanded", tau=1.0,
     else:
         raise ValueError("unknown method %r" % (method,))
     return bnb_distance(g, f, w, allowed=allowed)
+
+
+def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
+                    iterations=20):
+    """Distance from g to f by the matcher a name in METHODS selects.
+
+    "optimal" is the unfiltered branch and bound; "noniter" filters by the
+    expanded-vertex distance at threshold tau; the two relax- names keep the
+    slots whose relaxed probability reaches t_p, with the relaxation started
+    from the vertex costs (-v) or the expanded-vertex distances (-ev) and
+    run for at most `iterations` passes.
+    """
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % (method,))
+    if method == "optimal":
+        return bnb_distance(g, f, weights)
+    if method == "noniter":
+        return suboptimal_distance(g, f, weights, method="expanded", tau=tau)
+    return suboptimal_distance(
+        g, f, weights, method="relaxation", t_p=t_p, iterations=iterations,
+        init="vertex" if method == "relax-v" else "expanded")

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import PHI, AttributedGraph, Fdg, Pdf, attr, slot_pairs
+from .core import PHI, AttributedGraph, Fdg, Pdf, attr, slot_pairs, vertex_list
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
 
@@ -94,7 +94,10 @@ def _parse_tuple(token, cur):
     parts = token.split(",")
     if any(p == "" for p in parts):
         cur.error("bad attribute tuple %r" % token)
-    return tuple(_scalar(p) for p in parts)
+    values = tuple(_scalar(p) for p in parts)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        cur.error("non-finite attribute component in %r" % token)
+    return values
 
 
 def _tuple_token(values):
@@ -360,9 +363,7 @@ def write_labelling(maps, path):
     """One line per AG; every vertex is listed."""
     lines = []
     for vmap in maps:
-        seq = list(vmap.vertex_map) if hasattr(vmap, "vertex_map") \
-            else list(vmap)
-        lines.append(_pairs_token(seq))
+        lines.append(_pairs_token(vertex_list(vmap, len(vmap))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -14,8 +14,8 @@ which is non-negative and zero when the labelling makes the samples
 indistinguishable.
 """
 
-from .core import PHI, null_pdf
-from .synthesis import CommonLabelling, synth_from_labelled_fdgs
+from .core import PHI, null_pdf, vertex_list
+from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
 
 def forg_entropy(f):
@@ -32,19 +32,8 @@ def forg_synthesize(f1, f2, vertex_map):
     fresh slot; fresh slots are appended in slot order.  Pdfs pool count-wise,
     so each input weighs by its own denominators.
     """
-    vmap = list(vertex_map)
-    if len(vmap) != f1.order:
-        raise ValueError("map arity %d does not match order %d"
-                         % (len(vmap), f1.order))
-    nxt = f2.order
-    placed = []
-    for t in vmap:
-        if t is None:
-            placed.append(nxt)
-            nxt += 1
-        else:
-            placed.append(t)
-    lab = CommonLabelling([placed, list(range(f2.order))], nxt)
+    placed, k = place_fresh(vertex_list(vertex_map, f1.order), f2.order)
+    lab = CommonLabelling([placed, list(range(f2.order))], k)
     return synth_from_labelled_fdgs([f1, f2], lab)
 
 
@@ -112,8 +101,12 @@ def forg_distance(f1, f2):
     """Entropy-increase distance and the map that attains it.
 
     Exhausts the labelling space of f1's slots into f2's slots or fresh ones,
-    so it is only meant for small prototypes.
+    so it is only meant for small prototypes: combined orders above ten are
+    refused.
     """
+    if f1.order + f2.order > 10:
+        raise ValueError("forg_distance refuses orders %d + %d"
+                         % (f1.order, f2.order))
     base = (f1.z * forg_entropy(f1) + f2.z * forg_entropy(f2)) / (f1.z + f2.z)
     best = None
     best_map = None
@@ -133,11 +126,7 @@ def outcome_probability(f, g, labelling):
     from their pdfs; an arc draws from its conditional pdf when both of its
     endpoints came out present and is null for free otherwise.
     """
-    vmap = list(labelling.vertex_map) if hasattr(labelling, "vertex_map") \
-        else list(labelling)
-    if len(vmap) != g.order:
-        raise ValueError("labelling arity %d does not match order %d"
-                         % (len(vmap), g.order))
+    vmap = vertex_list(labelling, g.order)
     n = f.order
     slot_attr = [PHI] * n
     for v_i, s in enumerate(vmap):

@@ -20,9 +20,8 @@ import time
 import numpy as np
 
 from .core import PHI, AttributedGraph, CostWeights, Pdf, attr
-from .efficient import suboptimal_distance
+from .efficient import match_by_method
 from .fileio import read_ag, read_fdg, write_ag, write_fdg
-from .matching import bnb_distance
 from .synthesis import CommonLabelling, synth_from_labelled_ags
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
 ]
 
 _ATTR_RANGE = 1000
-
-METHODS = ("optimal", "noniter", "relax-v", "relax-ev")
 
 CSV_COLUMNS = ["method", "NR", "sigma", "structural_noise",
                "K1", "K2", "K3", "K4", "K5", "K6", "K7", "K8",
@@ -219,34 +216,28 @@ def smooth_pdf(p, period=None):
     return Pdf(counts, 4 * p.total, p.bin_width)
 
 
-def _match_once(g, f, weights, method, tau, t_p):
-    if method == "optimal":
-        return bnb_distance(g, f, weights)
-    if method == "noniter":
-        return suboptimal_distance(g, f, weights, method="expanded", tau=tau)
-    if method == "relax-v":
-        return suboptimal_distance(g, f, weights, method="relaxation",
-                                   t_p=t_p, init="vertex")
-    if method == "relax-ev":
-        return suboptimal_distance(g, f, weights, method="relaxation",
-                                   t_p=t_p, init="expanded")
-    raise ValueError("unknown method %r" % (method,))
+def _classify(test, models, weights, method, tau, t_p):
+    """fdg_classify plus the MatchResult of every prototype."""
+    if not models:
+        raise ValueError("models must be non-empty")
+    results = []
+    best = 0
+    best_d = math.inf
+    for i, f in enumerate(models):
+        res = match_by_method(test, f, weights, method, tau, t_p)
+        results.append(res)
+        d = res.distance if res.valid else math.inf
+        if d < best_d:
+            best_d = d
+            best = i
+    return best, best_d, results
 
 
 def fdg_classify(test, models, weights=None, method="optimal", tau=1.0,
                  t_p=0.0):
     """Index of the nearest prototype and the distance to it; a tie goes to
     the lowest index."""
-    if not models:
-        raise ValueError("models must be non-empty")
-    best = 0
-    best_d = math.inf
-    for i, f in enumerate(models):
-        res = _match_once(test, f, weights, method, tau, t_p)
-        d = res.distance if res.valid else math.inf
-        if d < best_d:
-            best_d = d
-            best = i
+    best, best_d, _ = _classify(test, models, weights, method, tau, t_p)
     return best, best_d
 
 
@@ -305,18 +296,12 @@ def run_experiment(cfg, weights=None, method="optimal", repetitions=1,
                             **test_kwargs(int(rng.integers(2 ** 31))))
                 if noise == "delete_distort":
                     t = compact_ag(t)
-                best = 0
-                best_d = math.inf
-                for i, f in enumerate(prototypes):
-                    start = time.perf_counter()
-                    res = _match_once(t, f, w, method, tau, t_p)
-                    elapsed += time.perf_counter() - start
-                    nodes += res.explored_nodes
-                    comparisons += 1
-                    d = res.distance if res.valid else math.inf
-                    if d < best_d:
-                        best_d = d
-                        best = i
+                start = time.perf_counter()
+                best, _, results = _classify(t, prototypes, w, method, tau,
+                                             t_p)
+                elapsed += time.perf_counter() - start
+                nodes += sum(res.explored_nodes for res in results)
+                comparisons += len(results)
                 confusion[true, best] += 1
                 if best == true:
                     correct += 1

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CostWeights, Labelling, arc_index, slot_pairs
+from .core import CostWeights, Labelling, arc_index, slot_pairs, vertex_list
 
 _SLACK = 1e-9
 
@@ -153,11 +153,14 @@ class _CostTables:
                 else:
                     self.ce_absent[q, r] = w.K2 * arc_cost(
                         None, f.arc_pdfs[(q, r)], endpoint_null[q, r], k_pr)
-        self.ce_present = {}
+        # ce[i, j] is the rate matrix of the ordered AG pair (i, j) over
+        # ordered slot pairs: ce_absent where g has no arc (i, j)
+        self.ce = np.empty((n, n, m, m))
+        self.ce[:] = self.ce_absent
         for (i, j), b in g.arcs.items():
             if b.is_null:
                 continue
-            mat = np.empty((m, m))
+            mat = self.ce[i, j]
             for q in range(m):
                 for r in range(m):
                     if q == r:
@@ -165,7 +168,6 @@ class _CostTables:
                     else:
                         mat[q, r] = w.K2 * arc_cost(
                             b, f.arc_pdfs[(q, r)], endpoint_null[q, r], k_pr)
-            self.ce_present[(i, j)] = mat
 
         self.sidx = np.full((m, m), -1, dtype=int)
         for (q, r) in slot_pairs(m):
@@ -208,28 +210,11 @@ class _CostTables:
         self.vc_list = self.vc.tolist()
         self.del_v_list = self.del_v.tolist()
         self.ce_absent_list = self.ce_absent.tolist()
-        self.ce_present_list = {k: v.tolist()
-                                for k, v in self.ce_present.items()}
+        self.ce_pn_list = {(i, j): self.ce[i, j].tolist()
+                           for (i, j) in self.pn_pairs}
         self.sidx_list = self.sidx.tolist()
 
         self.colK2 = w.K2 * (self.pn.astype(float) + self.pn.T.astype(float))
-        self.Tin = np.empty((n, n, m, m))
-        self.Tout = np.empty((n, n, m, m))
-        for p in range(n):
-            for i in range(n):
-                self.Tin[p, i] = self.ce_present[(i, p)] \
-                    if self.pn[i, p] else self.ce_absent
-                self.Tout[p, i] = self.ce_present[(p, i)] \
-                    if self.pn[p, i] else self.ce_absent
-
-
-def _as_map(labelling, order):
-    vmap = list(labelling.vertex_map) if isinstance(labelling, Labelling) \
-        else list(labelling)
-    if len(vmap) != order:
-        raise ValueError("labelling arity %d does not match order %d"
-                         % (len(vmap), order))
-    return vmap
 
 
 def _realized(t, vmap):
@@ -297,7 +282,7 @@ def _planar_ok(g, vmap, sources=None):
 def second_order_cost(g, f, labelling, weights=None):
     """Weighted sum of violated second-order relation instances."""
     w = weights or CostWeights()
-    vmap = _as_map(labelling, g.order)
+    vmap = vertex_list(labelling, g.order)
     t = _CostTables(g, f, w)
     vbits, ebits, _ = _realized(t, vmap)
     va, vo, ve, ea, eo, ee = _violation_counts(t, vbits, ebits)
@@ -309,7 +294,7 @@ def check_constraints(g, f, labelling, weights=None):
     """Hard-constraint test for the given mode: in restricted mode no
     relation violation is allowed; the planar option applies in both."""
     w = weights or CostWeights()
-    vmap = _as_map(labelling, g.order)
+    vmap = vertex_list(labelling, g.order)
     if w.planar and not _planar_ok(g, vmap):
         return False
     if w.mode == "restricted":
@@ -327,7 +312,7 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
     reports (inf, False).
     """
     w = weights or CostWeights()
-    vmap = _as_map(labelling, g.order)
+    vmap = vertex_list(labelling, g.order)
     t = _tables if _tables is not None else _CostTables(g, f, w)
     n, m = t.n, t.m
 
@@ -352,7 +337,7 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
         if q is None or r is None:
             cost += w.K2
         else:
-            cost += t.ce_present_list[(i, j)][q][r] - ca[q][r]
+            cost += t.ce_pn_list[(i, j)][q][r] - ca[q][r]
 
     va, vo, ve, ea, eo, ee = _violation_counts(t, vbits, ebits)
     if w.mode == "restricted":
@@ -376,7 +361,7 @@ def _kp_delta(t, node, p, qp):
     if qp is None:
         return np.broadcast_to(per_i[:, None], (r, m + 1))
     D = np.empty((r, m + 1))
-    D[:, :m] = t.Tin[p, p + 1:, :, qp] + t.Tout[p, p + 1:, qp, :]
+    D[:, :m] = t.ce[p + 1:, p, :, qp] + t.ce[p, p + 1:, qp, :]
     D[:, m] = per_i
     if w.mode == "relaxed":
         if w.K3:

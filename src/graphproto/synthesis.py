@@ -17,9 +17,9 @@ from .core import (
     Fdg,
     Pdf,
     arc_index,
-    null_pdf,
     remap_fdg,
     slot_pairs,
+    vertex_list,
 )
 
 
@@ -175,6 +175,20 @@ def ag_to_fdg(g, bin_width=1.0):
     return synth_from_labelled_ags([g], lab, bin_width)
 
 
+def place_fresh(vmap, m):
+    """Send each None of a vertex map to the next fresh slot after order m,
+    in map order.  Returns the placement and the order of the grown frame."""
+    placed = []
+    nxt = m
+    for t in vmap:
+        if t is None:
+            placed.append(nxt)
+            nxt += 1
+        else:
+            placed.append(t)
+    return placed, nxt
+
+
 def update_fdg_with_ag(f, g, labelling, bin_width=None):
     """Grow an FDG with one more AG.
 
@@ -182,21 +196,9 @@ def update_fdg_with_ag(f, g, labelling, bin_width=None):
     slot; fresh slots are appended in vertex order).  Equivalent to
     re-synthesising from the enlarged sample.
     """
-    vmap = list(labelling.vertex_map) if hasattr(labelling, "vertex_map") \
-        else list(labelling)
-    if len(vmap) != g.order:
-        raise ValueError("labelling arity %d does not match order %d"
-                         % (len(vmap), g.order))
+    placed, k = place_fresh(vertex_list(labelling, g.order), f.order)
     if bin_width is None:
         bin_width = f.vertex_pdfs[0].bin_width if f.order else 1.0
-    nxt = f.order
-    placed = []
-    for t in vmap:
-        if t is None:
-            placed.append(nxt)
-            nxt += 1
-        else:
-            placed.append(t)
     h = ag_to_fdg(g, bin_width)
-    lab = CommonLabelling([list(range(f.order)), placed], nxt)
+    lab = CommonLabelling([list(range(f.order)), placed], k)
     return synth_from_labelled_fdgs([f, h], lab)

@@ -2,12 +2,15 @@
 
 - synth rebuilds the same FDG as the library call, with and without a
   labelling file
-- dist emits a parseable four-line record, honours --method and --out
+- dist emits a parseable four-line record, honours --method and --out, and
+  writes the same record as the library's method dispatcher
 - config twins: values come from key=value files, flags win on conflict
 - classify votes over CLASS:FILE references
 - cluster writes one FDG per cluster plus a manifest
-- bench sweeps comma lists into one CSV row per parameter point
-- bad input exits with status 2 and an error line on stderr
+- bench sweeps comma lists into one CSV row per parameter point and takes
+  its weights from the config file
+- bad input exits with status 2 and an error line on stderr; a non-finite
+  attribute names the file and line
 """
 
 import csv
@@ -15,9 +18,10 @@ import csv
 import pytest
 
 from graphproto.cli import main, read_config
-from graphproto.core import AttributedGraph, attr
-from graphproto.fileio import (parse_dist_record, read_fdg, write_ag,
-                               write_labelling)
+from graphproto.core import AttributedGraph, CostWeights, attr
+from graphproto.efficient import METHODS, match_by_method
+from graphproto.fileio import (format_dist_record, parse_dist_record,
+                               read_ag, read_fdg, write_ag, write_labelling)
 from graphproto.harness import CSV_COLUMNS
 from graphproto.synthesis import CommonLabelling, ag_to_fdg, \
     synth_from_labelled_ags
@@ -208,3 +212,47 @@ def test_bench_defaults_without_config(tmp_path, capsys):
 def test_missing_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_dist_method_writes_the_dispatcher_record(tmp_path, capsys, method):
+    write_ag(_g1(), tmp_path / "g.ag")
+    write_fdg(ag_to_fdg(_g2()), tmp_path / "f.fdg")
+    out = tmp_path / "rec.txt"
+    assert main(["dist", "--ag", str(tmp_path / "g.ag"),
+                 "--fdg", str(tmp_path / "f.fdg"), "--method", method,
+                 "--tau", "0.5", "--tp", "0.05", "--iters", "7",
+                 "--out", str(out)]) == 0
+    want = match_by_method(read_ag(tmp_path / "g.ag"),
+                           read_fdg(tmp_path / "f.fdg"), CostWeights(),
+                           method, tau=0.5, t_p=0.05, iterations=7)
+    assert out.read_text() == format_dist_record(want)
+    assert capsys.readouterr().out == format_dist_record(want)
+
+
+@pytest.mark.parametrize("row, lineno", [
+    (["inf 2", "# 1", "# #"], 2),
+    (["nan 2", "# 1", "# #"], 2),
+    (["1 2", "# 1", "-inf #"], 4),
+])
+def test_non_finite_attribute_is_a_parse_error(tmp_path, capsys, row,
+                                               lineno):
+    path = tmp_path / "bad.ag"
+    path.write_text("\n".join(["2"] + row) + "\n")
+    assert main(["synth", "--ag", str(path),
+                 "--out", str(tmp_path / "out.fdg")]) == 2
+    err = capsys.readouterr().err
+    assert "%s:%d:" % (path, lineno) in err
+    assert "non-finite" in err
+
+
+def test_bench_reads_weights_from_config(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("nFDG=2\nNT=1\nnv=4\nne=5\nk2=5.0\nk4=0.5\n")
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    row = dict(zip(rows[0], rows[1]))
+    assert (row["K1"], row["K2"], row["K3"], row["K4"]) == \
+        ("1.0", "5.0", "1.0", "0.5")

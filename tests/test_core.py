@@ -7,6 +7,8 @@ Covers:
   * FDG construction, unconditional arc probabilities, co-occurrence
   * FDG extension: kept bits, null/strict table rules, arc slot re-indexing
   * verify_identities on a hand-built sample, including single-bit damage
+  * every public function that takes a labelling accepts a Labelling and a
+    plain list alike and rejects a wrong arity
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from graphproto.clustering import extend_labelling
 from graphproto.core import (
     PHI,
     AttributedGraph,
@@ -35,6 +38,10 @@ from graphproto.core import (
     unconditional_arc_prob,
     verify_identities,
 )
+from graphproto.forg import forg_synthesize, outcome_probability
+from graphproto.matching import (check_constraints, labelling_cost,
+                                 second_order_cost)
+from graphproto.synthesis import ag_to_fdg, update_fdg_with_ag
 
 
 def _relations_from_presence(pres):
@@ -424,3 +431,43 @@ def test_extended_fdg_identities_still_hold():
     ags, labellings, f = _fixture()
     e = extend_fdg(f, 5)
     assert verify_identities(e, ags, labellings) == []
+
+
+def _summary(x):
+    """Comparable view of a result: FDGs and AGs by their contents."""
+    if isinstance(x, tuple):
+        return tuple(_summary(v) for v in x)
+    if isinstance(x, Fdg):
+        return (x.vertex_pdfs, sorted(x.arc_pdfs.items()), x.z,
+                sorted(x.u.items()),
+                [m.tolist() for m in x.relations().values()])
+    if isinstance(x, AttributedGraph):
+        return x.vertices, sorted(x.arcs.items())
+    return x
+
+
+def _labelling_takers():
+    g = AttributedGraph([attr(1), attr(2), attr(3)],
+                        {(0, 1): attr(10), (1, 2): attr(20)})
+    f = ag_to_fdg(AttributedGraph([attr(3), attr(1), attr(2)],
+                                  {(1, 2): attr(10), (2, 0): attr(20)}))
+    h = ag_to_fdg(g)
+    return {
+        "labelling_cost": lambda lab: labelling_cost(g, f, lab),
+        "second_order_cost": lambda lab: second_order_cost(g, f, lab),
+        "check_constraints": lambda lab: check_constraints(g, f, lab),
+        "update_fdg_with_ag": lambda lab: update_fdg_with_ag(f, g, lab),
+        "forg_synthesize": lambda lab: forg_synthesize(h, f, lab),
+        "outcome_probability": lambda lab: outcome_probability(f, g, lab),
+        "extend_labelling": lambda lab: extend_labelling(g, f, lab),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_labelling_takers()))
+def test_labelling_takers_accept_both_forms_and_check_arity(name):
+    call = _labelling_takers()[name]
+    vmap = [1, 2, 0]
+    assert _summary(call(Labelling(vmap))) == _summary(call(list(vmap)))
+    for short in ([1, 2], Labelling([1, 2])):
+        with pytest.raises(ValueError):
+            call(short)

@@ -6,6 +6,7 @@ Covers:
     frozen to closed-form values, with the identity map optimal each time
   * the size of the labelling space for 3 slots into 5
   * outcome probabilities of the training graphs and impossible graphs
+  * the exhaustive distance refuses combined orders above ten
 """
 
 import math
@@ -124,3 +125,10 @@ def test_synthesize_fresh_slots():
     assert merged.order == 6
     # the unmapped slot lands after g's frame and holds one sample
     assert merged.vertex_pdfs[5].counts == {(1,): 1, None: 2}
+
+
+def test_distance_refuses_orders_above_ten():
+    g, _, _ = _prototype_and_candidates()
+    six = ag_to_fdg(AttributedGraph([attr(v) for v in range(6)], {}))
+    with pytest.raises(ValueError):
+        forg_distance(six, g)
