@@ -26,8 +26,8 @@ import numpy as np
 class AttrTuple:
     """A fixed-length tuple of attribute components, or the null value.
 
-    Components are ints, floats or strings.  The null tuple PHI marks an
-    absent element; it carries no components.
+    Components are ints, finite floats or strings.  The null tuple PHI marks
+    an absent element; it carries no components.
     """
 
     __slots__ = ("values", "is_null")
@@ -37,6 +37,9 @@ class AttrTuple:
             raise ValueError("null attribute carries no components")
         if not is_null and len(values) == 0:
             raise ValueError("a non-null tuple needs at least one component")
+        for v in values:
+            if not isinstance(v, (str, int)) and not math.isfinite(v):
+                raise ValueError("non-finite attribute component %r" % (v,))
         self.values = tuple(values)
         self.is_null = bool(is_null)
 

@@ -161,7 +161,7 @@ class ProbMatrix:
 
 
 def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
-                        init="vertex"):
+                        init="vertex", _tables=None):
     """Probabilistic relaxation of the vertex-to-slot assignment.
 
     Rows start from the first-order costs (init="vertex") or from the
@@ -178,7 +178,7 @@ def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
     change drops below epsilon.
     """
     w = weights or CostWeights()
-    t = _CostTables(g, f, w)
+    t = _tables if _tables is not None else _CostTables(g, f, w)
     n, m = t.n, t.m
 
     und = t.pn | t.pn.T
@@ -230,7 +230,8 @@ def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
 
 
 def suboptimal_distance(g, f, weights=None, method="expanded", tau=1.0,
-                        t_p=0.0, iterations=20, epsilon=1e-3, init="vertex"):
+                        t_p=0.0, iterations=20, epsilon=1e-3, init="vertex",
+                        upper_bound=math.inf, _tables=None):
     """Branch-and-bound over a reduced candidate space.
 
     method="expanded" forbids slot candidates by the expanded-vertex filter
@@ -238,35 +239,43 @@ def suboptimal_distance(g, f, weights=None, method="expanded", tau=1.0,
     probability reaches t_p.  Either way the null target stays available, so
     the result is always a valid labelling in relaxed mode; its distance is
     an upper bound on the unrestricted one, tight at tau = 1 / t_p = 0.
+    upper_bound is passed to bnb_distance: a distance not below it comes
+    back as valid=False.
     """
     w = weights or CostWeights()
+    t = _tables if _tables is not None else _CostTables(g, f, w)
     if method == "expanded":
         allowed = ~forbid_matrix(g, f, tau, w)
     elif method == "relaxation":
         pm = relax_probabilities(g, f, w, iterations=iterations,
-                                 epsilon=epsilon, init=init)
+                                 epsilon=epsilon, init=init, _tables=t)
         allowed = pm.mask(t_p)
     else:
         raise ValueError("unknown method %r" % (method,))
-    return bnb_distance(g, f, w, allowed=allowed)
+    return bnb_distance(g, f, w, allowed=allowed, upper_bound=upper_bound,
+                        _tables=t)
 
 
 def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
-                    iterations=20):
+                    iterations=20, upper_bound=math.inf, _tables=None):
     """Distance from g to f by the matcher a name in METHODS selects.
 
     "optimal" is the unfiltered branch and bound; "noniter" filters by the
     expanded-vertex distance at threshold tau; the two relax- names keep the
     slots whose relaxed probability reaches t_p, with the relaxation started
     from the vertex costs (-v) or the expanded-vertex distances (-ev) and
-    run for at most `iterations` passes.
+    run for at most `iterations` passes.  A distance not below upper_bound
+    comes back as valid=False (see bnb_distance).
     """
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     if method == "optimal":
-        return bnb_distance(g, f, weights)
+        return bnb_distance(g, f, weights, upper_bound=upper_bound,
+                            _tables=_tables)
     if method == "noniter":
-        return suboptimal_distance(g, f, weights, method="expanded", tau=tau)
+        return suboptimal_distance(g, f, weights, method="expanded", tau=tau,
+                                   upper_bound=upper_bound, _tables=_tables)
     return suboptimal_distance(
         g, f, weights, method="relaxation", t_p=t_p, iterations=iterations,
-        init="vertex" if method == "relax-v" else "expanded")
+        init="vertex" if method == "relax-v" else "expanded",
+        upper_bound=upper_bound, _tables=_tables)

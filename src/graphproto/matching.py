@@ -20,8 +20,11 @@ bnb_distance finds the cheapest valid labelling by depth-first branch and
 bound: vertices are matched in index order, candidates are the unused slots
 in ascending order followed by the null target, and a branch survives only
 while accumulated cost plus an admissible per-future-vertex bound stays below
-the incumbent.  exhaustive_oracle grinds through the whole labelling space
-and is kept around as an independent check.
+the incumbent.  The incumbent starts just above the cost of a greedy
+labelling, or at a caller's upper bound, whichever is lower, so a caller that
+only needs distances below a known value (the nearest-prototype loop) can
+abandon a losing pair early.  exhaustive_oracle grinds through the whole
+labelling space and is kept around as an independent check.
 """
 
 import itertools
@@ -351,6 +354,25 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
     return float(cost), True
 
 
+def _greedy_cost(g, f, t, rows=None):
+    """Cost of the labelling that gives each vertex, in index order, its
+    cheapest free slot among `rows[i]` (all slots by default) if that is
+    cheaper than the null target, else the null target; inf when that
+    labelling is invalid."""
+    m = t.m
+    vmap = []
+    used = set()
+    for i, costs in enumerate(t.vc_list):
+        pick, best = None, costs[m]
+        for q in (range(m) if rows is None else rows[i]):
+            if q not in used and costs[q] < best:
+                pick, best = int(q), costs[q]
+        used.add(pick)
+        vmap.append(pick)
+    cost, ok = labelling_cost(g, f, vmap, t.w, _tables=t)
+    return cost if ok else math.inf
+
+
 def _kp_delta(t, node, p, qp):
     """Increment of the bound table caused by placing vertex p on slot qp
     (None for the null target), for the future vertices p+1..n-1 only."""
@@ -420,7 +442,7 @@ def _hard_reject(t, node, p, qp, new_slots):
 
 
 def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
-                 disable_pruning=False):
+                 disable_pruning=False, upper_bound=math.inf, _tables=None):
     """Distance from AG g to FDG f by depth-first branch and bound.
 
     allowed restricts the real candidate slots per AG vertex (the null target
@@ -428,12 +450,19 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
     disable_pruning the restricted-mode in-tree constraint checks; both then
     leave the full labelling space to be visited, which the explored_nodes
     and leaves counters report.
+
+    The result is the optimum when it lies strictly below upper_bound, and
+    otherwise valid=False with an infinite distance.  Unless disable_bound
+    is set, the incumbent also starts just above the greedy labelling's
+    cost.  The search still returns the first labelling of minimum cost in
+    depth-first order, as a search from an infinite incumbent would; only
+    the node counts differ.
     """
     w = weights or CostWeights()
     if any(v.is_null for v in g.vertices):
         raise ValueError("bnb_distance expects a non-extended AG")
     n, m = g.order, f.order
-    t = _CostTables(g, f, w)
+    t = _tables if _tables is not None else _CostTables(g, f, w)
     if allowed is None:
         allowed_rows = [list(range(m))] * n
         allowed_bool = np.ones((n, m), dtype=bool)
@@ -444,7 +473,10 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
         allowed_rows = [list(np.nonzero(allowed[i])[0]) for i in range(n)]
         allowed_bool = allowed
 
-    best_cost = math.inf
+    best_cost = upper_bound
+    if not disable_bound:
+        seed = _greedy_cost(g, f, t, allowed_rows)
+        best_cost = min(best_cost, math.nextafter(seed, math.inf))
     best_map = None
     explored = 0
     leaves = 0
@@ -511,6 +543,8 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
                 node.present + tuple(new_slots),
                 node.used | (0 if qp is None else 1 << qp)))
         stack.extend(reversed(children))
+    if best_map is None:
+        best_cost = math.inf
     return MatchResult(best_cost, best_map, explored,
                        best_map is not None, leaves)
 

@@ -3,6 +3,7 @@
 Covers:
   * arc slot numbering (worked values, bijection, round trip with slot_pairs)
   * attribute binning and pdf estimation, entropy against scipy, exact merges
+  * non-finite attribute components are refused where the tuple is built
   * AG validation (coherence, self loops, arc_order) and null-padding extension
   * FDG construction, unconditional arc probabilities, co-occurrence
   * FDG extension: kept bits, null/strict table rules, arc slot re-indexing
@@ -148,6 +149,20 @@ def test_attr_validation():
         AttrTuple((1,), is_null=True)
     assert attr(1) == attr(1.0)
     assert attr(1) != PHI
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                   np.float64("nan"), np.float32("inf")])
+def test_attr_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        attr(1, value)
+
+
+def test_non_finite_vertex_fails_where_it_is_built():
+    from graphproto.synthesis import ag_to_fdg
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            ag_to_fdg(AttributedGraph([attr(value)], {}))
 
 
 def test_pdf_from_attrs():

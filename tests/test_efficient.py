@@ -9,6 +9,7 @@
 * suboptimal_distance at tau = 1 (expanded) and t_p = 0 (relaxation)
   reproduces the unrestricted search bit for bit
 * relaxation rows are probability vectors and masking keeps each row's best
+* a relaxation match builds its pair's cost tables once
 """
 
 import itertools
@@ -35,6 +36,7 @@ from graphproto.efficient import (
     expanded_max_distance,
     expanded_vertex_distance,
     forbid_matrix,
+    match_by_method,
     relax_probabilities,
     split_into_expanded_vertices,
     suboptimal_distance,
@@ -288,3 +290,12 @@ def test_bad_arguments():
         relax_probabilities(g, f, init="nope")
     with pytest.raises(ValueError):
         suboptimal_distance(g, f, method="nope")
+
+
+def test_relaxation_match_builds_tables_once(table_builds):
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        g, f = _random_ag(rng), _random_fdg(rng)
+        before = len(table_builds)
+        match_by_method(g, f, method="relax-ev", t_p=0.05)
+        assert len(table_builds) - before == 1

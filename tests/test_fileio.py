@@ -7,7 +7,8 @@
   reading one yields the neutral matrices
 * labelling and distance-record round-trips
 * malformed input raises ParseError with the offending location, and a
-  truncated file never yields a partial value
+  truncated file never yields a partial value; a non-finite attribute is
+  reported by the parser, with its line, before the tuple is built
 """
 
 import math
@@ -183,6 +184,16 @@ def test_fdg_parse_errors(tmp_path, mangle):
 def test_parse_error_carries_location(tmp_path):
     p = tmp_path / "bad.ag"
     p.write_text("2\n1 4\n5 9\n# #\n")
+    with pytest.raises(ParseError) as err:
+        read_ag(str(p))
+    assert str(p) in str(err.value)
+    assert err.value.lineno == 3
+
+
+@pytest.mark.parametrize("token", ["inf", "nan", "1,-inf"])
+def test_non_finite_attribute_fails_in_the_parser(tmp_path, token):
+    p = tmp_path / "bad.ag"
+    p.write_text("2\n1 2\n# %s\n# #\n" % token)
     with pytest.raises(ParseError) as err:
         read_ag(str(p))
     assert str(p) in str(err.value)

@@ -6,7 +6,10 @@
 - compact_ag drops nulls and renumbers arcs
 - smoothing: exact counts, circular uniform fixed point, null share kept
 - fdg_classify: own prototype wins, ties to the lowest index, rescaling
-  of all K weights leaves predictions alone
+  of all K weights leaves predictions alone; for every method the bounded
+  search equals the argmin of per-pair distances, duplicates and a tie met
+  out of index order included, and builds one set of cost tables per
+  prototype
 - run_experiment: zero noise scores 1.0, confusion row sums, determinism,
   noniter at tau 1 matches optimal, csv rows line up with CSV_COLUMNS
 """
@@ -17,10 +20,13 @@ import numpy as np
 import pytest
 
 from graphproto.core import PHI, AttributedGraph, CostWeights, Pdf, attr
+from graphproto.efficient import METHODS, match_by_method
 from graphproto.harness import (CSV_COLUMNS, GeneratorConfig, compact_ag,
                                 csv_row, fdg_classify, generate_models,
                                 perturb, run_experiment, smooth_pdf)
-from graphproto.synthesis import ag_to_fdg
+from graphproto.matching import _CostTables, _greedy_cost
+from graphproto.synthesis import (CommonLabelling, ag_to_fdg,
+                                  synth_from_labelled_ags)
 from graphproto import fileio, harness
 
 
@@ -221,6 +227,78 @@ def test_classify_validation():
         fdg_classify(models[0], [])
     with pytest.raises(ValueError):
         fdg_classify(models[0], protos, method="sideways")
+
+
+def _argmin_over_pairs(test, models, method, **kw):
+    """Nearest prototype by one full search per pair; ties go to the lowest
+    index."""
+    ds = []
+    for f in models:
+        res = match_by_method(test, f, CostWeights(), method, **kw)
+        ds.append(res.distance if res.valid else math.inf)
+    best = min(range(len(ds)), key=lambda i: (ds[i], i))
+    return best, ds[best]
+
+
+def _synthesised_prototypes(seed):
+    cfg = GeneratorConfig(nFDG=3, nv=5, ne=9, seed=seed)
+    models = generate_models(cfg)
+    protos = []
+    for k, g in enumerate(models):
+        refs = [perturb(g, "delete_distort", 100 * seed + 10 * k + r,
+                        nd=1, nl=1) for r in range(3)]
+        protos.append(synth_from_labelled_ags(
+            refs, CommonLabelling.identity([r.order for r in refs])))
+    return models, protos
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_classify_equals_argmin_over_pairs(method):
+    rng = np.random.default_rng(41)
+    kw = dict(tau=0.5, t_p=0.05)
+    for seed in range(3):
+        models, protos = _synthesised_prototypes(seed)
+        pool = protos + [protos[int(k)] for k in rng.integers(0, 3, 3)]
+        pool = [pool[int(k)] for k in rng.permutation(len(pool))]
+        for k, g in enumerate(models):
+            test = compact_ag(perturb(g, "delete_distort", 7 * seed + k,
+                                      nd=1, nl=1))
+            assert (fdg_classify(test, pool, method=method, **kw)
+                    == _argmin_over_pairs(test, pool, method, **kw))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_classify_tie_met_out_of_index_order(method, monkeypatch):
+    # the same two-vertex graph with its arc reversed: both prototypes are
+    # at distance 0, but only the second one's greedy labelling finds it,
+    # so the second is visited first and the first must still win the tie
+    g = AttributedGraph([attr(1), attr(1)], {(0, 1): attr(5)})
+    reversed_ = ag_to_fdg(AttributedGraph([attr(1), attr(1)],
+                                          {(1, 0): attr(5)}))
+    same = ag_to_fdg(g)
+    w = CostWeights()
+    assert (_greedy_cost(g, same, _CostTables(g, same, w))
+            < _greedy_cost(g, reversed_, _CostTables(g, reversed_, w)))
+    visits = []
+
+    def recording(test, f, *args, **kwargs):
+        visits.append(f)
+        return match_by_method(test, f, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "match_by_method", recording)
+    assert fdg_classify(g, [reversed_, same], method=method) == (0, 0.0)
+    assert visits == [same, reversed_]
+    assert _argmin_over_pairs(g, [reversed_, same], method) == (0, 0.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_classify_builds_tables_once_per_prototype(method, table_builds):
+    models, protos = _synthesised_prototypes(5)
+    for k, g in enumerate(models):
+        test = compact_ag(perturb(g, "delete_distort", k, nd=1, nl=1))
+        before = len(table_builds)
+        fdg_classify(test, protos, method=method, tau=0.5, t_p=0.05)
+        assert len(table_builds) - before == len(protos)
 
 
 def test_experiment_zero_noise_is_perfect():

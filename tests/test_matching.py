@@ -10,12 +10,16 @@ Covers:
   * bnb against the exhaustive oracle on random pairs: distances bit-equal,
     counters match the closed forms when the bound is off
   * candidate masks and error handling
+  * property tests of the upper bound: below the optimum nothing comes back,
+    above it the unbounded distance and labelling do; the greedy seed is
+    never below the exhaustive optimum
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphproto.core import (
     PHI,
@@ -27,6 +31,8 @@ from graphproto.core import (
 )
 from graphproto.matching import (
     MatchResult,
+    _CostTables,
+    _greedy_cost,
     _trunc,
     arc_cost,
     bnb_distance,
@@ -293,3 +299,57 @@ def test_extended_query_rejected():
 def test_match_result_repr():
     r = MatchResult(1.5, Labelling([0]), 7, True)
     assert "1.5" in repr(r)
+
+
+_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def _pairs(draw):
+    """An AG and an FDG of orders up to four, within the oracle's reach."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _random_ag(rng), _random_fdg(rng)
+
+
+_weights = st.builds(
+    lambda mode, planar, k3, k4, k5, k7: CostWeights(
+        K3=k3, K4=k4, K5=k5, K7=k7, planar=planar, mode=mode),
+    st.sampled_from(["relaxed", "restricted"]), st.booleans(),
+    st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.5]),
+    st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 1.0]))
+
+
+def _around(d):
+    """Upper bounds just below, at and above d, and infinity."""
+    if not math.isfinite(d):
+        return [0.0, 1.0, math.inf]
+    return [d - 0.5, math.nextafter(d, -math.inf), d,
+            math.nextafter(d, math.inf), d + 0.5, math.inf]
+
+
+@_PROPERTY
+@given(pair=_pairs(), w=_weights, pick=st.integers(0, 5))
+def test_upper_bound_keeps_the_optimum_below_it(pair, w, pick):
+    g, f = pair
+    free = bnb_distance(g, f, w)
+    assert free.distance == exhaustive_oracle(g, f, w).distance
+    bounds = _around(free.distance)
+    u = bounds[pick % len(bounds)]
+    got = bnb_distance(g, f, w, upper_bound=u)
+    if free.distance < u:
+        assert got.valid
+        assert got.distance == free.distance
+        assert got.labelling == free.labelling
+    else:
+        assert not got.valid
+        assert got.distance == math.inf
+        assert got.labelling is None
+
+
+@_PROPERTY
+@given(pair=_pairs(), w=_weights)
+def test_greedy_cost_is_never_below_the_optimum(pair, w):
+    g, f = pair
+    seed = _greedy_cost(g, f, _CostTables(g, f, w))
+    assert seed >= exhaustive_oracle(g, f, w).distance
