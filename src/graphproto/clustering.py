@@ -2,11 +2,12 @@
 
 Two schemes share the synthesis machinery:
 
-  * incremental_clustering consumes the AGs in the order given.  Each one is
-    matched against every live prototype (second-order weights forced to
-    zero, since the growing structure is what those weights would have to
-    describe); it joins the nearest prototype when the distance stays within
-    d_alpha and seeds a new one otherwise.
+  * incremental_clustering consumes the AGs in the order given.  Each one
+    joins the nearest live prototype when the distance stays within d_alpha
+    and seeds a new one otherwise (second-order weights forced to zero,
+    since the growing structure is what those weights would have to
+    describe).  The search is fdg_classify's, bounded just above d_alpha,
+    so prototypes that cannot come within d_alpha are abandoned early.
   * hierarchical_clustering starts from singleton prototypes, one per AG,
     with a full table of pairwise AG distances and labellings.  While the
     smallest table entry stays within d_alpha the closest pair is merged;
@@ -25,7 +26,7 @@ import numpy as np
 from .baseline import edit_distance
 from .core import CostWeights, Labelling, extend_ag, extend_fdg, vertex_list
 from .forg import forg_synthesize
-from .matching import bnb_distance
+from .harness import _classify
 from .synthesis import ag_to_fdg, place_fresh, update_fdg_with_ag
 
 
@@ -48,30 +49,29 @@ def incremental_clustering(ags, d_alpha, weights=None, matcher=None,
                            bin_width=1.0, return_assignments=False):
     """One pass over an AG sequence, growing prototypes as it goes.
 
-    matcher(g, f, weights) must return an object with distance, labelling
-    and valid; the default is the exact branch-and-bound search.  Weights
-    K3..K8 are forced to zero.  With return_assignments the second element
-    maps each prototype to the set of input positions it absorbed.
+    Each AG joins the nearest prototype (lowest index on a tie) when the
+    distance is at most d_alpha.  matcher(g, f, weights) must return an
+    object with distance, labelling and valid; the default is fdg_classify's
+    bounded branch and bound, which gives the result of a full search per
+    prototype.  A custom matcher gets no bound and may search in full.
+    Weights K3..K8 are forced to zero.  With return_assignments the second
+    element maps each prototype to the set of input positions it absorbed.
     """
     ags = list(ags)
     if not ags:
         raise ValueError("at least one AG is required")
+    if math.isnan(d_alpha):
+        raise ValueError("d_alpha must not be NaN")
     w = (weights or CostWeights()).replace(K3=0.0, K4=0.0, K5=0.0,
                                            K6=0.0, K7=0.0, K8=0.0)
-    match = matcher or bnb_distance
+    bound = math.nextafter(d_alpha, math.inf)
     fdgs = []
     members = []
     for idx, g in enumerate(ags):
-        best_d = math.inf
-        best = None
-        for ci, f in enumerate(fdgs):
-            res = match(g, f, w)
-            if res.valid and res.distance < best_d:
-                best_d = res.distance
-                best = (ci, res.labelling)
-        if best is not None and best_d <= d_alpha:
-            ci, lab = best
-            fdgs[ci] = update_fdg_with_ag(fdgs[ci], g, lab)
+        ci, d, results = _classify(g, fdgs, w, upper_bound=bound,
+                                   matcher=matcher)
+        if d < bound:
+            fdgs[ci] = update_fdg_with_ag(fdgs[ci], g, results[ci].labelling)
             members[ci].add(idx)
         else:
             fdgs.append(ag_to_fdg(g, bin_width))
@@ -79,14 +79,6 @@ def incremental_clustering(ags, d_alpha, weights=None, matcher=None,
     if return_assignments:
         return fdgs, members
     return fdgs
-
-
-def _inverse(vmap, target_order):
-    inv = [None] * target_order
-    for s, q in enumerate(vmap):
-        if q is not None:
-            inv[q] = s
-    return inv
 
 
 class ClusterState:
@@ -108,25 +100,18 @@ class ClusterState:
         for i in range(count):
             for j in range(i + 1, count):
                 dij, lab = dist_fn(ags[i], ags[j])
+                if math.isnan(dij):
+                    raise ValueError("ag_distance returned NaN")
                 vmap = vertex_list(lab, ags[i].order)
                 self.dist[i, j] = self.dist[j, i] = dij
                 self.phi[(i, j)] = vmap
-                self.phi[(j, i)] = _inverse(vmap, ags[j].order)
+                self.phi[(j, i)] = Labelling(vmap).inverse(ags[j].order)
 
     def closest_pair(self):
         """Lexicographically first pair realizing the smallest live
         distance, or None when fewer than two clusters remain."""
-        count = len(self.fdgs)
-        best = None
-        best_d = math.inf
-        for x in range(count):
-            if not self.live[x]:
-                continue
-            for y in range(x + 1, count):
-                if self.live[y] and self.dist[x, y] < best_d:
-                    best_d = self.dist[x, y]
-                    best = (x, y)
-        return None if best is None else (best[0], best[1], best_d)
+        x, y = divmod(int(np.argmin(self.dist)), len(self.fdgs))
+        return None if self.dist[x, y] == math.inf else (x, y, self.dist[x, y])
 
     def merge(self, x, y, linkage):
         """Fold cluster x into cluster y.
@@ -155,11 +140,10 @@ class ClusterState:
                 base = self.phi[(i, x)]
                 comp = [None if q is None else full_x[q] for q in base]
                 self.phi[(i, y)] = comp
-                self.phi[(y, i)] = _inverse(comp, k)
+                self.phi[(y, i)] = Labelling(comp).inverse(k)
             else:
                 self.phi[(y, i)] = self.phi[(y, i)] + [None] * (k - old_y)
-            self.dist[i, y] = self.dist[y, i] = max(dx, dy) \
-                if linkage == "complete" else min(dx, dy)
+            self.dist[i, y] = self.dist[y, i] = dx if keep_x else dy
 
         self.live[x] = False
         self.dist[x, :] = math.inf
@@ -183,6 +167,8 @@ def hierarchical_clustering(ags, d_alpha, linkage="complete",
         raise ValueError("at least one AG is required")
     if linkage not in ("single", "complete"):
         raise ValueError("linkage must be 'single' or 'complete'")
+    if math.isnan(d_alpha):
+        raise ValueError("d_alpha must not be NaN")
     state = ClusterState(ags, ag_distance, bin_width)
     while True:
         hit = state.closest_pair()

@@ -84,6 +84,15 @@ def is_null(a):
     return a is None or (isinstance(a, AttrTuple) and a.is_null)
 
 
+def checked_bin_width(width):
+    """width as a float; ValueError unless it is positive and finite."""
+    width = float(width)
+    if not (width > 0 and math.isfinite(width)):
+        raise ValueError("bin width must be positive and finite, got %r"
+                         % (width,))
+    return width
+
+
 class Pdf:
     """Discrete probability function backed by integer sample counts.
 
@@ -111,11 +120,12 @@ class Pdf:
             raise ValueError("pdf counts sum to %d, expected total %d" % (s, total))
         self.counts = clean
         self.total = int(total)
-        self.bin_width = float(bin_width)
+        self.bin_width = checked_bin_width(bin_width)
 
     @classmethod
     def from_attrs(cls, attrs, bin_width=1.0):
         """Estimate from a sample of AttrTuples (PHI and None both count as null)."""
+        bin_width = checked_bin_width(bin_width)
         counts = {}
         n = 0
         for a in attrs:
@@ -453,12 +463,6 @@ class Fdg:
     @property
     def order(self):
         return len(self.vertex_pdfs)
-
-    def arc_slots(self):
-        return slot_pairs(self.order)
-
-    def arc_index(self, i, j):
-        return arc_index(i, j, self.order)
 
     def vertex_null(self, i):
         return self.vertex_pdfs[i].is_null()

@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from .core import PHI, AttributedGraph, Fdg, Pdf, attr, slot_pairs, vertex_list
+from .core import (PHI, AttributedGraph, Fdg, Pdf, attr, checked_bin_width,
+                   slot_pairs, vertex_list)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
 
@@ -240,9 +241,9 @@ def _read_fdg_body(cur, with_relations):
     z = _int_kv(cur, "z")
     raw = _expect_kv(cur, "bin_width")
     try:
-        bin_width = float(raw)
+        bin_width = checked_bin_width(raw)
     except ValueError:
-        cur.error("bad bin_width %r" % raw)
+        cur.error("bad bin_width %r (want a positive finite number)" % raw)
 
     vertex_pdfs = [None] * m
     for _ in range(m):

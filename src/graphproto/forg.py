@@ -14,7 +14,7 @@ which is non-negative and zero when the labelling makes the samples
 indistinguishable.
 """
 
-from .core import PHI, null_pdf, vertex_list
+from .core import PHI, Labelling, null_pdf, vertex_list
 from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
 
@@ -73,20 +73,17 @@ def _merged_entropy(f1, f2, vertex_map):
     w2 = f2.vertex_pdfs[0].bin_width if f2.order else 1.0
     pad1 = null_pdf(f1.z, w1)
     pad2 = null_pdf(f2.z, w2)
-    inv = {}
-    for i, t in enumerate(vertex_map):
-        if t is not None:
-            inv[t] = i
+    inv = Labelling(vertex_map).inverse(f2.order)
     h = 0.0
     for t in range(f2.order):
-        i = inv.get(t)
+        i = inv[t]
         left = f1.vertex_pdfs[i] if i is not None else pad1
         h += left.merge(f2.vertex_pdfs[t]).entropy()
     for i, t in enumerate(vertex_map):
         if t is None:
             h += f1.vertex_pdfs[i].merge(pad2).entropy()
     for (s, t), q2 in f2.arc_pdfs.items():
-        i, j = inv.get(s), inv.get(t)
+        i, j = inv[s], inv[t]
         if i is not None and j is not None:
             h += f1.arc_pdfs[(i, j)].merge(q2).entropy()
         else:

@@ -223,33 +223,37 @@ def smooth_pdf(p, period=None):
     return Pdf(counts, 4 * p.total, p.bin_width)
 
 
-def _classify(test, models, weights, method, tau, t_p):
+def _classify(test, models, weights, method="optimal", tau=1.0, t_p=0.0,
+              upper_bound=math.inf, matcher=None):
     """fdg_classify plus the MatchResult of every prototype, in model order.
 
     Prototypes are visited in order of their greedy labelling cost, each
-    searched only below the incumbent: one with a lower index than the
-    incumbent's may also tie it.  A prototype that cannot win comes back
-    with valid=False.
+    searched only below the incumbent (at first upper_bound): one with a
+    lower index than the incumbent's may also tie it.  A prototype that
+    cannot win comes back with valid=False, unless matcher(test, f, weights)
+    replaces match_by_method: its results are taken as returned.  With no
+    prototype below upper_bound the result is (0, upper_bound, results).
     """
-    if not models:
-        raise ValueError("models must be non-empty")
     w = weights or CostWeights()
     tables = [_CostTables(test, f, w) for f in models]
     order = sorted(range(len(models)),
                    key=lambda i: (_greedy_cost(test, models[i], tables[i]), i))
     results = [None] * len(models)
-    best = 0
-    best_d = math.inf
+    best = -1
+    best_d = upper_bound
     for i in order:
         bound = best_d if i > best else math.nextafter(best_d, math.inf)
-        res = match_by_method(test, models[i], w, method, tau, t_p,
-                              upper_bound=bound, _tables=tables[i])
+        if matcher is None:
+            res = match_by_method(test, models[i], w, method, tau, t_p,
+                                  upper_bound=bound, _tables=tables[i])
+        else:
+            res = matcher(test, models[i], w)
         results[i] = res
         d = res.distance if res.valid else math.inf
         if (d, i) < (best_d, best):
             best_d = d
             best = i
-    return best, best_d, results
+    return max(best, 0), best_d, results
 
 
 def fdg_classify(test, models, weights=None, method="optimal", tau=1.0,
@@ -262,6 +266,8 @@ def fdg_classify(test, models, weights=None, method="optimal", tau=1.0,
     to the end.  Winner and distance equal those of a full search against
     every prototype.
     """
+    if not models:
+        raise ValueError("models must be non-empty")
     best, best_d, _ = _classify(test, models, weights, method, tau, t_p)
     return best, best_d
 

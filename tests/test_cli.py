@@ -11,6 +11,8 @@
   its weights from the config file
 - bad input exits with status 2 and an error line on stderr; a non-finite
   attribute names the file and line
+- a bad bin width (flag or FDG file line) and a NaN --dalpha exit with
+  status 2 before any output is written
 """
 
 import csv
@@ -244,6 +246,46 @@ def test_non_finite_attribute_is_a_parse_error(tmp_path, capsys, row,
     err = capsys.readouterr().err
     assert "%s:%d:" % (path, lineno) in err
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["synth", "cluster"])
+def test_bad_bin_width_flag_exits_2(tmp_path, capsys, command, width):
+    write_ag(_g1(), tmp_path / "a.ag")
+    out = tmp_path / "out"
+    argv = [command, "--ag", str(tmp_path / "a.ag"), "--out", str(out),
+            "--bin-width=" + width]
+    if command == "cluster":
+        argv += ["--dalpha", "1.0"]
+    assert main(argv) == 2
+    assert "bin width" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dist_names_a_zero_bin_width_line(tmp_path, capsys):
+    write_ag(_g1(), tmp_path / "g.ag")
+    fdg = tmp_path / "f.fdg"
+    write_fdg(ag_to_fdg(_g2()), fdg)
+    text = fdg.read_text()
+    assert "\nbin_width 1.0\n" in text
+    fdg.write_text(text.replace("\nbin_width 1.0\n", "\nbin_width 0.0\n"))
+    assert main(["dist", "--ag", str(tmp_path / "g.ag"),
+                 "--fdg", str(fdg)]) == 2
+    err = capsys.readouterr().err
+    assert "%s:4:" % fdg in err
+    assert "bin_width" in err
+
+
+@pytest.mark.parametrize("method", ["incremental", "complete", "single"])
+def test_cluster_nan_dalpha_exits_2(tmp_path, capsys, method):
+    write_ag(_g1(), tmp_path / "a.ag")
+    write_ag(_g2(), tmp_path / "b.ag")
+    out = tmp_path / "out"
+    assert main(["cluster", "--ag", str(tmp_path / "a.ag"),
+                 "--ag", str(tmp_path / "b.ag"), "--method", method,
+                 "--dalpha", "nan", "--out", str(out)]) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_reads_weights_from_config(tmp_path, capsys):

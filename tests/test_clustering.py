@@ -10,6 +10,10 @@
   on a chain, z mass is conserved, and the partition does not depend on the
   input order when the pairwise distances are distinct
 * ClusterState keeps dead rows at infinity and labellings only for live pairs
+* the bounded incremental search gives the members and prototypes of a full
+  bnb_distance per prototype over random batches and thresholds, a distance
+  of exactly d_alpha and a tie met out of index order included
+* a NaN d_alpha and a bad bin width are refused before any work
 """
 
 import math
@@ -34,6 +38,11 @@ from graphproto.clustering import (
     hierarchical_clustering,
     incremental_clustering,
 )
+from graphproto.core import AttrTuple
+from graphproto.harness import (GeneratorConfig, compact_ag, generate_models,
+                                perturb)
+from graphproto.matching import _CostTables, _greedy_cost
+from graphproto import harness
 
 
 def _same_fdg(f1, f2):
@@ -204,3 +213,108 @@ def test_validation():
     g = AttributedGraph([attr(1)], {})
     with pytest.raises(ValueError):
         hierarchical_clustering([g, g], d_alpha=1.0, linkage="average")
+
+
+def _zeroed(weights=None):
+    return (weights or CostWeights()).replace(K3=0.0, K4=0.0, K5=0.0,
+                                              K6=0.0, K7=0.0, K8=0.0)
+
+
+def _noisy_batches(count, seed):
+    """Batches of six AGs, two noisy copies of each of three random models,
+    in shuffled order."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for _ in range(count):
+        models = generate_models(GeneratorConfig(
+            nFDG=3, nv=5, ne=9, seed=int(rng.integers(2 ** 31))))
+        ags = [compact_ag(perturb(g, "delete_distort",
+                                  int(rng.integers(2 ** 31)), nd=1, nl=1))
+               for g in models for _ in range(2)]
+        batches.append([ags[int(k)] for k in rng.permutation(len(ags))])
+    return batches
+
+
+@pytest.mark.parametrize("d_alpha", [-1.0, 0.0, 6.0, 7.0, 9.0, 10.0,
+                                     math.inf])
+def test_bounded_incremental_equals_full_search(d_alpha):
+    # distances here are whole numbers, so the thresholds 6..10 meet many
+    # distances of exactly d_alpha
+    for ags in _noisy_batches(4, seed=11):
+        fdgs, members = incremental_clustering(ags, d_alpha,
+                                               return_assignments=True)
+        full, full_members = incremental_clustering(
+            ags, d_alpha, matcher=bnb_distance, return_assignments=True)
+        assert members == full_members
+        assert len(fdgs) == len(full)
+        for f1, f2 in zip(fdgs, full):
+            _same_fdg(f1, f2)
+
+
+def test_incremental_joins_at_a_distance_of_exactly_d_alpha():
+    for ags in _noisy_batches(3, seed=5):
+        d = bnb_distance(ags[1], ag_to_fdg(ags[0]), _zeroed()).distance
+        for matcher in (None, bnb_distance):
+            _, members = incremental_clustering(
+                ags[:2], d, matcher=matcher, return_assignments=True)
+            assert members == [{0, 1}]
+            _, members = incremental_clustering(
+                ags[:2], math.nextafter(d, -math.inf), matcher=matcher,
+                return_assignments=True)
+            assert members == [{0}, {1}]
+
+
+def test_incremental_tie_met_out_of_index_order(monkeypatch):
+    # t lies at distance 2 = d_alpha from both prototypes, but only the
+    # second one's greedy labelling finds that, so the second is searched
+    # first; the tie must still go to the first
+    a = AttributedGraph([attr(1), attr(1), attr(1)], {})
+    b = AttributedGraph([attr(1), attr(2)], {(1, 0): attr(5)})
+    t = AttributedGraph([attr(2), attr(1), attr(2)], {})
+    w = _zeroed()
+    p0, p1 = ag_to_fdg(a), ag_to_fdg(b)
+    assert bnb_distance(b, p0, w).distance > 2.0
+    assert bnb_distance(t, p0, w).distance == 2.0
+    assert bnb_distance(t, p1, w).distance == 2.0
+    assert (_greedy_cost(t, p1, _CostTables(t, p1, w))
+            < _greedy_cost(t, p0, _CostTables(t, p0, w)))
+    visits = []
+    match = harness.match_by_method
+
+    def recording(g, f, *args, **kwargs):
+        visits.append(f.order)
+        return match(g, f, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "match_by_method", recording)
+    _, members = incremental_clustering([a, b, t], 2.0,
+                                        return_assignments=True)
+    assert members == [{0, 2}, {1}]
+    assert visits == [3, 2, 3]
+    monkeypatch.undo()
+    _, members = incremental_clustering([a, b, t], 2.0, matcher=bnb_distance,
+                                        return_assignments=True)
+    assert members == [{0, 2}, {1}]
+
+
+@pytest.mark.parametrize("learner", [incremental_clustering,
+                                     hierarchical_clustering])
+def test_nan_d_alpha_is_refused(learner):
+    # three singletons: a NaN threshold used to merge them all in the
+    # hierarchical learner and keep them apart in the incremental one
+    ags = [AttributedGraph([attr(v)], {}) for v in (0, 50, 100)]
+    with pytest.raises(ValueError, match="NaN"):
+        learner(ags, math.nan)
+
+
+@pytest.mark.parametrize("learner", [incremental_clustering,
+                                     hierarchical_clustering])
+@pytest.mark.parametrize("width", [0, -1.0, math.nan, math.inf])
+def test_bad_bin_width_is_refused_before_binning(learner, width,
+                                                 monkeypatch):
+    def never(self, width=1.0):
+        raise AssertionError("binned with a bad width")
+
+    monkeypatch.setattr(AttrTuple, "binned", never)
+    ags = [AttributedGraph([attr(v)], {}) for v in (0, 1)]
+    with pytest.raises(ValueError, match="bin width"):
+        learner(ags, 1.0, bin_width=width)

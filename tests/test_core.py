@@ -4,6 +4,7 @@ Covers:
   * arc slot numbering (worked values, bijection, round trip with slot_pairs)
   * attribute binning and pdf estimation, entropy against scipy, exact merges
   * non-finite attribute components are refused where the tuple is built
+  * a non-positive or non-finite bin width is refused before any binning
   * AG validation (coherence, self loops, arc_order) and null-padding extension
   * FDG construction, unconditional arc probabilities, co-occurrence
   * FDG extension: kept bits, null/strict table rules, arc slot re-indexing
@@ -42,7 +43,8 @@ from graphproto.core import (
 from graphproto.forg import forg_synthesize, outcome_probability
 from graphproto.matching import (check_constraints, labelling_cost,
                                  second_order_cost)
-from graphproto.synthesis import ag_to_fdg, update_fdg_with_ag
+from graphproto.synthesis import (CommonLabelling, ag_to_fdg,
+                                  synth_from_labelled_ags, update_fdg_with_ag)
 
 
 def _relations_from_presence(pres):
@@ -163,6 +165,24 @@ def test_non_finite_vertex_fails_where_it_is_built():
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match="non-finite"):
             ag_to_fdg(AttributedGraph([attr(value)], {}))
+
+
+@pytest.mark.parametrize("width", [0, 0.0, -1.0, math.nan, math.inf])
+def test_bad_bin_width_is_refused_before_binning(width, monkeypatch):
+    def never(self, width=1.0):
+        raise AssertionError("binned with a bad width")
+
+    monkeypatch.setattr(AttrTuple, "binned", never)
+    g = AttributedGraph([attr(1)], {})
+    calls = [lambda: Pdf({None: 1}, 1, width),
+             lambda: Pdf.from_attrs([attr(1)], width),
+             lambda: null_pdf(2, width)]
+    calls += [lambda: ag_to_fdg(g, width),
+              lambda: synth_from_labelled_ags(
+                  [g], CommonLabelling.identity([1]), width)]
+    for call in calls:
+        with pytest.raises(ValueError, match="bin width"):
+            call()
 
 
 def test_pdf_from_attrs():

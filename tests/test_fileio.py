@@ -9,6 +9,8 @@
 * malformed input raises ParseError with the offending location, and a
   truncated file never yields a partial value; a non-finite attribute is
   reported by the parser, with its line, before the tuple is built
+* a non-positive or non-finite bin_width line is a ParseError at that line,
+  in FDG and FORG files alike
 """
 
 import math
@@ -198,6 +200,24 @@ def test_non_finite_attribute_fails_in_the_parser(tmp_path, token):
         read_ag(str(p))
     assert str(p) in str(err.value)
     assert err.value.lineno == 3
+
+
+@pytest.mark.parametrize("reader, writer", [(read_fdg, write_fdg),
+                                            (read_forg, write_forg)])
+@pytest.mark.parametrize("width", ["0.0", "-1.0", "nan", "inf"])
+def test_bad_bin_width_is_a_parse_error_at_its_line(tmp_path, reader, writer,
+                                                    width):
+    p = tmp_path / "bad.fdg"
+    writer(_sample_fdg(), p)
+    lines = p.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("bin_"))
+    lines[k] = "bin_width " + width
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        reader(str(p))
+    assert str(p) in str(err.value)
+    assert "bin_width" in str(err.value)
+    assert err.value.lineno == k + 1
 
 
 def test_labelling_round_trip(tmp_path):

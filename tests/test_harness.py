@@ -9,7 +9,8 @@
   of all K weights leaves predictions alone; for every method the bounded
   search equals the argmin of per-pair distances, duplicates and a tie met
   out of index order included, and builds one set of cost tables per
-  prototype
+  prototype; under an upper bound that no prototype beats, the bounded
+  search reports no winner and abandons every prototype
 - run_experiment: zero noise scores 1.0, confusion row sums, determinism,
   noniter at tau 1 matches optimal, csv rows line up with CSV_COLUMNS
 """
@@ -21,9 +22,10 @@ import pytest
 
 from graphproto.core import PHI, AttributedGraph, CostWeights, Pdf, attr
 from graphproto.efficient import METHODS, match_by_method
-from graphproto.harness import (CSV_COLUMNS, GeneratorConfig, compact_ag,
-                                csv_row, fdg_classify, generate_models,
-                                perturb, run_experiment, smooth_pdf)
+from graphproto.harness import (CSV_COLUMNS, GeneratorConfig, _classify,
+                                compact_ag, csv_row, fdg_classify,
+                                generate_models, perturb, run_experiment,
+                                smooth_pdf)
 from graphproto.matching import _CostTables, _greedy_cost
 from graphproto.synthesis import (CommonLabelling, ag_to_fdg,
                                   synth_from_labelled_ags)
@@ -299,6 +301,27 @@ def test_classify_builds_tables_once_per_prototype(method, table_builds):
         before = len(table_builds)
         fdg_classify(test, protos, method=method, tau=0.5, t_p=0.05)
         assert len(table_builds) - before == len(protos)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_classify_bound_that_no_prototype_beats(method):
+    kw = dict(tau=0.5, t_p=0.05)
+    models, protos = _synthesised_prototypes(2)
+    for k, g in enumerate(models):
+        test = compact_ag(perturb(g, "delete_distort", 30 + k, nd=1, nl=1))
+        best, d = fdg_classify(test, protos, method=method, **kw)
+        for bound in (0.0, math.nextafter(d, -math.inf), d):
+            got, got_d, results = _classify(test, protos, None, method,
+                                            upper_bound=bound, **kw)
+            assert (got, got_d) == (0, bound)
+            assert not any(res.valid for res in results)
+        got, got_d, _ = _classify(test, protos, None, method,
+                                  upper_bound=math.nextafter(d, math.inf),
+                                  **kw)
+        assert (got, got_d) == (best, d)
+    assert _classify(models[0], [], None, upper_bound=3.0) == (0, 3.0, [])
+    with pytest.raises(ValueError):
+        fdg_classify(models[0], [])
 
 
 def test_experiment_zero_noise_is_perfect():
