@@ -417,13 +417,19 @@ class Fdg:
     arc-slot counterparts indexed by arc_index.  z counts the AGs the FDG was
     synthesised from and u[(i, j)] the AGs in which both endpoints of that
     slot were present (the denominator of the conditional arc pdf).
+    bin_width is the width all pdfs bin at, so an FDG of order 0 keeps it
+    too; left out, it comes from the pdfs, or is 1.0 when there are none.
     """
 
     __slots__ = ("vertex_pdfs", "arc_pdfs", "Aw", "Ow", "Ew", "Ae", "Oe", "Ee",
-                 "z", "u")
+                 "z", "u", "bin_width")
 
-    def __init__(self, vertex_pdfs, arc_pdfs, relations, z, u, validate=True):
+    def __init__(self, vertex_pdfs, arc_pdfs, relations, z, u, bin_width=None,
+                 validate=True):
         self.vertex_pdfs = list(vertex_pdfs)
+        if bin_width is None:
+            bin_width = self.vertex_pdfs[0].bin_width if self.vertex_pdfs else 1.0
+        self.bin_width = checked_bin_width(bin_width)
         self.arc_pdfs = dict(arc_pdfs)
         self.Aw = np.asarray(relations["Aw"], dtype=bool)
         self.Ow = np.asarray(relations["Ow"], dtype=bool)
@@ -447,6 +453,10 @@ class Fdg:
             for j in range(n):
                 if i != j and (i, j) not in self.arc_pdfs:
                     raise ValueError("missing arc pdf for slot (%d, %d)" % (i, j))
+        for p in self.vertex_pdfs + list(self.arc_pdfs.values()):
+            if p.bin_width != self.bin_width:
+                raise ValueError("pdf bin width %r differs from the FDG's %r"
+                                 % (p.bin_width, self.bin_width))
         for ij, q in self.arc_pdfs.items():
             uij = self.u.get(ij, 0)
             if q.total != uij:
@@ -569,8 +579,7 @@ def remap_fdg(f, vertex_map, k):
         raise ValueError("vertex map must place each old slot once")
     if any(not (0 <= t < k) for t in vmap):
         raise ValueError("vertex map target outside order %d" % k)
-    width = f.vertex_pdfs[0].bin_width if n else 1.0
-    vertex_pdfs = [null_pdf(f.z, width)] * k
+    vertex_pdfs = [null_pdf(f.z, f.bin_width)] * k
     for i, t in enumerate(vmap):
         vertex_pdfs[t] = f.vertex_pdfs[i]
     arc_pdfs = {}
@@ -578,7 +587,7 @@ def remap_fdg(f, vertex_map, k):
     for i in range(k):
         for j in range(k):
             if i != j:
-                arc_pdfs[(i, j)] = Pdf({}, 0, width)
+                arc_pdfs[(i, j)] = Pdf({}, 0, f.bin_width)
                 u[(i, j)] = 0
     for (i, j), q in f.arc_pdfs.items():
         arc_pdfs[(vmap[i], vmap[j])] = q
@@ -589,7 +598,7 @@ def remap_fdg(f, vertex_map, k):
                "Ae": np.ones((k * (k - 1), k * (k - 1)), bool),
                "Oe": np.ones((k * (k - 1), k * (k - 1)), bool),
                "Ee": np.ones((k * (k - 1), k * (k - 1)), bool)},
-              f.z, u, validate=False)
+              f.z, u, f.bin_width, validate=False)
     vnull, vstrict, anull, astrict = _null_flags(tmp)
     vidx = np.asarray(vmap, dtype=int)
     Aw, Ow, Ew = _extended_relations(f.Aw, f.Ow, f.Ew, vidx, vnull, vstrict, k)
@@ -600,7 +609,7 @@ def remap_fdg(f, vertex_map, k):
                                      k * (k - 1))
     return Fdg(vertex_pdfs, arc_pdfs,
                {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-               f.z, u)
+               f.z, u, f.bin_width)
 
 
 def extend_fdg(f, k):

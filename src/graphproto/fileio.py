@@ -13,7 +13,8 @@ FDG file: a `fdg` header, then order / z / bin_width lines, one `vertex i`
 section per slot and one `arc i j` section per ordered slot pair, each
 listing `bin probability` pairs (bins are comma-separated components, `#`
 for the null bin); vertex sections carry their sample total, arc sections
-their denominator u.  Counts are recovered as probability times total.  A
+their denominator u.  Counts are recovered as probability times total.  The
+bin_width line holds the FDG's bin width at every order, 0 included.  A
 final `relations` section gives the six matrices as 0/1 row strings.  The
 FORG format is the same with a `forg` header and no relations section; a
 read FORG gets all-false antagonisms and existences and reflexive
@@ -297,19 +298,14 @@ def _read_fdg_body(cur, with_relations):
         }
     cur.expect_done()
     try:
-        return Fdg(vertex_pdfs, arc_pdfs, relations, z, u)
+        return Fdg(vertex_pdfs, arc_pdfs, relations, z, u, bin_width)
     except ValueError as exc:
         raise ParseError(cur.path, cur.pos, str(exc))
 
 
 def _fdg_lines(f, header):
     m = f.order
-    widths = set(p.bin_width for p in f.vertex_pdfs)
-    widths.update(q.bin_width for q in f.arc_pdfs.values())
-    if len(widths) > 1:
-        raise ValueError("mixed bin widths cannot be serialised")
-    bin_width = widths.pop() if widths else 1.0
-    lines = [header, "order %d" % m, "z %d" % f.z, "bin_width %r" % bin_width]
+    lines = [header, "order %d" % m, "z %d" % f.z, "bin_width %r" % f.bin_width]
     for i in range(m):
         lines.append("vertex %d" % (i + 1))
         lines.append("total %d" % f.vertex_pdfs[i].total)
@@ -369,6 +365,28 @@ def write_labelling(maps, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_pair(token, path, lineno):
+    """The 0-based (vertex, slot) of an `i->l` token, slot None for `#`."""
+    halves = token.split("->")
+    if len(halves) != 2:
+        raise ParseError(path, lineno, "bad pair %r" % token)
+    try:
+        i = int(halves[0])
+    except ValueError:
+        raise ParseError(path, lineno, "bad vertex index %r" % token)
+    if i < 1:
+        raise ParseError(path, lineno, "vertex index %d < 1" % i)
+    if halves[1] == "#":
+        return i - 1, None
+    try:
+        q = int(halves[1])
+    except ValueError:
+        raise ParseError(path, lineno, "bad slot %r" % token)
+    if q < 1:
+        raise ParseError(path, lineno, "slot index %d < 1" % q)
+    return i - 1, q - 1
+
+
 def read_labelling(path):
     """List of {vertex: slot} dicts, 0-based, None for `#`.
 
@@ -382,27 +400,10 @@ def read_labelling(path):
             continue
         entry = {}
         for token in line.split():
-            halves = token.split("->")
-            if len(halves) != 2:
-                raise ParseError(path, lineno, "bad pair %r" % token)
-            try:
-                i = int(halves[0])
-            except ValueError:
-                raise ParseError(path, lineno, "bad vertex index %r" % token)
-            if i < 1:
-                raise ParseError(path, lineno, "vertex index %d < 1" % i)
-            if i - 1 in entry:
-                raise ParseError(path, lineno, "duplicate vertex %d" % i)
-            if halves[1] == "#":
-                entry[i - 1] = None
-            else:
-                try:
-                    q = int(halves[1])
-                except ValueError:
-                    raise ParseError(path, lineno, "bad slot %r" % token)
-                if q < 1:
-                    raise ParseError(path, lineno, "slot index %d < 1" % q)
-                entry[i - 1] = q - 1
+            i, q = _parse_pair(token, path, lineno)
+            if i in entry:
+                raise ParseError(path, lineno, "duplicate vertex %d" % (i + 1))
+            entry[i] = q
         out.append(entry)
     return out
 
@@ -425,16 +426,12 @@ def parse_dist_record(text):
     for lineno, line in enumerate(text.strip().splitlines(), 1):
         key, _, rest = line.partition(" ")
         fields[key] = rest
+        if key == "labelling":
+            vmap = None if rest == "none" else [
+                _parse_pair(t, "<record>", lineno)[1] for t in rest.split()]
     for key in ("distance", "valid", "labelling", "explored"):
         if key not in fields:
             raise ParseError("<record>", 0, "missing field %r" % key)
-    if fields["labelling"] == "none":
-        vmap = None
-    else:
-        vmap = []
-        for token in fields["labelling"].split():
-            halves = token.split("->")
-            vmap.append(None if halves[1] == "#" else int(halves[1]) - 1)
     return {"distance": float(fields["distance"]),
             "valid": bool(int(fields["valid"])),
             "vertex_map": vmap,

@@ -14,6 +14,8 @@ which is non-negative and zero when the labelling makes the samples
 indistinguishable.
 """
 
+import itertools
+
 from .core import PHI, Labelling, null_pdf, vertex_list
 from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
@@ -38,28 +40,11 @@ def forg_synthesize(f1, f2, vertex_map):
 
 
 def _slot_maps(n1, n2):
-    """All injective maps of n1 slots into n2 slots or None (the Q space)."""
-    out = []
-    current = []
-    used = set()
-
-    def rec(i):
-        if i == n1:
-            out.append(list(current))
-            return
-        for t in range(n2):
-            if t not in used:
-                used.add(t)
-                current.append(t)
-                rec(i + 1)
-                current.pop()
-                used.discard(t)
-        current.append(None)
-        rec(i + 1)
-        current.pop()
-
-    rec(0)
-    return out
+    """All injective maps of n1 slots into n2 slots or None (the Q space),
+    in lexicographic order with None after every slot."""
+    return [list(m) for m in itertools.product(list(range(n2)) + [None],
+                                               repeat=n1)
+            if len(set(m) - {None}) == n1 - m.count(None)]
 
 
 def _merged_entropy(f1, f2, vertex_map):
@@ -69,10 +54,8 @@ def _merged_entropy(f1, f2, vertex_map):
     missing from a slot pads as certainly null, a missing arc side as the
     degenerate empty pdf) and sums their entropies directly.
     """
-    w1 = f1.vertex_pdfs[0].bin_width if f1.order else 1.0
-    w2 = f2.vertex_pdfs[0].bin_width if f2.order else 1.0
-    pad1 = null_pdf(f1.z, w1)
-    pad2 = null_pdf(f2.z, w2)
+    pad1 = null_pdf(f1.z, f1.bin_width)
+    pad2 = null_pdf(f2.z, f2.bin_width)
     inv = Labelling(vertex_map).inverse(f2.order)
     h = 0.0
     for t in range(f2.order):

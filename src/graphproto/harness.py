@@ -259,7 +259,8 @@ def _classify(test, models, weights, method="optimal", tau=1.0, t_p=0.0,
 def fdg_classify(test, models, weights=None, method="optimal", tau=1.0,
                  t_p=0.0):
     """Index of the nearest prototype and the distance to it; a tie goes to
-    the lowest index.
+    the lowest index.  (None, inf) when no prototype admits a valid
+    labelling.
 
     One bounded search: a prototype is abandoned as soon as it cannot beat
     the nearest one found so far, so only the winner's distance is solved
@@ -269,7 +270,7 @@ def fdg_classify(test, models, weights=None, method="optimal", tau=1.0,
     if not models:
         raise ValueError("models must be non-empty")
     best, best_d, _ = _classify(test, models, weights, method, tau, t_p)
-    return best, best_d
+    return (best, best_d) if best_d < math.inf else (None, best_d)
 
 
 def run_experiment(cfg, weights=None, method="optimal", repetitions=1,
@@ -283,6 +284,8 @@ def run_experiment(cfg, weights=None, method="optimal", repetitions=1,
     classifies NT perturbed test AGs per model.  Node counts and times are
     those of fdg_classify's bounded search, in which losing prototypes are
     abandoned at the incumbent, not of a full search against each prototype.
+    A test AG that no prototype admits is a miss and enters no confusion
+    cell.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
@@ -330,14 +333,15 @@ def run_experiment(cfg, weights=None, method="optimal", repetitions=1,
                 if noise == "delete_distort":
                     t = compact_ag(t)
                 start = time.perf_counter()
-                best, _, results = _classify(t, prototypes, w, method, tau,
-                                             t_p)
+                best, best_d, results = _classify(t, prototypes, w, method,
+                                                  tau, t_p)
                 elapsed += time.perf_counter() - start
                 nodes += sum(res.explored_nodes for res in results)
                 comparisons += len(results)
-                confusion[true, best] += 1
-                if best == true:
-                    correct += 1
+                if best_d < math.inf:
+                    confusion[true, best] += 1
+                    if best == true:
+                        correct += 1
         hits += correct / (cfg.nFDG * cfg.NT)
 
     params = {"method": method, "NR": cfg.NR, "sigma": sigma,

@@ -122,7 +122,7 @@ def synth_from_labelled_ags(ags, labelling, bin_width=1.0):
     Ae, Oe, Ee = _relations(ap)
     return Fdg(vertex_pdfs, arc_pdfs,
                {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-               z, u)
+               z, u, bin_width)
 
 
 def synth_from_labelled_fdgs(fdgs, labelling):
@@ -131,9 +131,12 @@ def synth_from_labelled_fdgs(fdgs, labelling):
     Each input is re-seated in the order-n frame; pooled pdfs weight every
     input by its own denominators (z for vertices, u per arc slot), the
     relations hold exactly when they hold in every input, and z and u add.
+    All inputs must share one bin width, which the result keeps.
     """
     if len(fdgs) == 0:
         raise ValueError("cannot combine zero FDGs")
+    if len(set(f.bin_width for f in fdgs)) > 1:
+        raise ValueError("cannot combine FDGs with different bin widths")
     if len(labelling.maps) != len(fdgs):
         raise ValueError("%d FDGs but %d labellings"
                          % (len(fdgs), len(labelling.maps)))
@@ -166,7 +169,7 @@ def synth_from_labelled_fdgs(fdgs, labelling):
         z += f.z
     return Fdg(vertex_pdfs, arc_pdfs,
                {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-               z, u)
+               z, u, acc.bin_width)
 
 
 def ag_to_fdg(g, bin_width=1.0):
@@ -189,16 +192,14 @@ def place_fresh(vmap, m):
     return placed, nxt
 
 
-def update_fdg_with_ag(f, g, labelling, bin_width=None):
-    """Grow an FDG with one more AG.
+def update_fdg_with_ag(f, g, labelling):
+    """Grow an FDG with one more AG, binned at f's bin width.
 
     labelling maps g's vertices to slots of f (None sends a vertex to a fresh
     slot; fresh slots are appended in vertex order).  Equivalent to
     re-synthesising from the enlarged sample.
     """
     placed, k = place_fresh(vertex_list(labelling, g.order), f.order)
-    if bin_width is None:
-        bin_width = f.vertex_pdfs[0].bin_width if f.order else 1.0
-    h = ag_to_fdg(g, bin_width)
+    h = ag_to_fdg(g, f.bin_width)
     lab = CommonLabelling([list(range(f.order)), placed], k)
     return synth_from_labelled_fdgs([f, h], lab)

@@ -11,6 +11,7 @@
   reported by the parser, with its line, before the tuple is built
 * a non-positive or non-finite bin_width line is a ParseError at that line,
   in FDG and FORG files alike
+* a malformed `i->l` token in a distance record is a ParseError at its line
 """
 
 import math
@@ -270,3 +271,10 @@ def test_dist_record_invalid_result():
     assert back["distance"] == math.inf
     assert back["valid"] is False
     assert back["vertex_map"] is None
+
+
+@pytest.mark.parametrize("token", ["1-2", "1->x", "x->1", "0->1", "1->0"])
+def test_dist_record_bad_labelling_token(token):
+    text = "distance 1.0\nvalid 1\nlabelling 1->1 %s\nexplored 3\n" % token
+    with pytest.raises(ParseError, match="<record>:3"):
+        parse_dist_record(text)

@@ -13,6 +13,8 @@
   search reports no winner and abandons every prototype
 - run_experiment: zero noise scores 1.0, confusion row sums, determinism,
   noniter at tau 1 matches optimal, csv rows line up with CSV_COLUMNS
+- when no prototype admits a valid labelling, fdg_classify returns
+  (None, inf) and run_experiment counts a miss in no confusion cell
 """
 
 import math
@@ -396,3 +398,22 @@ def test_csv_row_lines_up():
 def test_fileio_reexports():
     assert harness.read_ag is fileio.read_ag
     assert harness.write_fdg is fileio.write_fdg
+
+
+def test_classify_reports_no_winner_when_no_prototype_admits_the_ag():
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(3)})
+    empty = AttributedGraph([], {})
+    w = CostWeights(mode="restricted")
+    assert fdg_classify(empty, [ag_to_fdg(g)] * 2, w) == (None, math.inf)
+    got, got_d, results = _classify(empty, [ag_to_fdg(g)] * 2, w)
+    assert (got, got_d) == (0, math.inf)
+    assert not any(res.valid for res in results)
+
+
+def test_experiment_counts_an_unclassifiable_ag_as_a_miss():
+    # under hard constraints no class-0 test AG has a valid labelling
+    cfg = GeneratorConfig(nFDG=2, NT=2, NR=1, nv=4, ne=4, seed=0)
+    rep = run_experiment(cfg, CostWeights(mode="restricted"),
+                         noise="gaussian", structural=1)
+    assert rep.correctness == 0.5
+    assert rep.confusion.tolist() == [[0, 0], [0, 2]]
