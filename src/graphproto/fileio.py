@@ -392,20 +392,22 @@ def read_labelling(path):
 
     Vertices missing from a line are simply absent from its dict.
     """
-    out = []
     with open(path) as fh:
         lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        entry = {}
-        for token in line.split():
-            i, q = _parse_pair(token, path, lineno)
-            if i in entry:
-                raise ParseError(path, lineno, "duplicate vertex %d" % (i + 1))
-            entry[i] = q
-        out.append(entry)
-    return out
+    return [_parse_pairs(line, path, lineno)
+            for lineno, line in enumerate(lines, 1) if line.strip()]
+
+
+def _parse_pairs(line, path, lineno):
+    """{vertex: slot} of a line of `i->l` tokens; a vertex listed twice is
+    a ParseError."""
+    entry = {}
+    for token in line.split():
+        i, q = _parse_pair(token, path, lineno)
+        if i in entry:
+            raise ParseError(path, lineno, "duplicate vertex %d" % (i + 1))
+        entry[i] = q
+    return entry
 
 
 def format_dist_record(res):
@@ -421,14 +423,27 @@ def format_dist_record(res):
 
 
 def parse_dist_record(text):
-    """Inverse of format_dist_record; returns a plain dict."""
+    """Inverse of format_dist_record; returns a plain dict.
+
+    The labelling's `i->l` pairs may come in any order; they must name each
+    vertex 1..n once, n being the number of pairs.
+    """
     fields = {}
     for lineno, line in enumerate(text.strip().splitlines(), 1):
         key, _, rest = line.partition(" ")
         fields[key] = rest
-        if key == "labelling":
-            vmap = None if rest == "none" else [
-                _parse_pair(t, "<record>", lineno)[1] for t in rest.split()]
+        if key == "labelling" and rest == "none":
+            vmap = None
+        elif key == "labelling":
+            # n distinct vertices all within 1..n: each is listed once
+            entry = _parse_pairs(rest, "<record>", lineno)
+            vmap = [None] * len(entry)
+            for i, q in entry.items():
+                if i >= len(vmap):
+                    raise ParseError("<record>", lineno,
+                                     "vertex %d out of range for %d pairs"
+                                     % (i + 1, len(vmap)))
+                vmap[i] = q
     for key in ("distance", "valid", "labelling", "explored"):
         if key not in fields:
             raise ParseError("<record>", 0, "missing field %r" % key)

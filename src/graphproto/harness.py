@@ -300,18 +300,13 @@ def run_experiment(cfg, weights=None, method="optimal", repetitions=1,
     comparisons = 0
     identity = list(range(cfg.nv))
 
-    def ref_kwargs(seed):
+    def noisy(rng, g, structural):
+        """g under the configured noise, on a seed drawn from rng;
+        structural only applies to gaussian noise."""
+        seed = int(rng.integers(2 ** 31))
         if noise == "delete_distort":
-            return dict(mode="delete_distort", seed=seed,
-                        nd=cfg.nd, nl=cfg.nl)
-        return dict(mode="gaussian", seed=seed, sigma=sigma, structural=0)
-
-    def test_kwargs(seed):
-        if noise == "delete_distort":
-            return dict(mode="delete_distort", seed=seed,
-                        nd=cfg.nd, nl=cfg.nl)
-        return dict(mode="gaussian", seed=seed, sigma=sigma,
-                    structural=structural)
+            return perturb(g, "delete_distort", seed, nd=cfg.nd, nl=cfg.nl)
+        return perturb(g, "gaussian", seed, sigma=sigma, structural=structural)
 
     for _ in range(repetitions):
         round_seed = int(master.integers(2 ** 31))
@@ -320,16 +315,14 @@ def run_experiment(cfg, weights=None, method="optimal", repetitions=1,
                   for _ in range(cfg.nFDG)]
         prototypes = []
         for g in models:
-            refs = [perturb(g, **ref_kwargs(int(rng.integers(2 ** 31))))
-                    for _ in range(cfg.NR)]
+            refs = [noisy(rng, g, 0) for _ in range(cfg.NR)]
             prototypes.append(synth_from_labelled_ags(
                 refs, CommonLabelling([identity] * cfg.NR, cfg.nv),
                 bin_width))
         correct = 0
         for true in range(cfg.nFDG):
             for _ in range(cfg.NT):
-                t = perturb(models[true],
-                            **test_kwargs(int(rng.integers(2 ** 31))))
+                t = noisy(rng, models[true], structural)
                 if noise == "delete_distort":
                     t = compact_ag(t)
                 start = time.perf_counter()

@@ -106,31 +106,33 @@ def arc_cost(b, pdf, endpoint_null, k_pr=1e-4):
     return _trunc(pdf.prob_attr(b), k_pr)
 
 
-def _row_masks(mat):
-    """Nonzero rows of a boolean matrix as (row, column-bitmask) pairs."""
-    out = []
-    for q in range(mat.shape[0]):
-        cols = np.nonzero(mat[q])[0]
-        if len(cols):
-            bits = 0
-            for r in cols:
-                bits |= 1 << int(r)
-            out.append((q, bits))
-    return out
-
-
 class _CostTables:
-    """Per (AG, FDG, weights) caches used by every cost evaluation."""
+    """Per (AG, FDG, weights) caches used by every cost evaluation.
+
+    First order: vc[i, q] is the vertex cost of AG vertex i on slot q
+    (column m is the null target), del_v[q] the cost of leaving slot q
+    empty, ce_absent[q, r] the rate of slot pair (q, r) when no AG arc lands
+    on it and ce[i, j] the rate matrix of the ordered AG pair (i, j).  The
+    *_list mirrors of vc, del_v, ce_absent and ce (the last for present AG
+    arcs only) are read per leaf, where plain-list indexing beats numpy's
+    per-call dispatch on matrices this small.  colK2[i, p] is the cost of
+    the AG arcs between i and p when p goes to the null target.
+
+    Second order: Aw, Ow, Ew (over vertex slots) and Ae, Oe, Ee (over arc
+    slots, indexed by arc_index) are the FDG's relations as float32 0/1
+    matrices, with the diagonal and the pairs an exempt element takes part
+    in cleared.  They are the only form the relations are kept in: counts
+    are vector-matrix-vector products, and A and E are symmetric, so they
+    count each unordered pair twice.
+    """
 
     def __init__(self, g, f, w):
         n, m = g.order, f.order
         self.n, self.m = n, m
-        self.M = m * (m - 1)
         self.w = w
         k_pr = w.K_pr
 
         self.fnull = np.array([f.vertex_null(q) for q in range(m)], bool)
-        self.fstrict = np.array([f.vertex_strict(q) for q in range(m)], bool)
         self.existable = np.array(
             [f.existable(i, j) for (i, j) in slot_pairs(m)], bool)
 
@@ -176,93 +178,56 @@ class _CostTables:
         for (q, r) in slot_pairs(m):
             self.sidx[q, r] = arc_index(q, r, m)
 
-        ok_v = ~self.fnull
-        self.Aw_eff = f.Aw & ok_v[:, None] & ok_v[None, :]
-        self.Ow_eff = f.Ow & ok_v[:, None]
-        self.Ew_eff = f.Ew & ok_v[:, None] & ok_v[None, :]
-        np.fill_diagonal(self.Aw_eff, False)
-        np.fill_diagonal(self.Ow_eff, False)
-        np.fill_diagonal(self.Ew_eff, False)
-        ok_e = self.existable
-        self.Ae_eff = f.Ae & ok_e[:, None] & ok_e[None, :]
-        self.Oe_eff = f.Oe & ok_e[:, None]
-        self.Ee_eff = f.Ee & ok_e[:, None] & ok_e[None, :]
-        np.fill_diagonal(self.Ae_eff, False)
-        np.fill_diagonal(self.Oe_eff, False)
-        np.fill_diagonal(self.Ee_eff, False)
+        # null vertex slots and non-existable arc slots are exempt: A and E
+        # drop every pair one takes part in, O the pairs it is the source of
+        def effective(rel, ok, symmetric):
+            keep = rel & ok[:, None]
+            if symmetric:
+                keep &= ok[None, :]
+            np.fill_diagonal(keep, False)
+            return keep.astype(np.float32)
+
+        ok_v, ok_e = ~self.fnull, self.existable
+        self.Aw = effective(f.Aw, ok_v, True)
+        self.Ow = effective(f.Ow, ok_v, False)
+        self.Ew = effective(f.Ew, ok_v, True)
+        self.Ae = effective(f.Ae, ok_e, True)
+        self.Oe = effective(f.Oe, ok_e, False)
+        self.Ee = effective(f.Ee, ok_e, True)
 
         self.pn_pairs = [(int(i), int(j)) for (i, j) in zip(*np.nonzero(self.pn))]
-        self.Aw_tri = np.triu(self.Aw_eff, 1)
-        self.Ew_tri = np.triu(self.Ew_eff, 1)
-        self.Ae_tri = np.triu(self.Ae_eff, 1)
-        self.Ee_tri = np.triu(self.Ee_eff, 1)
-        self.any_rel = (self.Aw_tri.any() or self.Ow_eff.any()
-                        or self.Ew_tri.any() or self.Ae_tri.any()
-                        or self.Oe_eff.any() or self.Ee_tri.any())
-
-        # row bitmasks and plain-list mirrors keep the per-leaf work off the
-        # numpy dispatch path, where the matrices are far too small to pay
-        self.Aw_rows = _row_masks(self.Aw_tri)
-        self.Ow_rows = _row_masks(self.Ow_eff)
-        self.Ew_rows = _row_masks(self.Ew_tri)
-        self.Ae_rows = _row_masks(self.Ae_tri)
-        self.Oe_rows = _row_masks(self.Oe_eff)
-        self.Ee_rows = _row_masks(self.Ee_tri)
-        self.vfull = (1 << m) - 1
-        self.efull = (1 << self.M) - 1
         self.vc_list = self.vc.tolist()
         self.del_v_list = self.del_v.tolist()
         self.ce_absent_list = self.ce_absent.tolist()
         self.ce_pn_list = {(i, j): self.ce[i, j].tolist()
                            for (i, j) in self.pn_pairs}
-        self.sidx_list = self.sidx.tolist()
 
         self.colK2 = w.K2 * (self.pn.astype(float) + self.pn.T.astype(float))
 
 
 def _realized(t, vmap):
-    """Realized vertex slots and arc slots as bitmasks, plus the inverse
-    map from slot to AG vertex."""
-    vbits = 0
+    """Realized vertex slots and arc slots as float32 0/1 vectors, plus the
+    inverse map from slot to AG vertex."""
+    v = np.zeros(t.m, np.float32)
     inv = [None] * t.m
     for i, q in enumerate(vmap):
         if q is not None:
-            vbits |= 1 << q
+            v[q] = 1
             inv[q] = i
-    ebits = 0
+    e = np.zeros(len(t.existable), np.float32)
     for (i, j) in t.pn_pairs:
         if vmap[i] is not None and vmap[j] is not None:
-            ebits |= 1 << t.sidx_list[vmap[i]][vmap[j]]
-    return vbits, ebits, inv
+            e[t.sidx[vmap[i], vmap[j]]] = 1
+    return v, e, inv
 
 
-def _violation_counts(t, vbits, ebits):
+def _violation_counts(t, v, e):
     """Violated relation instances: A and E over unordered pairs, O over
     ordered pairs, at both levels."""
-    if not t.any_rel:
-        return 0, 0, 0, 0, 0, 0
-    avbits = ~vbits & t.vfull
-    aebits = ~ebits & t.efull
-    va = vo = ve = ea = eo = ee = 0
-    for q, mask in t.Aw_rows:
-        if (vbits >> q) & 1:
-            va += (mask & vbits).bit_count()
-    for q, mask in t.Ow_rows:
-        if (vbits >> q) & 1:
-            vo += (mask & avbits).bit_count()
-    for q, mask in t.Ew_rows:
-        if (avbits >> q) & 1:
-            ve += (mask & avbits).bit_count()
-    for q, mask in t.Ae_rows:
-        if (ebits >> q) & 1:
-            ea += (mask & ebits).bit_count()
-    for q, mask in t.Oe_rows:
-        if (ebits >> q) & 1:
-            eo += (mask & aebits).bit_count()
-    for q, mask in t.Ee_rows:
-        if (aebits >> q) & 1:
-            ee += (mask & aebits).bit_count()
-    return va, vo, ve, ea, eo, ee
+    av, ae = 1 - v, 1 - e
+    return (int(v @ t.Aw @ v) // 2, int(v @ t.Ow @ av),
+            int(av @ t.Ew @ av) // 2, int(e @ t.Ae @ e) // 2,
+            int(e @ t.Oe @ ae), int(ae @ t.Ee @ ae) // 2)
 
 
 def _planar_ok(g, vmap, sources=None):
@@ -287,8 +252,8 @@ def second_order_cost(g, f, labelling, weights=None):
     w = weights or CostWeights()
     vmap = vertex_list(labelling, g.order)
     t = _CostTables(g, f, w)
-    vbits, ebits, _ = _realized(t, vmap)
-    va, vo, ve, ea, eo, ee = _violation_counts(t, vbits, ebits)
+    v, e, _ = _realized(t, vmap)
+    va, vo, ve, ea, eo, ee = _violation_counts(t, v, e)
     return (w.K3 * va + w.K5 * vo + w.K7 * ve
             + w.K4 * ea + w.K6 * eo + w.K8 * ee)
 
@@ -302,8 +267,8 @@ def check_constraints(g, f, labelling, weights=None):
         return False
     if w.mode == "restricted":
         t = _CostTables(g, f, w)
-        vbits, ebits, _ = _realized(t, vmap)
-        if any(_violation_counts(t, vbits, ebits)):
+        v, e, _ = _realized(t, vmap)
+        if any(_violation_counts(t, v, e)):
             return False
     return True
 
@@ -319,7 +284,7 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
     t = _tables if _tables is not None else _CostTables(g, f, w)
     n, m = t.n, t.m
 
-    vbits, ebits, inv = _realized(t, vmap)
+    v, e, inv = _realized(t, vmap)
     cost = 0.0
     for i, q in enumerate(vmap):
         cost += t.vc_list[i][m if q is None else q]
@@ -342,7 +307,7 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
         else:
             cost += t.ce_pn_list[(i, j)][q][r] - ca[q][r]
 
-    va, vo, ve, ea, eo, ee = _violation_counts(t, vbits, ebits)
+    va, vo, ve, ea, eo, ee = _violation_counts(t, v, e)
     if w.mode == "restricted":
         if va or vo or ve or ea or eo or ee:
             return math.inf, False
@@ -387,20 +352,17 @@ def _kp_delta(t, node, p, qp):
     D[:, m] = per_i
     if w.mode == "relaxed":
         if w.K3:
-            D[:, :m] += w.K3 * t.Aw_eff[:, qp].astype(float)[None, :]
+            D[:, :m] += w.K3 * t.Aw[:, qp].astype(float)
         if w.K4 and len(node.present):
-            present = np.fromiter(node.present, dtype=int)
-            for i in range(p + 1, n):
-                extra = np.zeros(m)
-                if t.pn[i, p]:
-                    rows = t.sidx[:, qp]
-                    ok = rows >= 0
-                    extra[ok] += t.Ae_eff[np.ix_(rows[ok], present)].sum(axis=1)
-                if t.pn[p, i]:
-                    rows = t.sidx[qp, :]
-                    ok = rows >= 0
-                    extra[ok] += t.Ae_eff[np.ix_(rows[ok], present)].sum(axis=1)
-                D[i - p - 1, :m] += w.K4 * extra
+            # hits[s]: realized arc slots antagonistic to arc slot s; a
+            # future vertex i on slot r realizes (r, qp) and (qp, r) when
+            # the AG has the arcs (i, p) and (p, i)
+            hits = t.Ae[:, list(node.present)].sum(axis=1, dtype=float)
+            into, out = t.sidx[:, qp], t.sidx[qp, :]
+            h_in = np.where(into >= 0, hits[into], 0.0)
+            h_out = np.where(out >= 0, hits[out], 0.0)
+            D[:, :m] += w.K4 * (t.pn[p + 1:, p, None] * h_in
+                                + t.pn[p, p + 1:, None] * h_out)
     return D
 
 
@@ -428,15 +390,15 @@ def _hard_reject(t, node, p, qp, new_slots):
     vmap = node.vertex_map
     for s in range(node.depth):
         qs = vmap[s]
-        if qs is not None and t.Aw_eff[qp, qs]:
+        if qs is not None and t.Aw[qp, qs]:
             return True
     for e in new_slots:
         for old in node.present:
-            if t.Ae_eff[e, old]:
+            if t.Ae[e, old]:
                 return True
     for x in range(len(new_slots)):
         for y in range(x + 1, len(new_slots)):
-            if t.Ae_eff[new_slots[x], new_slots[y]]:
+            if t.Ae[new_slots[x], new_slots[y]]:
                 return True
     return False
 

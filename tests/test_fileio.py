@@ -12,9 +12,12 @@
 * a non-positive or non-finite bin_width line is a ParseError at that line,
   in FDG and FORG files alike
 * a malformed `i->l` token in a distance record is a ParseError at its line
+* a distance record places each slot at its pair's vertex index, and a
+  duplicate, missing or out-of-range vertex is a ParseError at its line
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +96,7 @@ def test_extended_ag_round_trip(tmp_path):
 def test_ag_file_shape(tmp_path):
     p = str(tmp_path / "g.ag")
     write_ag(_sample_ag(), p)
-    lines = open(p).read().splitlines()
+    lines = Path(p).read_text().splitlines()
     assert lines[0] == "3"
     assert len(lines) == 5
     for i, row in enumerate(lines[2:]):
@@ -157,7 +160,7 @@ def test_forg_round_trip(tmp_path):
     assert back.z == f.z and back.u == f.u
     assert not back.Aw.any() and not back.Ew.any()
     assert (back.Ow == np.eye(f.order, dtype=bool)).all()
-    assert "relations" not in open(p).read()
+    assert "relations" not in Path(p).read_text()
 
 
 def test_fdg_header_checked(tmp_path):
@@ -225,7 +228,7 @@ def test_labelling_round_trip(tmp_path):
     maps = [[0, None, 2], [1, 0]]
     p = str(tmp_path / "lab.txt")
     write_labelling(maps, p)
-    assert open(p).read() == "1->1 2-># 3->3\n1->2 2->1\n"
+    assert Path(p).read_text() == "1->1 2-># 3->3\n1->2 2->1\n"
     back = read_labelling(p)
     assert back == [{0: 0, 1: None, 2: 2}, {0: 1, 1: 0}]
 
@@ -276,5 +279,21 @@ def test_dist_record_invalid_result():
 @pytest.mark.parametrize("token", ["1-2", "1->x", "x->1", "0->1", "1->0"])
 def test_dist_record_bad_labelling_token(token):
     text = "distance 1.0\nvalid 1\nlabelling 1->1 %s\nexplored 3\n" % token
+    with pytest.raises(ParseError, match="<record>:3"):
+        parse_dist_record(text)
+
+
+def test_dist_record_places_slots_by_vertex_index():
+    text = "distance 1.0\nvalid 1\nlabelling 3->2 1-># 2->1\nexplored 0\n"
+    assert parse_dist_record(text)["vertex_map"] == [None, 0, 1]
+
+
+@pytest.mark.parametrize("pairs", [
+    "3->1 1->2",      # vertex 2 missing, 3 out of range
+    "2->1 2->2",      # vertex 2 twice, 1 missing
+    "1->1 2->2 5->3",
+])
+def test_dist_record_needs_each_vertex_once(pairs):
+    text = "distance 1.0\nvalid 1\nlabelling %s\nexplored 0\n" % pairs
     with pytest.raises(ParseError, match="<record>:3"):
         parse_dist_record(text)

@@ -13,6 +13,8 @@ Covers:
   * property tests of the upper bound: below the optimum nothing comes back,
     above it the unbounded distance and labelling do; the greedy seed is
     never below the exhaustive optimum
+  * second_order_cost, one weight at a time, against violations counted
+    pair by pair from the FDG's relation matrices
 """
 
 import math
@@ -27,6 +29,7 @@ from graphproto.core import (
     CostWeights,
     Labelling,
     Pdf,
+    arc_index,
     attr,
 )
 from graphproto.matching import (
@@ -353,3 +356,65 @@ def test_greedy_cost_is_never_below_the_optimum(pair, w):
     g, f = pair
     seed = _greedy_cost(g, f, _CostTables(g, f, w))
     assert seed >= exhaustive_oracle(g, f, w).distance
+
+
+def _pairwise_violations(g, f, vmap):
+    """(va, vo, ve, ea, eo, ee) counted pair by pair from f.Aw .. f.Ee.
+
+    A and E count unordered pairs of distinct elements, O ordered ones.  An
+    element whose pdf forces its outcome (a null vertex slot, an arc slot
+    that is not existable) is exempt: A and E skip every pair it is in, O
+    the pairs it is the source of.
+    """
+    m = f.order
+    v_in = [q in vmap for q in range(m)]
+    v_ok = [not f.vertex_null(q) for q in range(m)]
+    arcs = {(vmap[i], vmap[j]) for (i, j), b in g.arcs.items()
+            if not b.is_null and vmap[i] is not None and vmap[j] is not None}
+    e_in = [False] * (m * (m - 1))
+    e_ok = [False] * (m * (m - 1))
+    for q in range(m):
+        for r in range(m):
+            if q != r:
+                e_in[arc_index(q, r, m)] = (q, r) in arcs
+                e_ok[arc_index(q, r, m)] = f.existable(q, r)
+
+    def count(rel, inn, ok, kind):
+        total = 0
+        for a in range(len(inn)):
+            for b in range(len(inn)):
+                if a == b or not rel[a, b] or not ok[a]:
+                    continue
+                if kind == "O":
+                    total += inn[a] and not inn[b]
+                elif a < b and ok[b]:
+                    total += (inn[a] and inn[b] if kind == "A"
+                              else not inn[a] and not inn[b])
+        return total
+
+    return (count(f.Aw, v_in, v_ok, "A"), count(f.Ow, v_in, v_ok, "O"),
+            count(f.Ew, v_in, v_ok, "E"), count(f.Ae, e_in, e_ok, "A"),
+            count(f.Oe, e_in, e_ok, "O"), count(f.Ee, e_in, e_ok, "E"))
+
+
+@pytest.mark.parametrize("k, name", enumerate(
+    ["K3", "K5", "K7", "K4", "K6", "K8"]))
+def test_second_order_cost_counts_violations_pair_by_pair(k, name):
+    rng = np.random.default_rng(600 + k)
+    w = CostWeights(**{kk: float(kk == name) for kk in
+                       ("K3", "K4", "K5", "K6", "K7", "K8")})
+    violated = 0
+    for _ in range(150):
+        # an FDG of several samples carries relations that can break
+        n = int(rng.integers(2, 6))
+        ags = [_random_ag(rng, max_order=n) for _ in range(rng.integers(2, 5))]
+        maps = [list(rng.permutation(n))[:a.order] for a in ags]
+        f = synth_from_labelled_ags(ags, CommonLabelling(maps, n))
+        g = _random_ag(rng, max_order=5)
+        slots = rng.permutation(n)
+        vmap = [int(slots[i]) if i < n and rng.random() > 0.3 else None
+                for i in range(g.order)]
+        want = _pairwise_violations(g, f, vmap)[k]
+        assert second_order_cost(g, f, vmap, w) == want
+        violated += want > 0
+    assert violated >= 5
