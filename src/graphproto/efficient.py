@@ -7,6 +7,11 @@ to bnb_distance as its `allowed` argument:
     cyclic string edit distance between their local star structures and
     forbids the pairs whose normalised score exceeds a threshold tau.  With
     tau = 1 and unit weights nothing is forbidden, so the search stays exact.
+    The filter reads its item costs from the pair's cost tables
+    (matching._CostTables: vc, ce[i, j] and del_v), which the search then
+    reuses, so no attribute is scored against a pdf twice.  The public
+    expanded_vertex_distance scores its items by vertex_cost and arc_cost
+    and runs the same alignment DP, with bit-identical results.
   * probabilistic relaxation iterates a support-driven update on a vertex-to-
     slot probability matrix and keeps the entries above a threshold t_p
     (plus each row's best candidate, so no row goes empty).  With t_p = 0
@@ -19,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import AttributedGraph, CostWeights, Fdg, slot_pairs
+from .core import AttributedGraph, CostWeights, Fdg
 from .matching import _CostTables, _trunc, arc_cost, bnb_distance, vertex_cost
 
 _EPS = 1e-9
@@ -88,43 +93,80 @@ def expanded_vertex_distance(ev_g, ev_f, weights=None):
     w = weights or CostWeights()
     k_pr = w.K_pr
     central = w.K1 * vertex_cost(ev_g.center, ev_f.center, k_pr)
-    seq0 = ev_g.items
-    ext = ev_f.items
-    np_, mp = len(seq0), len(ext)
-    ins = w.K1 + w.K2
-    delc = [w.K1 * _trunc(p.prob_null(), k_pr) for (_, p) in ext]
+    delc = [w.K1 * _trunc(p.prob_null(), k_pr) for (_, p) in ev_f.items]
+    vsub = [[w.K1 * vertex_cost(a, p, k_pr) for (_, p) in ev_f.items]
+            for (_, a) in ev_g.items]
+    asub = [[w.K2 * arc_cost(b, q, False, k_pr) for (q, _) in ev_f.items]
+            for (b, _) in ev_g.items]
+    return _align(central, w.K1 + w.K2, delc, vsub, asub)
+
+
+def _align(central, ins, delc, vsub, asub):
+    """The alignment DP of expanded_vertex_distance: AG item l matched to
+    FDG item k costs vsub[l][k] + asub[l][k], added in that order; an AG
+    item left over costs ins, FDG item k left over delc[k]."""
+    np_, mp = len(vsub), len(delc)
+    first = [central]
+    for k in range(mp):
+        first.append(first[k] + delc[k])
     best = math.inf
     for s in range(max(1, np_)):
-        seq = seq0[s:] + seq0[:s]
-        prev = [central]
-        for k in range(1, mp + 1):
-            prev.append(prev[k - 1] + delc[k - 1])
-        for l in range(1, np_ + 1):
-            b, a = seq[l - 1]
-            cur = [prev[0] + ins]
-            for k in range(1, mp + 1):
-                q, p = ext[k - 1]
-                sub = (prev[k - 1] + w.K1 * vertex_cost(a, p, k_pr)
-                       + w.K2 * arc_cost(b, q, False, k_pr))
-                cur.append(min(sub, prev[k] + ins, cur[k - 1] + delc[k - 1]))
+        prev = first
+        for l in range(np_):
+            row = (s + l) % np_
+            vs, arcs = vsub[row], asub[row]
+            last = prev[0] + ins
+            cur = [last]
+            # min(match, leave the AG item, leave the FDG item), ties to
+            # the first
+            for k in range(mp):
+                c = prev[k] + vs[k] + arcs[k]
+                x = prev[k + 1] + ins
+                if x < c:
+                    c = x
+                x = last + delc[k]
+                if x < c:
+                    c = x
+                cur.append(c)
+                last = c
             prev = cur
         if prev[mp] < best:
             best = prev[mp]
     return best
 
 
-def forbid_matrix(g, f, tau, weights=None):
+def _expanded_distances(g, t):
+    """expanded_vertex_distance of every (AG vertex, FDG slot) pair, read
+    from the cost tables t, as an (n, m) array; plus the expanded-vertex
+    sizes of the AG vertices and of the slots."""
+    n, m = t.n, t.m
+    vc, del_v, ins = t.vc_list, t.del_v_list, t.w.K1 + t.w.K2
+    # the FDG star of slot j: its existable outgoing arc slots, ascending
+    stars = [[r for r in range(m) if r != j and t.existable[t.sidx[j, r]]]
+             for j in range(m)]
+    dist = np.empty((n, m))
+    size_g = []
+    for i in range(n):
+        targets = g.out_targets(i)
+        size_g.append(1 + len(targets))
+        rates = [t.ce_pn_list[(i, x)] for x in targets]
+        for j, star in enumerate(stars):
+            dist[i, j] = _align(
+                vc[i][j], ins, [del_v[r] for r in star],
+                [[vc[x][r] for r in star] for x in targets],
+                [[rate[j][r] for r in star] for rate in rates])
+    return dist, size_g, [1 + len(star) for star in stars]
+
+
+def forbid_matrix(g, f, tau, weights=None, _tables=None):
     """Boolean (n, m) matrix, True where the normalised expanded-vertex
     distance exceeds tau and the slot is struck off vertex i's candidates."""
     w = weights or CostWeights()
-    evg = split_into_expanded_vertices(g)
-    evf = split_into_expanded_vertices(f)
-    out = np.zeros((g.order, f.order), bool)
-    for i, ei in enumerate(evg):
-        for j, ej in enumerate(evf):
-            d = expanded_vertex_distance(ei, ej, w)
-            out[i, j] = d > tau * expanded_max_distance(ei.size, ej.size) + _EPS
-    return out
+    t = _tables if _tables is not None else _CostTables(g, f, w)
+    dist, size_g, size_f = _expanded_distances(g, t)
+    cap = np.array([expanded_max_distance(a, b)
+                    for a in size_g for b in size_f], float).reshape(dist.shape)
+    return dist > tau * cap + _EPS
 
 
 class ProbMatrix:
@@ -183,22 +225,17 @@ def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
 
     und = t.pn | t.pn.T
     nbrs = [np.nonzero(und[i])[0] for i in range(n)]
+    off = t.sidx >= 0
     exu = np.zeros((m, m), bool)
-    for (q, r) in slot_pairs(m):
-        if f.existable(q, r):
-            exu[q, r] = True
-            exu[r, q] = True
+    exu[off] = t.existable[t.sidx[off]]
+    exu |= exu.T
 
     P = np.empty((n, m + 1))
     if init == "vertex":
         P[:, :m] = np.exp(-t.vc[:, :m])
     elif init == "expanded":
-        evg = split_into_expanded_vertices(g)
-        evf = split_into_expanded_vertices(f)
-        for i in range(n):
-            for a in range(m):
-                P[i, a] = math.exp(
-                    -expanded_vertex_distance(evg[i], evf[a], w))
+        for (i, a), d in np.ndenumerate(_expanded_distances(g, t)[0]):
+            P[i, a] = math.exp(-d)
     else:
         raise ValueError("unknown init %r" % (init,))
     P[:, m] = math.exp(-1.0)
@@ -245,7 +282,7 @@ def suboptimal_distance(g, f, weights=None, method="expanded", tau=1.0,
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
     if method == "expanded":
-        allowed = ~forbid_matrix(g, f, tau, w)
+        allowed = ~forbid_matrix(g, f, tau, w, _tables=t)
     elif method == "relaxation":
         pm = relax_probabilities(g, f, w, iterations=iterations,
                                  epsilon=epsilon, init=init, _tables=t)

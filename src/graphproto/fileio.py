@@ -318,10 +318,13 @@ def _fdg_lines(f, header):
         lines.append("relations")
         for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):
             lines.append(name)
-            mat = getattr(f, name)
-            for row in mat.astype(int):
-                lines.append("".join(str(b) for b in row))
+            lines.extend(_matrix_rows(getattr(f, name)))
     return lines
+
+
+def _matrix_rows(mat):
+    """The rows of a 0/1 matrix as strings of '0' and '1'."""
+    return [(row.astype(np.uint8) + 48).tobytes().decode() for row in mat]
 
 
 def read_fdg(path):
@@ -426,12 +429,14 @@ def parse_dist_record(text):
     """Inverse of format_dist_record; returns a plain dict.
 
     The labelling's `i->l` pairs may come in any order; they must name each
-    vertex 1..n once, n being the number of pairs.
+    vertex 1..n once, n being the number of pairs.  A bad number is a
+    ParseError at its line, a missing field one at the record's last line.
     """
+    lines = text.strip().splitlines()
     fields = {}
-    for lineno, line in enumerate(text.strip().splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         key, _, rest = line.partition(" ")
-        fields[key] = rest
+        fields[key] = rest, lineno
         if key == "labelling" and rest == "none":
             vmap = None
         elif key == "labelling":
@@ -446,8 +451,16 @@ def parse_dist_record(text):
                 vmap[i] = q
     for key in ("distance", "valid", "labelling", "explored"):
         if key not in fields:
-            raise ParseError("<record>", 0, "missing field %r" % key)
-    return {"distance": float(fields["distance"]),
-            "valid": bool(int(fields["valid"])),
+            raise ParseError("<record>", len(lines), "missing field %r" % key)
+
+    def number(key, kind):
+        rest, lineno = fields[key]
+        try:
+            return kind(rest)
+        except ValueError:
+            raise ParseError("<record>", lineno, "bad %s %r" % (key, rest))
+
+    return {"distance": number("distance", float),
+            "valid": bool(number("valid", int)),
             "vertex_map": vmap,
-            "explored": int(fields["explored"])}
+            "explored": number("explored", int)}

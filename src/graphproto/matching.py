@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CostWeights, Labelling, arc_index, slot_pairs, vertex_list
+from .core import CostWeights, Labelling, slot_pairs, vertex_list
 
 _SLACK = 1e-9
 
@@ -106,6 +106,20 @@ def arc_cost(b, pdf, endpoint_null, k_pr=1e-4):
     return _trunc(pdf.prob_attr(b), k_pr)
 
 
+def _costs_by_bin(pdfs, k, k_pr):
+    """bin -> (flat positions, costs): every bin a pdf holds, mapped to the
+    positions of the pdfs that hold it and k * _trunc of its probability
+    under each.  pdfs are (flat position, pdf) pairs; a pdf with total 0
+    holds only the null bin, at probability 1."""
+    by_bin = {}
+    for pos, pdf in pdfs:
+        for key, pr in pdf.probs().items():
+            hit = by_bin.setdefault(key, ([], []))
+            hit[0].append(pos)
+            hit[1].append(k * _trunc(pr, k_pr))
+    return by_bin
+
+
 class _CostTables:
     """Per (AG, FDG, weights) caches used by every cost evaluation.
 
@@ -117,6 +131,14 @@ class _CostTables:
     arcs only) are read per leaf, where plain-list indexing beats numpy's
     per-call dispatch on matrices this small.  colK2[i, p] is the cost of
     the AG arcs between i and p when p goes to the null target.
+
+    The first-order tables are built by bin lookup: each AG attribute is
+    binned once, every entry starts at one unit (K1 or K2), the cost of a
+    bin the slot's pdf has never seen, and the slots whose pdf holds the
+    AG's bin are overwritten from a bin -> (slots, costs) map
+    (_costs_by_bin).  Entries are bit-identical to vertex_cost and arc_cost
+    times K.  The expanded-vertex filter (efficient.forbid_matrix) reads
+    these tables too, so each (attribute, pdf) pair is scored once.
 
     Second order: Aw, Ow, Ew (over vertex slots) and Ae, Oe, Ee (over arc
     slots, indexed by arc_index) are the FDG's relations as float32 0/1
@@ -130,34 +152,40 @@ class _CostTables:
         n, m = g.order, f.order
         self.n, self.m = n, m
         self.w = w
-        k_pr = w.K_pr
+        k_pr, width = w.K_pr, f.bin_width
 
+        pairs = slot_pairs(m)
         self.fnull = np.array([f.vertex_null(q) for q in range(m)], bool)
-        self.existable = np.array(
-            [f.existable(i, j) for (i, j) in slot_pairs(m)], bool)
+        self.existable = np.array([f.existable(i, j) for (i, j) in pairs],
+                                  bool)
 
-        self.vc = np.empty((n, m + 1))
+        by_vbin = _costs_by_bin(enumerate(f.vertex_pdfs), w.K1, k_pr)
+        self.vc = np.full((n, m + 1), w.K1)
         for i, a in enumerate(g.vertices):
-            for q in range(m):
-                self.vc[i, q] = w.K1 * vertex_cost(a, f.vertex_pdfs[q], k_pr)
-            self.vc[i, m] = w.K1
-        self.del_v = np.array(
-            [w.K1 * _trunc(f.vertex_pdfs[q].prob_null(), k_pr)
-             for q in range(m)])
+            hit = by_vbin.get(a.binned(width))
+            if hit:
+                np.put(self.vc[i], *hit)
+        self.del_v = np.full(m, w.K1)
+        hit = by_vbin.get(None)
+        if hit:
+            np.put(self.del_v, *hit)
 
         self.pn = np.zeros((n, n), bool)
         for (i, j), b in g.arcs.items():
             if not b.is_null:
                 self.pn[i, j] = True
+        # a pair with a null slot at either end is free when absent and
+        # costs one unit when present, whatever its pdf says
         endpoint_null = self.fnull[:, None] | self.fnull[None, :]
-        self.ce_absent = np.empty((m, m))
-        for q in range(m):
-            for r in range(m):
-                if q == r:
-                    self.ce_absent[q, r] = 0.0
-                else:
-                    self.ce_absent[q, r] = w.K2 * arc_cost(
-                        None, f.arc_pdfs[(q, r)], endpoint_null[q, r], k_pr)
+        by_abin = _costs_by_bin(
+            ((q * m + r, f.arc_pdfs[(q, r)]) for (q, r) in pairs
+             if not endpoint_null[q, r]), w.K2, k_pr)
+        self.ce_absent = np.full((m, m), w.K2)
+        self.ce_absent[endpoint_null] = 0.0
+        np.fill_diagonal(self.ce_absent, 0.0)
+        hit = by_abin.get(None)
+        if hit:
+            np.put(self.ce_absent, *hit)
         # ce[i, j] is the rate matrix of the ordered AG pair (i, j) over
         # ordered slot pairs: ce_absent where g has no arc (i, j)
         self.ce = np.empty((n, n, m, m))
@@ -166,17 +194,14 @@ class _CostTables:
             if b.is_null:
                 continue
             mat = self.ce[i, j]
-            for q in range(m):
-                for r in range(m):
-                    if q == r:
-                        mat[q, r] = w.K2
-                    else:
-                        mat[q, r] = w.K2 * arc_cost(
-                            b, f.arc_pdfs[(q, r)], endpoint_null[q, r], k_pr)
+            mat.fill(w.K2)
+            hit = by_abin.get(b.binned(width))
+            if hit:
+                np.put(mat, *hit)
 
         self.sidx = np.full((m, m), -1, dtype=int)
-        for (q, r) in slot_pairs(m):
-            self.sidx[q, r] = arc_index(q, r, m)
+        for s, (q, r) in enumerate(pairs):
+            self.sidx[q, r] = s
 
         # null vertex slots and non-existable arc slots are exempt: A and E
         # drop every pair one takes part in, O the pairs it is the source of

@@ -2,6 +2,7 @@
 
 import pytest
 
+from graphproto.core import AttrTuple
 from graphproto.matching import _CostTables
 
 
@@ -16,4 +17,18 @@ def table_builds(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(_CostTables, "__init__", counting)
+    return calls
+
+
+@pytest.fixture
+def binned_calls(monkeypatch):
+    """A list that gains one entry per AttrTuple.binned call."""
+    calls = []
+    binned = AttrTuple.binned
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return binned(self, *args, **kwargs)
+
+    monkeypatch.setattr(AttrTuple, "binned", counting)
     return calls

@@ -14,6 +14,10 @@
 * a malformed `i->l` token in a distance record is a ParseError at its line
 * a distance record places each slot at its pair's vertex index, and a
   duplicate, missing or out-of-range vertex is a ParseError at its line
+* a bad distance, valid or explored number in a distance record is a
+  ParseError at its line, and a missing field one at the record's last line
+* relation rows are written as the digit strings of the 0/1 matrices, at
+  every order from 0 up
 """
 
 import math
@@ -35,6 +39,7 @@ from graphproto import (
 )
 from graphproto.fileio import (
     ParseError,
+    _matrix_rows,
     format_dist_record,
     parse_dist_record,
     read_ag,
@@ -297,3 +302,54 @@ def test_dist_record_needs_each_vertex_once(pairs):
     text = "distance 1.0\nvalid 1\nlabelling %s\nexplored 0\n" % pairs
     with pytest.raises(ParseError, match="<record>:3"):
         parse_dist_record(text)
+
+
+@pytest.mark.parametrize("line, lineno", [
+    ("distance x", 1), ("valid z", 2), ("explored y", 4),
+    ("distance", 1), ("explored 1.5", 4)])
+def test_dist_record_bad_number_is_a_parse_error_at_its_line(line, lineno):
+    fields = ["distance 1.0", "valid 1", "labelling none", "explored 0"]
+    key = line.split()[0]
+    text = "\n".join(line if f.split()[0] == key else f for f in fields)
+    with pytest.raises(ParseError, match="<record>:%d: bad %s" % (lineno, key)):
+        parse_dist_record(text + "\n")
+
+
+@pytest.mark.parametrize("missing", ["distance", "valid", "labelling",
+                                     "explored"])
+def test_dist_record_missing_field_names_the_last_line(missing):
+    fields = ["distance 1.0", "valid 1", "labelling none", "explored 0"]
+    text = "\n".join(f for f in fields if f.split()[0] != missing)
+    with pytest.raises(ParseError, match="<record>:3: missing field %r"
+                       % missing):
+        parse_dist_record(text + "\n")
+
+
+def test_relation_rows_equal_the_digit_join():
+    rng = np.random.default_rng(7)
+    for k in (0, 1, 2, 3, 6, 30):
+        for density in (0.0, 0.5, 1.0):
+            mat = rng.random((k, k)) < density
+            assert _matrix_rows(mat) == ["".join(str(b) for b in row)
+                                         for row in mat.astype(int)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 4])
+def test_fdg_relation_rows_at_small_orders(tmp_path, order):
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(3)})
+    f = ag_to_fdg(g) if order >= 2 else synth_from_labelled_ags(
+        [AttributedGraph([attr(1)] * order, {})],
+        CommonLabelling.identity([order]))
+    if order > f.order:
+        f = extend_fdg(f, order)
+    path = tmp_path / "f.fdg"
+    write_fdg(f, str(path))
+    lines = path.read_text().splitlines()
+    rows = lines[lines.index("relations") + 1:]
+    want = []
+    for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):
+        want.append(name)
+        want.extend("".join(str(b) for b in row)
+                    for row in getattr(f, name).astype(int))
+    assert rows == want
+    _same_fdg(read_fdg(str(path)), f)

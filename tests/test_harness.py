@@ -9,7 +9,8 @@
   of all K weights leaves predictions alone; for every method the bounded
   search equals the argmin of per-pair distances, duplicates and a tie met
   out of index order included, and builds one set of cost tables per
-  prototype; under an upper bound that no prototype beats, the bounded
+  prototype; the filtered search bins each attribute of the test AG once
+  per prototype; under an upper bound that no prototype beats, the bounded
   search reports no winner and abandons every prototype
 - run_experiment: zero noise scores 1.0, confusion row sums, determinism,
   noniter at tau 1 matches optimal, csv rows line up with CSV_COLUMNS
@@ -303,6 +304,17 @@ def test_classify_builds_tables_once_per_prototype(method, table_builds):
         before = len(table_builds)
         fdg_classify(test, protos, method=method, tau=0.5, t_p=0.05)
         assert len(table_builds) - before == len(protos)
+
+
+def test_filtered_classify_bins_each_attribute_once_per_prototype(
+        binned_calls):
+    models, protos = _synthesised_prototypes(6)
+    for k, g in enumerate(models):
+        test = compact_ag(perturb(g, "delete_distort", k, nd=1, nl=1))
+        before = len(binned_calls)
+        fdg_classify(test, protos, method="noniter", tau=0.5)
+        assert (len(binned_calls) - before
+                <= len(protos) * (test.order + len(test.arcs)))
 
 
 @pytest.mark.parametrize("method", METHODS)
