@@ -16,9 +16,13 @@ Two schemes share the synthesis machinery:
     through the merge so later syntheses still know where each slot went.
 
 The distance producing the hierarchical table is pluggable and defaults to
-the edit distance between AGs.
+the edit distance between AGs, bounded just above d_alpha: a pair that
+cannot come within d_alpha is not searched to its optimum and sits in the
+table at infinity, without a labelling.  Under either linkage such a pair
+never merges, so the result is that of the unbounded table.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -86,7 +90,8 @@ class ClusterState:
     distance and labelling tables and the provenance of each cluster.
 
     Rows and columns of dead clusters sit at infinity and their labellings
-    are dropped, so the tables always describe exactly the live pairs.
+    are dropped, so the tables always describe exactly the live pairs.  A
+    pair at infinity, dead or beyond ag_distance's bound, has no labelling.
     """
 
     def __init__(self, ags, ag_distance=None, bin_width=1.0):
@@ -102,10 +107,11 @@ class ClusterState:
                 dij, lab = dist_fn(ags[i], ags[j])
                 if math.isnan(dij):
                     raise ValueError("ag_distance returned NaN")
-                vmap = vertex_list(lab, ags[i].order)
                 self.dist[i, j] = self.dist[j, i] = dij
-                self.phi[(i, j)] = vmap
-                self.phi[(j, i)] = Labelling(vmap).inverse(ags[j].order)
+                if dij < math.inf:
+                    vmap = vertex_list(lab, ags[i].order)
+                    self.phi[(i, j)] = vmap
+                    self.phi[(j, i)] = Labelling(vmap).inverse(ags[j].order)
 
     def closest_pair(self):
         """Lexicographically first pair realizing the smallest live
@@ -121,7 +127,7 @@ class ClusterState:
         combined under it, and every other cluster's distance to y becomes
         the larger (complete) or smaller (single) of its two old distances,
         its labelling composed through the merge when the kept distance was
-        the one to x.
+        the one to x and dropped when the kept distance is infinite.
         """
         if linkage not in ("single", "complete"):
             raise ValueError("linkage must be 'single' or 'complete'")
@@ -136,14 +142,18 @@ class ClusterState:
                 continue
             dx, dy = self.dist[i, x], self.dist[i, y]
             keep_x = dx > dy if linkage == "complete" else dx < dy
-            if keep_x:
+            kept = dx if keep_x else dy
+            if kept == math.inf:
+                self.phi.pop((i, y), None)
+                self.phi.pop((y, i), None)
+            elif keep_x:
                 base = self.phi[(i, x)]
                 comp = [None if q is None else full_x[q] for q in base]
                 self.phi[(i, y)] = comp
                 self.phi[(y, i)] = Labelling(comp).inverse(k)
             else:
                 self.phi[(y, i)] = self.phi[(y, i)] + [None] * (k - old_y)
-            self.dist[i, y] = self.dist[y, i] = dx if keep_x else dy
+            self.dist[i, y] = self.dist[y, i] = kept
 
         self.live[x] = False
         self.dist[x, :] = math.inf
@@ -157,10 +167,11 @@ def hierarchical_clustering(ags, d_alpha, linkage="complete",
                             return_assignments=False):
     """Agglomerative clustering over a full pairwise distance table.
 
-    ag_distance(g1, g2) must return (distance, labelling); the default is
-    the edit distance.  Merging continues while the smallest live distance
-    is at most d_alpha.  With return_assignments the second element maps
-    each prototype to the set of input positions it absorbed.
+    ag_distance(g1, g2) must return (distance, labelling), or (inf, None)
+    for a pair it did not search; the default is the edit distance with an
+    upper bound just above d_alpha.  Merging continues while the smallest
+    live distance is at most d_alpha.  With return_assignments the second
+    element maps each prototype to the set of input positions it absorbed.
     """
     ags = list(ags)
     if not ags:
@@ -169,6 +180,9 @@ def hierarchical_clustering(ags, d_alpha, linkage="complete",
         raise ValueError("linkage must be 'single' or 'complete'")
     if math.isnan(d_alpha):
         raise ValueError("d_alpha must not be NaN")
+    if ag_distance is None:
+        ag_distance = functools.partial(
+            edit_distance, upper_bound=math.nextafter(d_alpha, math.inf))
     state = ClusterState(ags, ag_distance, bin_width)
     while True:
         hit = state.closest_pair()

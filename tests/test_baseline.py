@@ -7,6 +7,13 @@
 * symmetry under symmetric cost settings
 * the two thresholded substitution presets
 * nearest-neighbour voting with its two-stage tie break
+* negative substitution costs are refused instead of mis-pruned
+* property test of the upper bound on random AGs, costs and the planar
+  flag: below the optimum (inf, None) comes back, above it the unbounded
+  distance and labelling do, and the unbounded distance is the brute-force
+  one
+* the nearest-neighbour search bounded by the k-th best distance votes as
+  the unbounded one, tied distances included
 """
 
 import itertools
@@ -14,8 +21,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphproto import AttributedGraph, attr
+from graphproto import AttributedGraph, Labelling, attr
 from graphproto.baseline import (
     EditCosts,
     abs_threshold,
@@ -23,6 +31,7 @@ from graphproto.baseline import (
     knn_classify,
     squared_threshold,
 )
+from graphproto.matching import _planar_ok
 
 
 def _map_cost(g1, g2, vmap, c):
@@ -51,7 +60,7 @@ def _map_cost(g1, g2, vmap, c):
     return cost
 
 
-def _brute_edit(g1, g2, c):
+def _brute_edit(g1, g2, c, planar=False):
     n1, n2 = g1.order, g2.order
     best = math.inf
     for r in range(min(n1, n2) + 1):
@@ -60,6 +69,8 @@ def _brute_edit(g1, g2, c):
                 vmap = [None] * n1
                 for v, q in zip(kept, slots):
                     vmap[v] = q
+                if planar and not _planar_ok(g1, vmap):
+                    continue
                 best = min(best, _map_cost(g1, g2, vmap, c))
     return best
 
@@ -201,3 +212,91 @@ def test_knn_validation():
         knn_classify(g, [], k=1)
     with pytest.raises(ValueError):
         knn_classify(g, [(g, 0)], k=0)
+
+
+@pytest.mark.parametrize("graphs", ["vertices", "arcs"])
+def test_negative_substitution_costs_are_refused(graphs):
+    # pruning on the partial cost assumes no step lowers it: with these
+    # costs the search used to return -3.0 where the optimum is -5.0
+    minus_two = lambda a, b: abs(a.values[0] - b.values[0]) - 2.0
+    if graphs == "vertices":
+        g1 = AttributedGraph([attr(2), attr(3), attr(4)], {})
+        g2 = AttributedGraph([attr(3), attr(3), attr(2)], {})
+        c = EditCosts(vertex_sub=minus_two)
+    else:
+        g1 = AttributedGraph([attr(0), attr(0)], {(0, 1): attr(2)})
+        g2 = AttributedGraph([attr(0), attr(0)], {(1, 0): attr(3)})
+        c = EditCosts(arc_sub=minus_two)
+    with pytest.raises(ValueError, match="non-negative"):
+        edit_distance(g1, g2, c)
+
+
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def _ag_pairs(draw):
+    """Two AGs of orders up to four, within the brute force's reach."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _random_ag(rng), _random_ag(rng)
+
+
+def _scaled(scale):
+    return lambda a, b: scale * abs(a.values[0] - b.values[0])
+
+
+_unit = st.floats(0.0, 2.0, allow_nan=False)
+_edit_costs = st.builds(
+    lambda ins, dels, vs, es: EditCosts(C_vi=ins[0], C_ei=ins[1],
+                                        C_vd=dels[0], C_ed=dels[1],
+                                        vertex_sub=_scaled(vs),
+                                        arc_sub=_scaled(es)),
+    st.tuples(_unit, _unit), st.tuples(_unit, _unit), _unit, _unit)
+
+
+@_PROPERTY
+@given(pair=_ag_pairs(), c=_edit_costs, planar=st.booleans())
+def test_upper_bound_keeps_the_edit_optimum_below_it(pair, c, planar):
+    g1, g2 = pair
+    d, lab = edit_distance(g1, g2, c, planar=planar)
+    assert d == pytest.approx(_brute_edit(g1, g2, c, planar), abs=1e-12)
+    for u in (d - 1.0, math.nextafter(d, -math.inf), d,
+              math.nextafter(d, math.inf), d + 10.0, math.inf):
+        got, got_lab = edit_distance(g1, g2, c, planar=planar, upper_bound=u)
+        if d < u:
+            assert got == d
+            assert isinstance(got_lab, Labelling)
+            assert list(got_lab.vertex_map) == list(lab.vertex_map)
+        else:
+            assert got == math.inf
+            assert got_lab is None
+
+
+def _knn_unbounded(test, refs, k):
+    """knn_classify's vote over a full scoring of every reference."""
+    scored = sorted((edit_distance(test, g)[0], idx, label)
+                    for idx, (g, label) in enumerate(refs))[:k]
+    votes = {}
+    for d, _, label in scored:
+        votes.setdefault(label, []).append(d)
+    most = max(len(v) for v in votes.values())
+    tied = [label for label, v in votes.items() if len(v) == most]
+    return min(tied, key=lambda label: (sum(votes[label]) / len(votes[label]),
+                                        label))
+
+
+def test_bounded_knn_votes_as_the_full_scoring():
+    rng = np.random.default_rng(59)
+    ties = 0
+    for _ in range(40):
+        test = _random_ag(rng, max_order=3)
+        refs = [(_random_ag(rng, max_order=3), int(rng.integers(0, 3)))
+                for _ in range(8)]
+        dists = sorted(edit_distance(test, g)[0] for g, _ in refs)
+        for k in (1, 3, 5):
+            ties += dists[k - 1] == dists[k]
+            assert knn_classify(test, refs, k=k) == \
+                _knn_unbounded(test, refs, k)
+    # whole-number distances: the k-th best is often shared
+    assert ties >= 20

@@ -10,6 +10,12 @@
   on a chain, z mass is conserved, and the partition does not depend on the
   input order when the pairwise distances are distinct
 * ClusterState keeps dead rows at infinity and labellings only for live pairs
+* ClusterState takes (inf, None) from any ag_distance and never composes or
+  pads a labelling for a pair whose kept distance is infinite, under either
+  linkage
+* the hierarchical table bounded just above d_alpha gives the members and
+  prototypes of the unbounded edit distance over random batches, thresholds
+  and both linkages
 * the bounded incremental search gives the members and prototypes of a full
   bnb_distance per prototype over random batches and thresholds, a distance
   of exactly d_alpha and a tie met out of index order included
@@ -25,6 +31,7 @@ from graphproto import (
     AttributedGraph,
     CommonLabelling,
     CostWeights,
+    Labelling,
     ag_to_fdg,
     attr,
     bnb_distance,
@@ -203,6 +210,63 @@ def test_cluster_state_sentinels():
     assert state.members[1] == {0, 1}
     nxt = state.closest_pair()
     assert nxt[0] == 1 and nxt[1] == 2
+
+
+def _far_apart(far):
+    """Distance |a - b| between single-vertex AGs, (inf, None) for pairs of
+    values in `far`."""
+    def distance(g1, g2):
+        a, b = g1.vertices[0].values[0], g2.vertices[0].values[0]
+        if frozenset((a, b)) in far:
+            return math.inf, None
+        return float(abs(a - b)), Labelling([0])
+    return distance
+
+
+@pytest.mark.parametrize("linkage", ["single", "complete"])
+def test_cluster_state_takes_pairs_at_infinity(linkage):
+    # after 0 and 1 merge, 2 is at inf from 0 and 1 from 1 (complete keeps
+    # inf, single 1); 10 is at inf from both (either keeps inf)
+    far = {frozenset(p) for p in ((0, 2), (0, 10), (1, 10))}
+    ags = [AttributedGraph([attr(v)], {}) for v in (0, 1, 2, 10)]
+    state = ClusterState(ags, _far_apart(far))
+    merges = 0
+    while True:
+        hit = state.closest_pair()
+        if hit is None or hit[2] > 1.0:
+            break
+        state.merge(hit[0], hit[1], linkage)
+        merges += 1
+        for i in range(len(ags)):
+            for j in range(len(ags)):
+                finite = state.dist[i, j] < math.inf
+                assert ((i, j) in state.phi) == finite
+                assert ((j, i) in state.phi) == finite
+    want = [{0, 1, 2}, {3}] if linkage == "single" else [{0, 1}, {2}, {3}]
+    assert [m for m, alive in zip(state.members, state.live) if alive] == want
+    assert merges == 4 - len(want)
+    _, members = hierarchical_clustering(
+        ags, 1.0, linkage=linkage, ag_distance=_far_apart(far),
+        return_assignments=True)
+    assert members == want
+
+
+@pytest.mark.parametrize("d_alpha", [-1.0, 0.0, 6.0, 7.0, 9.0, 10.0,
+                                     math.inf])
+def test_bounded_hierarchical_equals_full_search(d_alpha):
+    # the default table searches each pair only below nextafter(d_alpha);
+    # edit_distance passed in searches every pair in full
+    for ags in _noisy_batches(4, seed=11):
+        for linkage in ("single", "complete"):
+            fdgs, members = hierarchical_clustering(
+                ags, d_alpha, linkage=linkage, return_assignments=True)
+            full, full_members = hierarchical_clustering(
+                ags, d_alpha, linkage=linkage, ag_distance=edit_distance,
+                return_assignments=True)
+            assert members == full_members
+            assert len(fdgs) == len(full)
+            for f1, f2 in zip(fdgs, full):
+                _same_fdg(f1, f2)
 
 
 def test_validation():
