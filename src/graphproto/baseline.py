@@ -24,7 +24,6 @@ so a negative substitution cost is refused.  The optional planar flag
 applies the cyclic-order constraint on outgoing arcs, as in the matcher.
 """
 
-import bisect
 import math
 
 from .core import Labelling
@@ -130,7 +129,7 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
         for s in range(p):
             ps = (p, s) if (p, s) in arcs1 else None
             sp = (s, p) if (s, p) in arcs1 else None
-            dels[p][s] = C_ed * ((ps is not None) + (sp is not None))
+            dels[p][s] = sum(C_ed for e in (ps, sp) if e is not None)
             arc[p][s] = inserts_only if ps is None and sp is None else \
                 [[one(ps, q, r) + one(sp, r, q) for r in range(n2)]
                  for q in range(n2)]
@@ -196,10 +195,18 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
             child = g + step
             if child >= best_cost:
                 continue
-            gap = a1_rest - a2_rest
-            h = max(gap * C_ed, a_low) if gap > 0 else a_low - gap * C_ei
-            gap = rest.bit_count() - left
-            h += v_low + gap * C_vi if gap > 0 else max(-gap * C_vd, v_low)
+            # a zero gap is skipped, not multiplied: 0 * inf is nan
+            h, gap = a_low, a1_rest - a2_rest
+            if gap > 0:
+                h = max(gap * C_ed, h)
+            elif gap < 0:
+                h -= gap * C_ei
+            v_h, gap = v_low, rest.bit_count() - left
+            if gap > 0:
+                v_h += gap * C_vi
+            elif gap < 0:
+                v_h = max(-gap * C_vd, v_h)
+            h += v_h
             if (child + h) * _SLACK < best_cost:
                 walk(p + 1, child, rest, a2_rest)
         vmap[p] = None
@@ -215,9 +222,7 @@ def knn_classify(test, refs, k=5, costs=None, planar=False):
 
     refs is a sequence of (AttributedGraph, class label) pairs.  A voting tie
     goes to the class with the smaller mean distance inside the neighbourhood
-    and then to the lower class index.  Once k references are scored, each
-    further one is searched only below the k-th best distance so far, which
-    it must beat outright: a tie goes to the lower index.
+    and then to the lower class index.
     """
     if not refs:
         raise ValueError("refs must be non-empty")
@@ -225,13 +230,11 @@ def knn_classify(test, refs, k=5, costs=None, planar=False):
         raise ValueError("k must be at least 1")
     scored = []
     for idx, (g, label) in enumerate(refs):
-        bound = scored[-1][0] if len(scored) == k else math.inf
-        d, _ = edit_distance(test, g, costs, planar=planar, upper_bound=bound)
-        if d < bound:
-            bisect.insort(scored, (d, idx, label), key=lambda t: t[:2])
-            del scored[k:]
+        d, _ = edit_distance(test, g, costs, planar=planar)
+        scored.append((d, idx, label))
+    scored.sort(key=lambda t: (t[0], t[1]))
     votes = {}
-    for d, _, label in scored:
+    for d, _, label in scored[:k]:
         votes.setdefault(label, []).append(d)
     most = max(len(v) for v in votes.values())
     tied = [label for label, v in votes.items() if len(v) == most]

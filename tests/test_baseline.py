@@ -8,12 +8,13 @@
 * the two thresholded substitution presets
 * nearest-neighbour voting with its two-stage tie break
 * negative substitution costs are refused instead of mis-pruned
-* property test of the upper bound on random AGs, costs and the planar
-  flag: below the optimum (inf, None) comes back, above it the unbounded
-  distance and labelling do, and the unbounded distance is the brute-force
-  one
-* the nearest-neighbour search bounded by the k-th best distance votes as
-  the unbounded one, tied distances included
+* property test of the upper bound on random AGs, costs (infinite
+  insertion and deletion costs among them) and the planar flag: below the
+  optimum (inf, None) comes back, above it the unbounded distance and
+  labelling do, and the unbounded distance is the brute-force one
+* infinite insertion or deletion costs where nothing need be inserted or
+  deleted, and references at infinite distance in the nearest-neighbour
+  vote
 """
 
 import itertools
@@ -43,7 +44,10 @@ def _map_cost(g1, g2, vmap, c):
             cost += c.C_vd
         else:
             cost += c.vertex_sub(g1.vertices[i], g2.vertices[q])
-    cost += c.C_vi * (g2.order - len(covered))
+    # one insertion at a time: C_vi may be inf, and 0 * inf is nan
+    for q in range(g2.order):
+        if q not in covered:
+            cost += c.C_vi
     arcs1 = dict(g1.present_arcs())
     arcs2 = dict(g2.present_arcs())
     for (i, j), b in arcs1.items():
@@ -247,12 +251,14 @@ def _scaled(scale):
 
 
 _unit = st.floats(0.0, 2.0, allow_nan=False)
+_constant = st.one_of(_unit, st.just(math.inf))
 _edit_costs = st.builds(
     lambda ins, dels, vs, es: EditCosts(C_vi=ins[0], C_ei=ins[1],
                                         C_vd=dels[0], C_ed=dels[1],
                                         vertex_sub=_scaled(vs),
                                         arc_sub=_scaled(es)),
-    st.tuples(_unit, _unit), st.tuples(_unit, _unit), _unit, _unit)
+    st.tuples(_constant, _constant), st.tuples(_constant, _constant),
+    _unit, _unit)
 
 
 @_PROPERTY
@@ -273,30 +279,25 @@ def test_upper_bound_keeps_the_edit_optimum_below_it(pair, c, planar):
             assert got_lab is None
 
 
-def _knn_unbounded(test, refs, k):
-    """knn_classify's vote over a full scoring of every reference."""
-    scored = sorted((edit_distance(test, g)[0], idx, label)
-                    for idx, (g, label) in enumerate(refs))[:k]
-    votes = {}
-    for d, _, label in scored:
-        votes.setdefault(label, []).append(d)
-    most = max(len(v) for v in votes.values())
-    tied = [label for label, v in votes.items() if len(v) == most]
-    return min(tied, key=lambda label: (sum(votes[label]) / len(votes[label]),
-                                        label))
+def test_infinite_costs_keep_the_optimum():
+    # an empty surplus, or a vertex pair with no arc, must not be multiplied
+    # by an infinite cost: 0 * inf is nan, and a nan cost cut every child
+    one = AttributedGraph([attr(1)], {})
+    two = AttributedGraph([attr(1), attr(2)], {})
+    for name in ("C_ei", "C_vd"):
+        assert edit_distance(one, one, EditCosts(**{name: math.inf})) == \
+            (0.0, Labelling([0]))
+    assert edit_distance(two, one, EditCosts(C_ed=math.inf)) == \
+        (1.0, Labelling([0, None]))
 
 
-def test_bounded_knn_votes_as_the_full_scoring():
-    rng = np.random.default_rng(59)
-    ties = 0
-    for _ in range(40):
-        test = _random_ag(rng, max_order=3)
-        refs = [(_random_ag(rng, max_order=3), int(rng.integers(0, 3)))
-                for _ in range(8)]
-        dists = sorted(edit_distance(test, g)[0] for g, _ in refs)
-        for k in (1, 3, 5):
-            ties += dists[k - 1] == dists[k]
-            assert knn_classify(test, refs, k=k) == \
-                _knn_unbounded(test, refs, k)
-    # whole-number distances: the k-th best is often shared
-    assert ties >= 20
+def test_knn_ranks_references_at_infinite_distance():
+    # with infinite insertions every larger reference is infinitely far,
+    # and the vote still counts it
+    c = EditCosts(C_vi=math.inf)
+    test = AttributedGraph([attr(1)], {})
+    far = AttributedGraph([attr(1), attr(2)], {})
+    assert knn_classify(test, [(far, 1), (far, 0), (far, 1)], k=3,
+                        costs=c) == 1
+    assert knn_classify(test, [(far, 1), (test, 0), (far, 1)], k=1,
+                        costs=c) == 0
