@@ -12,6 +12,13 @@ to bnb_distance as its `allowed` argument:
     reuses, so no attribute is scored against a pdf twice.  The public
     expanded_vertex_distance scores its items by vertex_cost and arc_cost
     and runs the same alignment DP, with bit-identical results.
+    forbid_matrix runs the DP only where it can change the answer: a
+    vectorised lower bound (_star_bound: the centre cost plus the larger of
+    the sums of each AG item's and each star item's cheapest outcome,
+    after Riesen & Bunke's bipartite bounds) already proves most pairs
+    forbidden, and those keep the bound in place of the distance.  The
+    mask equals the one the exact distances give; relaxation and
+    expanded_vertex_distance pass no limit and stay exact.
   * probabilistic relaxation iterates a support-driven update on a vertex-to-
     slot probability matrix and keeps the entries above a threshold t_p
     (plus each row's best candidate, so no row goes empty).  With t_p = 0
@@ -135,22 +142,72 @@ def _align(central, ins, delc, vsub, asub):
     return best
 
 
-def _expanded_distances(g, t):
+def _existable_pairs(t):
+    """(m, m) bool matrix of the cost tables t, True where the directed slot
+    pair (q, r) is an existable arc slot; the diagonal is False.  Row j
+    marks the FDG star of slot j."""
+    ex = np.zeros((t.m, t.m), bool)
+    off = t.sidx >= 0
+    ex[off] = t.existable[t.sidx[off]]
+    return ex
+
+
+def _star_bound(t, ex):
+    """Lower bound on every expanded-vertex distance, as an (n, m) array.
+
+    AG item x of vertex i matched to item r of slot j's star costs
+    vc[x, r] + ce[i, x][j, r]; every AG item is matched once or left over
+    (K1 + K2), every star item matched once or deleted (del_v[r]), and no
+    cost is negative.  So, whatever the rotation and the alignment, the
+    distance less the centre cost vc[i, j] is at least the AG-side sum of
+    each item's cheapest outcome, and at least the FDG-side sum of each
+    star item's.  The bound is the centre plus the larger of the two."""
+    n, m = t.n, t.m
+    ag_side = np.zeros((n, m))
+    best = np.full((n, m, m), np.inf)
+    if t.pn_pairs:
+        src, dst = np.array(t.pn_pairs).T
+        # pair[a, j, r]: AG arc a = (i, x) against star item r of slot j
+        pair = np.where(ex, t.vc[dst, :m][:, None, :] + t.ce[src, dst],
+                        np.inf)
+        # pn_pairs run in order of source vertex
+        heads, starts = np.unique(src, return_index=True)
+        ag_side[heads] = np.add.reduceat(np.minimum(
+            pair.min(axis=2, initial=np.inf), t.w.K1 + t.w.K2), starts)
+        best[heads] = np.minimum.reduceat(pair, starts)
+    fdg_side = np.where(ex, np.minimum(best, t.del_v), 0.0).sum(axis=2)
+    return t.vc[:, :m] + np.maximum(ag_side, fdg_side)
+
+
+def _expanded_distances(g, t, limit=None):
     """expanded_vertex_distance of every (AG vertex, FDG slot) pair, read
     from the cost tables t, as an (n, m) array; plus the expanded-vertex
-    sizes of the AG vertices and of the slots."""
+    sizes of the AG vertices and of the slots.
+
+    With an (n, m) array `limit`, the alignment DP runs only where the
+    _star_bound of the pair does not exceed limit + _EPS; elsewhere the
+    entry is that bound, a lower bound still above the limit.  So every
+    entry at or below the limit is exact, and comparing the entries with
+    the limit gives the same answer as the exact distances.  Without a
+    limit every entry is exact."""
     n, m = t.n, t.m
     vc, del_v, ins = t.vc_list, t.del_v_list, t.w.K1 + t.w.K2
+    ex = _existable_pairs(t)
     # the FDG star of slot j: its existable outgoing arc slots, ascending
-    stars = [[r for r in range(m) if r != j and t.existable[t.sidx[j, r]]]
-             for j in range(m)]
-    dist = np.empty((n, m))
+    stars = [np.flatnonzero(row).tolist() for row in ex]
+    if limit is None:
+        dist = np.empty((n, m))
+        run = np.ones((n, m), bool)
+    else:
+        dist = _star_bound(t, ex)
+        run = dist <= limit + _EPS
     size_g = []
     for i in range(n):
         targets = g.out_targets(i)
         size_g.append(1 + len(targets))
         rates = [t.ce_pn_list[(i, x)] for x in targets]
-        for j, star in enumerate(stars):
+        for j in np.flatnonzero(run[i]).tolist():
+            star = stars[j]
             dist[i, j] = _align(
                 vc[i][j], ins, [del_v[r] for r in star],
                 [[vc[x][r] for r in star] for x in targets],
@@ -160,13 +217,20 @@ def _expanded_distances(g, t):
 
 def forbid_matrix(g, f, tau, weights=None, _tables=None):
     """Boolean (n, m) matrix, True where the normalised expanded-vertex
-    distance exceeds tau and the slot is struck off vertex i's candidates."""
+    distance exceeds tau and the slot is struck off vertex i's candidates.
+
+    The limit tau * cap + _EPS is passed to _expanded_distances, so the
+    alignment DP runs only for the pairs whose lower bound does not
+    already prove them struck off; the mask is the one the exact
+    distances give."""
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
-    dist, size_g, size_f = _expanded_distances(g, t)
+    size_g = 1 + t.pn.sum(axis=1)
+    size_f = 1 + _existable_pairs(t).sum(axis=1)
     cap = np.array([expanded_max_distance(a, b)
-                    for a in size_g for b in size_f], float).reshape(dist.shape)
-    return dist > tau * cap + _EPS
+                    for a in size_g for b in size_f], float).reshape(t.n, t.m)
+    limit = tau * cap + _EPS
+    return _expanded_distances(g, t, limit)[0] > limit
 
 
 class ProbMatrix:
@@ -225,9 +289,7 @@ def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
 
     und = t.pn | t.pn.T
     nbrs = [np.nonzero(und[i])[0] for i in range(n)]
-    off = t.sidx >= 0
-    exu = np.zeros((m, m), bool)
-    exu[off] = t.existable[t.sidx[off]]
+    exu = _existable_pairs(t)
     exu |= exu.T
 
     P = np.empty((n, m + 1))

@@ -5,6 +5,9 @@
 * forbid_matrix, which reads the tables, equals the expanded-vertex filter
   evaluated item by item with split_into_expanded_vertices and
   expanded_vertex_distance, at tau 0.3, 0.5 and 1.0
+* the lower bound the filter prunes with never exceeds the exact
+  expanded-vertex distance, and the pruned forbid_matrix equals the rule
+  applied to the exact distances at tau from 0 to 1
 
 Inputs mix string and numeric components, bin widths 0.5, 1 and 3, K_pr
 1e-4 and 0.05, null vertex slots, arc pdfs with total 0 between present
@@ -26,7 +29,9 @@ from graphproto import (
     vertex_cost,
 )
 from graphproto.efficient import (
+    _existable_pairs,
     _expanded_distances,
+    _star_bound,
     expanded_max_distance,
     expanded_vertex_distance,
     forbid_matrix,
@@ -145,4 +150,40 @@ def test_tables_and_filter_equal_per_entry_evaluation():
         seen["unseen bin"] += any(
             all(p.prob_attr(a) == 0 for p in f.vertex_pdfs)
             for a in g.vertices)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_star_bound_is_admissible_and_pruning_keeps_the_mask():
+    rng = np.random.default_rng(2025)
+    seen = dict.fromkeys(("null slot", "total 0", "empty AG star",
+                          "empty FDG star", "pruned", "aligned"), 0)
+    for case in range(240):
+        width = (0.5, 1.0, 3.0)[case % 3]
+        k_pr = (1e-4, 0.05)[(case // 3) % 2]
+        k1, k2 = ((1.0, 1.0), (0.7, 1.9))[(case // 6) % 2]
+        w = CostWeights(K1=k1, K2=k2, K_pr=k_pr)
+        f = _random_fdg(rng, width)
+        g = _random_ag(rng, int(rng.integers(1, 6)), 2)
+
+        t = _CostTables(g, f, w)
+        ex = _existable_pairs(t)
+        dist, size_g, size_f = _expanded_distances(g, t)
+        bound = _star_bound(t, ex)
+        assert (bound <= dist + 1e-12).all()
+        cap = np.array([[expanded_max_distance(a, b) for b in size_f]
+                        for a in size_g], float).reshape(dist.shape)
+        for tau in (0.0, 0.1, 0.3, 0.5, 0.75, 1.0):
+            limit = tau * cap + 1e-9
+            assert np.array_equal(forbid_matrix(g, f, tau, w, _tables=t),
+                                  dist > limit)
+            pruned = bound > limit + 1e-9
+            seen["pruned"] += int(pruned.sum())
+            seen["aligned"] += int((~pruned).sum())
+
+        seen["null slot"] += any(f.vertex_null(q) for q in range(f.order))
+        seen["total 0"] += any(
+            p.total == 0 and not (f.vertex_null(q) or f.vertex_null(r))
+            for (q, r), p in f.arc_pdfs.items())
+        seen["empty AG star"] += min(size_g) == 1
+        seen["empty FDG star"] += min(size_f) == 1
     assert min(seen.values()) >= 10, seen

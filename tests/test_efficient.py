@@ -6,6 +6,9 @@
   and monotone item alignments
 * the distance cap holds at unit weights, so tau = 1 forbids nothing
 * forbid masks are nested as tau shrinks
+* at benchmark size (order-14 models, larger stars than the random
+  inputs) the pruned forbid_matrix equals the rule applied to the exact
+  distances
 * suboptimal_distance at tau = 1 (expanded) and t_p = 0 (relaxation)
   reproduces the unrestricted search bit for bit
 * relaxation rows are probability vectors and masking keeps each row's best
@@ -23,16 +26,21 @@ from graphproto import (
     AttributedGraph,
     CommonLabelling,
     CostWeights,
+    GeneratorConfig,
     ag_to_fdg,
     arc_cost,
     attr,
     bnb_distance,
+    compact_ag,
+    generate_models,
+    perturb,
     synth_from_labelled_ags,
     vertex_cost,
 )
 from graphproto.efficient import (
     ExpandedVertex,
     ProbMatrix,
+    _expanded_distances,
     expanded_max_distance,
     expanded_vertex_distance,
     forbid_matrix,
@@ -41,6 +49,7 @@ from graphproto.efficient import (
     split_into_expanded_vertices,
     suboptimal_distance,
 )
+from graphproto.matching import _CostTables
 
 
 def _brute_cyclic(ev_g, ev_f, w):
@@ -202,6 +211,35 @@ def test_forbid_masks_nest_with_tau():
         masks = [~forbid_matrix(g, f, tau) for tau in (0.0, 0.25, 0.5, 1.0)]
         for lo, hi in zip(masks, masks[1:]):
             assert (~lo | hi).all()
+
+
+def test_pruned_filter_matches_exact_rule_at_benchmark_size():
+    models = generate_models(GeneratorConfig(nFDG=3, nv=14, ne=42, seed=5))
+    rng = np.random.default_rng(31)
+
+    def noisy(model):
+        return perturb(model, "delete_distort", int(rng.integers(2 ** 31)),
+                       nd=2, nl=1)
+
+    protos = []
+    for model in models:
+        refs = [noisy(model) for _ in range(10)]
+        protos.append(synth_from_labelled_ags(
+            refs, CommonLabelling.identity([g.order for g in refs])))
+    tests = [compact_ag(noisy(models[k % 3])) for k in range(3)]
+    largest = 0
+    for g in tests:
+        for f in protos:
+            dist, size_g, size_f = _expanded_distances(g, _CostTables(
+                g, f, CostWeights()))
+            largest = max(largest, *size_g, *size_f)
+            cap = np.array([[expanded_max_distance(a, b) for b in size_f]
+                            for a in size_g], float)
+            for tau in (0.25, 0.5):
+                assert np.array_equal(forbid_matrix(g, f, tau),
+                                      dist > tau * cap + 1e-9)
+    # the random inputs of test_cost_tables keep every star under six items
+    assert largest - 1 >= 6
 
 
 def test_forbid_at_zero_keeps_exact_pairs():
