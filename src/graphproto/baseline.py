@@ -1,4 +1,5 @@
-"""Edit distance between two AGs and a nearest-neighbour classifier on it.
+"""Edit distance between two AGs, the map search it runs on, and a
+nearest-neighbour classifier on it.
 
 The distance is the cheapest way to turn one graph into the other with six
 operations: insert, delete or substitute a vertex or an arc.  A configuration
@@ -6,22 +7,12 @@ is an injective partial map of the first graph's vertices onto the second's;
 unmatched first-graph elements are deleted, uncovered second-graph elements
 are inserted, matched pairs pay their substitution cost, and an arc whose
 endpoint dies dies with it.  Insertion and deletion costs are constants, the
-substitution costs are pluggable functions of the two attribute tuples.
+substitution costs are pluggable functions of the two attribute tuples.  The
+optional planar flag applies the matcher's cyclic-order constraint.
 
-The search is the same depth-first scheme as the FDG matcher: vertices of the
-first graph are placed in index order on unused second-graph vertices in
-ascending order and then on nothing, and the first map of least cost met is
-kept.  Every cost it reads comes from plain tables built once per pair:
-vertex substitutions, the two arcs between each pair of first-graph vertices
-against the two arcs between each pair of second-graph vertices, and the
-arcs that die with a deleted vertex.  The incumbent starts at the caller's
-upper bound, and a child is cut when its cost plus a lower bound on what is
-still owed reaches it.  The bound charges each unplaced first-graph vertex
-and each arc among them its cheapest substitution or deletion, and the
-surplus of free second-graph vertices and of arcs among them on either side,
-counted as the search goes.  Both cuts assume that no step lowers the cost,
-so a negative substitution cost is refused.  The optional planar flag
-applies the cyclic-order constraint on outgoing arcs, as in the matcher.
+edit_distance builds cost tables once per pair, and _map_search, a bounded
+depth-first search, finds the cheapest map on them; forg_distance runs the
+same search on tables of pooled entropies.
 """
 
 import math
@@ -53,7 +44,7 @@ class EditCosts:
                  vertex_sub=None, arc_sub=None):
         for name, value in (("C_vi", C_vi), ("C_ei", C_ei),
                             ("C_vd", C_vd), ("C_ed", C_ed)):
-            if value < 0:
+            if not value >= 0:
                 raise ValueError("%s must be non-negative" % name)
         self.C_vi = float(C_vi)
         self.C_ei = float(C_ei)
@@ -99,18 +90,19 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
     Returns (cost, Labelling); the labelling sends each g1 vertex to a g2
     vertex index or to None for a deletion.  The result is the optimum when
     it lies strictly below upper_bound, and (inf, None) otherwise.  Raises
-    ValueError when a vertex or arc substitution costs less than nothing.
+    ValueError when a vertex or arc substitution costs less than nothing or
+    is NaN, and when upper_bound is NaN.
     """
     c = costs or EditCosts()
-    C_vi, C_ei, C_vd, C_ed = c.C_vi, c.C_ei, c.C_vd, c.C_ed
+    C_ei, C_ed = c.C_ei, c.C_ed
     n1, n2 = g1.order, g2.order
     vs = [[c.vertex_sub(a, b) for b in g2.vertices] for a in g1.vertices]
     arcs1 = dict(g1.present_arcs())
     arcs2 = dict(g2.present_arcs())
     subs = {(e1, e2): c.arc_sub(b1, b2)
             for e1, b1 in arcs1.items() for e2, b2 in arcs2.items()}
-    if any(x < 0 for row in vs for x in row) or \
-            any(x < 0 for x in subs.values()):
+    if any(not x >= 0 for row in vs for x in row) or \
+            any(not x >= 0 for x in subs.values()):
         raise ValueError("substitution costs must be non-negative")
 
     def one(e1, q, r):
@@ -120,36 +112,69 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
         return 0.0 if e1 is None else C_ed
 
     # arc[p][s][q][r], s < p: both arcs between g1 vertices p and s against
-    # both arcs between q and r; dels[p][s]: both deleted
+    # both arcs between q and r
     inserts_only = [[one(None, q, r) + one(None, r, q) for r in range(n2)]
                     for q in range(n2)]
     arc = [[None] * p for p in range(n1)]
-    dels = [[None] * p for p in range(n1)]
     for p in range(n1):
         for s in range(p):
             ps = (p, s) if (p, s) in arcs1 else None
             sp = (s, p) if (s, p) in arcs1 else None
-            dels[p][s] = sum(C_ed for e in (ps, sp) if e is not None)
             arc[p][s] = inserts_only if ps is None and sp is None else \
                 [[one(ps, q, r) + one(sp, r, q) for r in range(n2)]
                  for q in range(n2)]
+    a_floor = {e1: min([C_ed] + [subs[e1, e2] for e2 in arcs2])
+               for e1 in arcs1}
 
-    # Lower bound, by depth p, on what g1 vertices p.. and the free g2
-    # vertices still owe: each such g1 vertex and each g1 arc among them pays
-    # at least its cheapest substitution or deletion (v_floor, a_floor), and
-    # a surplus of vertices, or of arcs among them (a1 against the a2 that
-    # walk keeps), on either side is deleted or inserted.  outs/ins hold each
-    # g2 vertex's arc partners as bit masks.
-    v_min = [min([C_vd] + row) for row in vs]
-    a_min = {e1: min([C_ed] + [subs[e1, e2] for e2 in arcs2])
-             for e1 in arcs1}
-    inner = [[e1 for e1 in arcs1 if min(e1) >= p] for p in range(n1 + 1)]
+    def planar_ok(vmap, p):
+        sources = [p] + [s for s in range(p) if (s, p) in arcs1]
+        return _planar_ok(g1, vmap[:p + 1], sources)
+
+    return _map_search(vs, [c.C_vd] * n1, [c.C_vi] * n2, arc,
+                       dict.fromkeys(arcs1, C_ed), a_floor,
+                       dict.fromkeys(arcs2, C_ei), upper_bound,
+                       planar_ok if planar else None)
+
+
+def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
+                planar_ok=None):
+    """Cheapest injective partial map of the n1 = len(v_del) vertices of one
+    side into the n2 = len(v_ins) of the other, as (cost, Labelling), or
+    (inf, None) when none costs less than upper_bound.
+
+    A map pays vs[p][q] per p placed on q, v_del[p] per p deleted and
+    v_ins[q] per q unused; a_del[e] per arc (ordered pair) e of the first
+    side with a deleted endpoint, a_ins[e] per arc of the second side with
+    an unused endpoint, and arc[p][s][q][r] (s < p) for the arcs between p
+    and s, both ways, when p lands on q and s on r.  planar_ok(vmap, p),
+    when given, vets each placement of p.
+
+    Vertices are placed in index order on free vertices in ascending order,
+    then on nothing; the first least-cost map met is kept.  A child is cut
+    when its cost plus a bound on what is still owed reaches the incumbent:
+    each unplaced vertex its cheapest option, each arc among them at least
+    a_floor[e], and a surplus of vertices, or of arcs among them, on either
+    side the cheapest deletion or insertion.  So no cost may be negative,
+    and an arc on a pair that is no arc of the other side must cost at
+    least the cheapest arc deletion (first side) or insertion (second side).
+    """
+    if math.isnan(upper_bound):
+        raise ValueError("upper_bound must not be NaN")
+    n1, n2 = len(v_del), len(v_ins)
+    dels = [[a_del.get((p, s), 0.0) + a_del.get((s, p), 0.0)
+             for s in range(p)] for p in range(n1)]
+    arcs2 = list(a_ins.items())
+    C_vd, C_vi, C_ed, C_ei = (min(x, default=0.0) for x in (
+        v_del, v_ins, a_del.values(), a_ins.values()))
+    inner = [[e1 for e1 in a_del if min(e1) >= p] for p in range(n1 + 1)]
     a1 = [len(es) for es in inner]
-    a_floor = [sum(a_min[e1] for e1 in es) for es in inner]
+    e_floor = [sum(a_floor[e1] for e1 in es) for es in inner]
+    v_min = [min([v_del[p]] + vs[p]) for p in range(n1)]
     v_floor = [sum(v_min[p:]) for p in range(n1 + 1)]
+    # outs/ins: each second-side vertex's arc partners, as bit masks
     outs = [0] * n2
     ins = [0] * n2
-    for j, r in arcs2:
+    for j, r in a_ins:
         outs[j] |= 1 << r
         ins[r] |= 1 << j
     best_cost = upper_bound
@@ -162,29 +187,27 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
             extra = 0.0
             for q in range(n2):
                 if (free >> q) & 1:
-                    extra += C_vi
-            for j, r in arcs2:
+                    extra += v_ins[q]
+            for (j, r), cost in arcs2:
                 if (free >> j) & 1 or (free >> r) & 1:
-                    extra += C_ei
+                    extra += cost
             if g + extra < best_cost:
                 best_cost = g + extra
                 best_map = Labelling(list(vmap))
             return
         vs_p, arc_p, dels_p = vs[p], arc[p], dels[p]
         a1_rest, left = a1[p + 1], n1 - p - 1
-        a_low, v_low = a_floor[p + 1], v_floor[p + 1]
+        a_low, v_low = e_floor[p + 1], v_floor[p + 1]
         for q in [q for q in range(n2) if (free >> q) & 1] + [None]:
             vmap[p] = q
             if q is None:
-                step = C_vd
+                step = v_del[p]
                 for s in range(p):
                     step += dels_p[s]
                 rest, a2_rest = free, a2
             else:
-                if planar:
-                    sources = [p] + [s for s in range(p) if (s, p) in arcs1]
-                    if not _planar_ok(g1, vmap[:p + 1], sources):
-                        continue
+                if planar_ok is not None and not planar_ok(vmap, p):
+                    continue
                 step = vs_p[q]
                 for s in range(p):
                     r = vmap[s]

@@ -359,7 +359,7 @@ class CostWeights:
                  K7=0.0, K8=0.0, K_pr=1e-4, planar=False, mode="relaxed"):
         for name, k in (("K1", K1), ("K2", K2), ("K3", K3), ("K4", K4),
                         ("K5", K5), ("K6", K6), ("K7", K7), ("K8", K8)):
-            if k < 0:
+            if not k >= 0:
                 raise ValueError("%s must be non-negative" % name)
         if not (0.0 < K_pr < 1.0):
             raise ValueError("K_pr must lie strictly between 0 and 1")

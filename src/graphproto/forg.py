@@ -11,12 +11,14 @@ labelling can achieve:
                 H(merge) - (z1 H(F1) + z2 H(F2)) / (z1 + z2)
 
 which is non-negative and zero when the labelling makes the samples
-indistinguishable.
+indistinguishable.  The merged entropy is a sum of pooled entropies, one per
+slot and one per pair of slots, so the edit distance's map search finds it.
 """
 
-import itertools
+import math
 
-from .core import PHI, Labelling, null_pdf, vertex_list
+from .baseline import _map_search
+from .core import PHI, null_pdf, vertex_list
 from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
 
@@ -39,63 +41,35 @@ def forg_synthesize(f1, f2, vertex_map):
     return synth_from_labelled_fdgs([f1, f2], lab)
 
 
-def _slot_maps(n1, n2):
-    """All injective maps of n1 slots into n2 slots or None (the Q space),
-    in lexicographic order with None after every slot."""
-    return [list(m) for m in itertools.product(list(range(n2)) + [None],
-                                               repeat=n1)
-            if len(set(m) - {None}) == n1 - m.count(None)]
-
-
-def _merged_entropy(f1, f2, vertex_map):
-    """Entropy of forg_synthesize(f1, f2, vertex_map) without building it.
-
-    Pools the pdfs slot by slot the way the synthesis route does (a side
-    missing from a slot pads as certainly null, a missing arc side as the
-    degenerate empty pdf) and sums their entropies directly.
-    """
-    pad1 = null_pdf(f1.z, f1.bin_width)
-    pad2 = null_pdf(f2.z, f2.bin_width)
-    inv = Labelling(vertex_map).inverse(f2.order)
-    h = 0.0
-    for t in range(f2.order):
-        i = inv[t]
-        left = f1.vertex_pdfs[i] if i is not None else pad1
-        h += left.merge(f2.vertex_pdfs[t]).entropy()
-    for i, t in enumerate(vertex_map):
-        if t is None:
-            h += f1.vertex_pdfs[i].merge(pad2).entropy()
-    for (s, t), q2 in f2.arc_pdfs.items():
-        i, j = inv[s], inv[t]
-        if i is not None and j is not None:
-            h += f1.arc_pdfs[(i, j)].merge(q2).entropy()
-        else:
-            h += q2.entropy()
-    for (i, j), q1 in f1.arc_pdfs.items():
-        if vertex_map[i] is None or vertex_map[j] is None:
-            h += q1.entropy()
-    return h
-
-
 def forg_distance(f1, f2):
-    """Entropy-increase distance and the map that attains it.
-
-    Exhausts the labelling space of f1's slots into f2's slots or fresh ones,
-    so it is only meant for small prototypes: combined orders above ten are
-    refused.
-    """
-    if f1.order + f2.order > 10:
+    """Entropy-increase distance and the map of f1's slots into f2's slots
+    or fresh ones (None) that attains it; the search is exponential, so
+    combined orders above twenty are refused."""
+    if f1.order + f2.order > 20:
         raise ValueError("forg_distance refuses orders %d + %d"
                          % (f1.order, f2.order))
     base = (f1.z * forg_entropy(f1) + f2.z * forg_entropy(f2)) / (f1.z + f2.z)
-    best = None
-    best_map = None
-    for vmap in _slot_maps(f1.order, f2.order):
-        d = _merged_entropy(f1, f2, vmap) - base
-        if best is None or d < best:
-            best = d
-            best_map = vmap
-    return best, best_map
+    # as in forg_synthesize, an empty slot side pads as certainly null, and
+    # an empty arc side as the empty pdf, which leaves the other's entropy
+    pad1, pad2 = null_pdf(f1.z, f1.bin_width), null_pdf(f2.z, f2.bin_width)
+    a1, a2 = f1.arc_pdfs, f2.arc_pdfs
+    pool = {(e1, e2): q1.merge(q2).entropy()
+            for e1, q1 in a1.items() for e2, q2 in a2.items()}
+    n2 = f2.order
+    arc = [[[[pool[(p, s), (q, r)] + pool[(s, p), (r, q)] if q != r else None
+              for r in range(n2)] for q in range(n2)] for s in range(p)]
+           for p in range(f1.order)]
+    a_del = {e1: q1.entropy() for e1, q1 in a1.items()}
+    a_floor = {e1: min([a_del[e1]] + [pool[e1, e2] for e2 in a2])
+               for e1 in a1}
+    cost, lab = _map_search(
+        [[p.merge(q).entropy() for q in f2.vertex_pdfs]
+         for p in f1.vertex_pdfs],
+        [p.merge(pad2).entropy() for p in f1.vertex_pdfs],
+        [pad1.merge(q).entropy() for q in f2.vertex_pdfs],
+        arc, a_del, a_floor, {e2: q2.entropy() for e2, q2 in a2.items()},
+        math.inf)
+    return cost - base, list(lab.vertex_map)
 
 
 def outcome_probability(f, g, labelling):

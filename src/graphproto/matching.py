@@ -443,11 +443,13 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
     is set, the incumbent also starts just above the greedy labelling's
     cost.  The search still returns the first labelling of minimum cost in
     depth-first order, as a search from an infinite incumbent would; only
-    the node counts differ.
+    the node counts differ.  A NaN upper_bound raises ValueError.
     """
     w = weights or CostWeights()
     if any(v.is_null for v in g.vertices):
         raise ValueError("bnb_distance expects a non-extended AG")
+    if math.isnan(upper_bound):
+        raise ValueError("upper_bound must not be NaN")
     n, m = g.order, f.order
     t = _tables if _tables is not None else _CostTables(g, f, w)
     if allowed is None:

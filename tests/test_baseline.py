@@ -7,7 +7,8 @@
 * symmetry under symmetric cost settings
 * the two thresholded substitution presets
 * nearest-neighbour voting with its two-stage tie break
-* negative substitution costs are refused instead of mis-pruned
+* negative substitution costs are refused instead of mis-pruned, and so
+  are NaN substitution costs, NaN constant costs and a NaN upper bound
 * property test of the upper bound on random AGs, costs (infinite
   insertion and deletion costs among them) and the planar flag: below the
   optimum (inf, None) comes back, above it the unbounded distance and
@@ -185,6 +186,13 @@ def test_costs_must_be_non_negative():
         EditCosts(C_vd=-1.0)
 
 
+@pytest.mark.parametrize("name", ["C_vi", "C_ei", "C_vd", "C_ed"])
+def test_costs_must_not_be_nan(name):
+    with pytest.raises(ValueError, match=name):
+        EditCosts(**{name: float("nan")})
+    assert getattr(EditCosts(**{name: math.inf}), name) == math.inf
+
+
 def test_knn_identical_reference():
     g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(5)})
     other = AttributedGraph([attr(7), attr(8)], {})
@@ -233,6 +241,24 @@ def test_negative_substitution_costs_are_refused(graphs):
         c = EditCosts(arc_sub=minus_two)
     with pytest.raises(ValueError, match="non-negative"):
         edit_distance(g1, g2, c)
+
+
+@pytest.mark.parametrize("graphs", ["vertices", "arcs"])
+def test_nan_substitution_costs_are_refused(graphs):
+    # a NaN step never reaches the incumbent, so the search used to return
+    # the all-delete map as if it were the optimum
+    nan = lambda a, b: math.nan
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(3)})
+    c = EditCosts(vertex_sub=nan) if graphs == "vertices" \
+        else EditCosts(arc_sub=nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        edit_distance(g, g, c)
+
+
+def test_nan_upper_bound_is_refused():
+    g = AttributedGraph([attr(1)], {})
+    with pytest.raises(ValueError, match="NaN"):
+        edit_distance(g, g, upper_bound=math.nan)
 
 
 _PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,

@@ -7,6 +7,7 @@ Covers:
   * a non-positive or non-finite bin width is refused before any binning
   * AG validation (coherence, self loops, arc_order) and null-padding extension
   * FDG construction, unconditional arc probabilities, co-occurrence
+  * a NaN cost weight is refused
   * FDG extension: kept bits, null/strict table rules, arc slot re-indexing
   * verify_identities on a hand-built sample, including single-bit damage
   * every public function that takes a labelling accepts a Labelling and a
@@ -288,6 +289,13 @@ def test_cost_weights():
         CostWeights(K1=-1)
     with pytest.raises(ValueError):
         CostWeights(mode="loose")
+
+
+@pytest.mark.parametrize("name", ["K%d" % k for k in range(1, 9)])
+def test_cost_weights_refuse_nan(name):
+    # a NaN weight used to pass, and then every labelling came out invalid
+    with pytest.raises(ValueError, match=name):
+        CostWeights(**{name: float("nan")})
 
 
 def test_fdg_validation():

@@ -4,19 +4,21 @@ Covers:
   * entropy of the two-graph prototype (exactly 2 bits)
   * merged entropies and distances of three candidate prototypes against it,
     frozen to closed-form values, with the identity map optimal each time
-  * the size of the labelling space for 3 slots into 5
+  * the distance against the minimum over every slot map of the synthesis
+    route's entropy, on random prototype pairs, and its symmetry above that
+    route's reach
   * outcome probabilities of the training graphs and impossible graphs
-  * the exhaustive distance refuses combined orders above ten
+  * the distance refuses combined orders above twenty
 """
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from graphproto.core import AttributedGraph, attr
 from graphproto.forg import (
-    _merged_entropy,
-    _slot_maps,
     forg_distance,
     forg_entropy,
     forg_synthesize,
@@ -67,21 +69,66 @@ def test_distance_frozen_and_identity_optimal():
         assert vmap == list(range(cand.order))
 
 
-def test_slot_map_count():
-    assert len(_slot_maps(3, 5)) == 136
-    assert len(_slot_maps(1, 1)) == 2
-    assert len(_slot_maps(2, 2)) == 7
-    maps = _slot_maps(2, 3)
-    assert len(maps) == len(set(tuple(m) for m in maps))
+def _all_maps(n1, n2):
+    """Every injective map of n1 slots into n2 slots or None."""
+    return [list(m) for m in itertools.product(list(range(n2)) + [None],
+                                               repeat=n1)
+            if len(set(m) - {None}) == n1 - m.count(None)]
 
 
-def test_merged_entropy_shortcut_matches_synthesis_route():
-    g, candidates, _ = _prototype_and_candidates()
-    for cand in candidates + [g]:
-        for vmap in _slot_maps(cand.order, g.order)[::7]:
-            direct = _merged_entropy(cand, g, vmap)
-            routed = forg_entropy(forg_synthesize(cand, g, vmap))
-            assert direct == pytest.approx(routed, abs=1e-12)
+def _random_prototype(rng, n, z, width):
+    """Synthesis of z random AGs, each on a random subset of n slots: a
+    slot no AG fills is certainly null, and an arc slot whose endpoints
+    never meet has a pdf of total 0."""
+    ags, maps = [], []
+    for _ in range(z):
+        slots = [s for s in range(n) if rng.random() < 0.6]
+        k = len(slots)
+        arcs = {(i, j): attr(float(rng.uniform(0, 6))) for i in range(k)
+                for j in range(k) if i != j and rng.random() < 0.4}
+        ags.append(AttributedGraph(
+            [attr(float(rng.uniform(0, 6))) for _ in slots], arcs))
+        maps.append(slots)
+    return synth_from_labelled_ags(ags, CommonLabelling(maps, n), width)
+
+
+def test_distance_is_the_minimum_over_every_map():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for width in (0.5, 3.0):
+        for _ in range(20):
+            n1 = int(rng.integers(0, 5))
+            n2 = int(rng.integers(0, 9 - n1))
+            f1 = _random_prototype(rng, n1, int(rng.integers(1, 4)), width)
+            f2 = _random_prototype(rng, n2, int(rng.integers(1, 4)), width)
+            base = (f1.z * forg_entropy(f1) + f2.z * forg_entropy(f2)) \
+                / (f1.z + f2.z)
+            brute = min(forg_entropy(forg_synthesize(f1, f2, m)) - base
+                        for m in _all_maps(n1, n2))
+            d, vmap = forg_distance(f1, f2)
+            assert d == pytest.approx(brute, abs=1e-12)
+            reached = forg_entropy(forg_synthesize(f1, f2, vmap)) - base
+            assert reached == pytest.approx(brute, abs=1e-12)
+            pdfs = f1.vertex_pdfs + f2.vertex_pdfs
+            arcs = list(f1.arc_pdfs.values()) + list(f2.arc_pdfs.values())
+            seen.update(name for name, hit in (
+                ("null slot", any(p.is_null() for p in pdfs)),
+                ("empty arc pdf", any(q.total == 0 for q in arcs)),
+                ("unequal z", f1.z != f2.z),
+                ("order 0", 0 in (n1, n2))) if hit)
+    assert len(seen) == 4
+
+
+def test_distance_is_symmetric_above_the_brute_force():
+    # pooling does not care which side a sample came from, so the search
+    # must find the same optimum both ways; a bound that cut an optimal
+    # branch on one side would show here
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        f1 = _random_prototype(rng, 6, int(rng.integers(1, 4)), 1.0)
+        f2 = _random_prototype(rng, 6, int(rng.integers(1, 4)), 1.0)
+        assert forg_distance(f1, f2)[0] == \
+            pytest.approx(forg_distance(f2, f1)[0], abs=1e-12)
 
 
 def test_distance_to_self_is_zero():
@@ -127,8 +174,9 @@ def test_synthesize_fresh_slots():
     assert merged.vertex_pdfs[5].counts == {(1,): 1, None: 2}
 
 
-def test_distance_refuses_orders_above_ten():
-    g, _, _ = _prototype_and_candidates()
-    six = ag_to_fdg(AttributedGraph([attr(v) for v in range(6)], {}))
+def test_distance_refuses_orders_above_twenty():
+    ten = ag_to_fdg(AttributedGraph([attr(v) for v in range(10)], {}))
+    eleven = ag_to_fdg(AttributedGraph([attr(v) for v in range(11)], {}))
+    assert forg_distance(ten, ten)[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        forg_distance(six, g)
+        forg_distance(eleven, ten)

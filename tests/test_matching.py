@@ -9,7 +9,7 @@ Covers:
   * cyclic arc-order (planar) constraint on explicit labellings
   * bnb against the exhaustive oracle on random pairs: distances bit-equal,
     counters match the closed forms when the bound is off
-  * candidate masks and error handling
+  * candidate masks and error handling, a NaN upper bound among it
   * property tests of the upper bound: below the optimum nothing comes back,
     above it the unbounded distance and labelling do; the greedy seed is
     never below the exhaustive optimum
@@ -348,6 +348,14 @@ def test_upper_bound_keeps_the_optimum_below_it(pair, w, pick):
         assert not got.valid
         assert got.distance == math.inf
         assert got.labelling is None
+
+
+def test_nan_upper_bound_is_refused():
+    # a NaN bound used to come back as an invalid result, read as "no
+    # labelling below the bound"
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(3)})
+    with pytest.raises(ValueError, match="NaN"):
+        bnb_distance(g, ag_to_fdg(g), upper_bound=math.nan)
 
 
 @_PROPERTY
