@@ -1,5 +1,4 @@
-"""Edit distance between two AGs, the map search it runs on, and a
-nearest-neighbour classifier on it.
+"""Edit distance between two AGs and a nearest-neighbour classifier on it.
 
 The distance is the cheapest way to turn one graph into the other with six
 operations: insert, delete or substitute a vertex or an arc.  A configuration
@@ -10,21 +9,14 @@ endpoint dies dies with it.  Insertion and deletion costs are constants, the
 substitution costs are pluggable functions of the two attribute tuples.  The
 optional planar flag applies the matcher's cyclic-order constraint.
 
-edit_distance builds cost tables once per pair, and _map_search, a bounded
-depth-first search, finds the cheapest map on them; forg_distance runs the
-same search on tables of pooled entropies.
+edit_distance builds cost tables once per pair, and search._map_search, the
+bounded depth-first search bnb_distance and forg_distance run on too, finds
+the cheapest map on them.
 """
 
 import math
 
-from .core import Labelling
-from .matching import _planar_ok
-
-
-# A child's cost plus its lower bound is scaled by this before it meets the
-# incumbent: the two are float sums taken in different orders, and without
-# the margin a rounding could cut a labelling cheaper than the incumbent.
-_SLACK = 1.0 - 1e-9
+from .search import _map_search, _planar_vet
 
 
 def _exact_mismatch(a, b):
@@ -126,118 +118,11 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
     a_floor = {e1: min([C_ed] + [subs[e1, e2] for e2 in arcs2])
                for e1 in arcs1}
 
-    def planar_ok(vmap, p):
-        sources = [p] + [s for s in range(p) if (s, p) in arcs1]
-        return _planar_ok(g1, vmap[:p + 1], sources)
-
-    return _map_search(vs, [c.C_vd] * n1, [c.C_vi] * n2, arc,
-                       dict.fromkeys(arcs1, C_ed), a_floor,
-                       dict.fromkeys(arcs2, C_ei), upper_bound,
-                       planar_ok if planar else None)
-
-
-def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
-                planar_ok=None):
-    """Cheapest injective partial map of the n1 = len(v_del) vertices of one
-    side into the n2 = len(v_ins) of the other, as (cost, Labelling), or
-    (inf, None) when none costs less than upper_bound.
-
-    A map pays vs[p][q] per p placed on q, v_del[p] per p deleted and
-    v_ins[q] per q unused; a_del[e] per arc (ordered pair) e of the first
-    side with a deleted endpoint, a_ins[e] per arc of the second side with
-    an unused endpoint, and arc[p][s][q][r] (s < p) for the arcs between p
-    and s, both ways, when p lands on q and s on r.  planar_ok(vmap, p),
-    when given, vets each placement of p.
-
-    Vertices are placed in index order on free vertices in ascending order,
-    then on nothing; the first least-cost map met is kept.  A child is cut
-    when its cost plus a bound on what is still owed reaches the incumbent:
-    each unplaced vertex its cheapest option, each arc among them at least
-    a_floor[e], and a surplus of vertices, or of arcs among them, on either
-    side the cheapest deletion or insertion.  So no cost may be negative,
-    and an arc on a pair that is no arc of the other side must cost at
-    least the cheapest arc deletion (first side) or insertion (second side).
-    """
-    if math.isnan(upper_bound):
-        raise ValueError("upper_bound must not be NaN")
-    n1, n2 = len(v_del), len(v_ins)
-    dels = [[a_del.get((p, s), 0.0) + a_del.get((s, p), 0.0)
-             for s in range(p)] for p in range(n1)]
-    arcs2 = list(a_ins.items())
-    C_vd, C_vi, C_ed, C_ei = (min(x, default=0.0) for x in (
-        v_del, v_ins, a_del.values(), a_ins.values()))
-    inner = [[e1 for e1 in a_del if min(e1) >= p] for p in range(n1 + 1)]
-    a1 = [len(es) for es in inner]
-    e_floor = [sum(a_floor[e1] for e1 in es) for es in inner]
-    v_min = [min([v_del[p]] + vs[p]) for p in range(n1)]
-    v_floor = [sum(v_min[p:]) for p in range(n1 + 1)]
-    # outs/ins: each second-side vertex's arc partners, as bit masks
-    outs = [0] * n2
-    ins = [0] * n2
-    for j, r in a_ins:
-        outs[j] |= 1 << r
-        ins[r] |= 1 << j
-    best_cost = upper_bound
-    best_map = None
-    vmap = [None] * n1
-
-    def walk(p, g, free, a2):
-        nonlocal best_cost, best_map
-        if p == n1:
-            extra = 0.0
-            for q in range(n2):
-                if (free >> q) & 1:
-                    extra += v_ins[q]
-            for (j, r), cost in arcs2:
-                if (free >> j) & 1 or (free >> r) & 1:
-                    extra += cost
-            if g + extra < best_cost:
-                best_cost = g + extra
-                best_map = Labelling(list(vmap))
-            return
-        vs_p, arc_p, dels_p = vs[p], arc[p], dels[p]
-        a1_rest, left = a1[p + 1], n1 - p - 1
-        a_low, v_low = e_floor[p + 1], v_floor[p + 1]
-        for q in [q for q in range(n2) if (free >> q) & 1] + [None]:
-            vmap[p] = q
-            if q is None:
-                step = v_del[p]
-                for s in range(p):
-                    step += dels_p[s]
-                rest, a2_rest = free, a2
-            else:
-                if planar_ok is not None and not planar_ok(vmap, p):
-                    continue
-                step = vs_p[q]
-                for s in range(p):
-                    r = vmap[s]
-                    step += dels_p[s] if r is None else arc_p[s][q][r]
-                rest = free & ~(1 << q)
-                a2_rest = a2 - (outs[q] & rest).bit_count() \
-                    - (ins[q] & rest).bit_count()
-            child = g + step
-            if child >= best_cost:
-                continue
-            # a zero gap is skipped, not multiplied: 0 * inf is nan
-            h, gap = a_low, a1_rest - a2_rest
-            if gap > 0:
-                h = max(gap * C_ed, h)
-            elif gap < 0:
-                h -= gap * C_ei
-            v_h, gap = v_low, rest.bit_count() - left
-            if gap > 0:
-                v_h += gap * C_vi
-            elif gap < 0:
-                v_h = max(-gap * C_vd, v_h)
-            h += v_h
-            if (child + h) * _SLACK < best_cost:
-                walk(p + 1, child, rest, a2_rest)
-        vmap[p] = None
-
-    walk(0, 0.0, (1 << n2) - 1, len(arcs2))
-    if best_map is None:
-        return math.inf, None
-    return best_cost, best_map
+    res = _map_search(vs, [c.C_vd] * n1, [c.C_vi] * n2, arc,
+                      dict.fromkeys(arcs1, C_ed), a_floor,
+                      dict.fromkeys(arcs2, C_ei), upper_bound,
+                      _planar_vet(g1) if planar else None)
+    return res.distance, res.labelling
 
 
 def knn_classify(test, refs, k=5, costs=None, planar=False):

@@ -12,12 +12,12 @@ labelling can achieve:
 
 which is non-negative and zero when the labelling makes the samples
 indistinguishable.  The merged entropy is a sum of pooled entropies, one per
-slot and one per pair of slots, so the edit distance's map search finds it.
+slot and one per pair of slots, so search._map_search finds it.
 """
 
 import math
 
-from .baseline import _map_search
+from .search import _map_search
 from .core import PHI, null_pdf, vertex_list
 from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
@@ -62,14 +62,14 @@ def forg_distance(f1, f2):
     a_del = {e1: q1.entropy() for e1, q1 in a1.items()}
     a_floor = {e1: min([a_del[e1]] + [pool[e1, e2] for e2 in a2])
                for e1 in a1}
-    cost, lab = _map_search(
+    res = _map_search(
         [[p.merge(q).entropy() for q in f2.vertex_pdfs]
          for p in f1.vertex_pdfs],
         [p.merge(pad2).entropy() for p in f1.vertex_pdfs],
         [pad1.merge(q).entropy() for q in f2.vertex_pdfs],
         arc, a_del, a_floor, {e2: q2.entropy() for e2, q2 in a2.items()},
         math.inf)
-    return cost - base, list(lab.vertex_map)
+    return res.distance - base, list(res.labelling.vertex_map)
 
 
 def outcome_probability(f, g, labelling):

@@ -35,7 +35,8 @@ _ATTR_RANGE = 1000
 
 CSV_COLUMNS = ["method", "NR", "sigma", "structural_noise",
                "K1", "K2", "K3", "K4", "K5", "K6", "K7", "K8",
-               "tau_or_tp", "correctness", "mean_nodes", "mean_ms"]
+               "tau_or_tp", "correctness", "mean_nodes", "mean_ms",
+               "nv", "ne", "nd", "nl", "seed", "repetitions"]
 
 
 class GeneratorConfig:
@@ -68,7 +69,8 @@ class GeneratorConfig:
 class ExperimentReport:
     """Outcome of run_experiment.
 
-    mean_nodes is the mean of explored search nodes per (test AG,
+    mean_nodes is the mean of explored search nodes (the map search's
+    partial labellings, MatchResult.explored_nodes) per (test AG,
     prototype) comparison in the bounded classify search, where a prototype
     that cannot beat the incumbent is abandoned early.  It is not comparable
     with node counts of a full search against every prototype.

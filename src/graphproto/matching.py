@@ -17,14 +17,22 @@ makes any violation fatal.  The planar option adds a cyclic-order constraint
 on the outgoing arcs of each vertex in both modes.
 
 bnb_distance finds the cheapest valid labelling by depth-first branch and
-bound: vertices are matched in index order, candidates are the unused slots
-in ascending order followed by the null target, and a branch survives only
-while accumulated cost plus an admissible per-future-vertex bound stays below
-the incumbent.  The incumbent starts just above the cost of a greedy
-labelling, or at a caller's upper bound, whichever is lower, so a caller that
-only needs distances below a known value (the nearest-prototype loop) can
-abandon a losing pair early.  exhaustive_oracle grinds through the whole
-labelling space and is kept around as an independent check.
+bound on search._map_search, the engine the edit and FORG distances share.
+In relaxed mode the first-order terms and vertex antagonism (K3) are unary
+and pairwise, so they become the engine's tables; the other second-order
+terms have no such form without negative entries, which would break the
+bound, so they are charged when a complete labelling is scored.  In
+restricted mode vertex antagonism is an infinite pair cost, arc antagonism
+an in-tree veto, and the rest of the constraints are checked at the leaf.
+Vertices are matched in index order, candidates are the unused slots in
+ascending order followed by the null target, and a branch survives only
+while its cost plus an admissible bound on what is still owed stays below
+the incumbent.  A node of the search is one partial labelling, the root and
+the complete ones included.  The incumbent starts just above the cost of a
+greedy labelling, or at a caller's upper bound, whichever is lower, so a
+caller that only needs distances below a known value (the nearest-prototype
+loop) can abandon a losing pair early.  exhaustive_oracle grinds through the
+whole labelling space and is kept around as an independent check.
 """
 
 import itertools
@@ -34,52 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CostWeights, Labelling, slot_pairs, vertex_list
-
-_SLACK = 1e-9
-
-
-class MatchResult:
-    """Outcome of a matching run."""
-
-    __slots__ = ("distance", "labelling", "explored_nodes", "valid", "leaves")
-
-    def __init__(self, distance, labelling, explored_nodes, valid, leaves=None):
-        self.distance = distance
-        self.labelling = labelling
-        self.explored_nodes = explored_nodes
-        self.valid = valid
-        self.leaves = leaves
-
-    def __repr__(self):
-        return ("MatchResult(distance=%r, labelling=%r, explored_nodes=%d, "
-                "valid=%r)" % (self.distance, self.labelling,
-                               self.explored_nodes, self.valid))
-
-
-class SearchNode:
-    """A partial labelling on the branch-and-bound stack.
-
-    Vertices 0..depth-1 are placed; kp accumulates, per future vertex and
-    candidate slot, the arc costs (plus, in relaxed mode, the bounded
-    second-order terms) already forced by those placements.  Only future
-    rows are kept: kp[0] belongs to vertex depth, kp[1] to depth+1, and so
-    on, since rows of placed vertices are never read again.  present is the
-    tuple of FDG arc slots realized so far, used is a slot bitmask.
-    """
-
-    __slots__ = ("depth", "vertex_map", "cost", "kp", "present", "used")
-
-    def __init__(self, depth, vertex_map, cost, kp, present, used):
-        self.depth = depth
-        self.vertex_map = vertex_map
-        self.cost = cost
-        self.kp = kp
-        self.present = present
-        self.used = used
-
-    def __repr__(self):
-        return "SearchNode(depth=%d, map=%s, cost=%.6f)" % (
-            self.depth, self.vertex_map, self.cost)
+from .search import MatchResult, _map_search, _planar_ok, _planar_vet
 
 
 def _trunc(pr, k_pr):
@@ -129,8 +92,7 @@ class _CostTables:
     on it and ce[i, j] the rate matrix of the ordered AG pair (i, j).  The
     *_list mirrors of vc, del_v, ce_absent and ce (the last for present AG
     arcs only) are read per leaf, where plain-list indexing beats numpy's
-    per-call dispatch on matrices this small.  colK2[i, p] is the cost of
-    the AG arcs between i and p when p goes to the null target.
+    per-call dispatch on matrices this small.
 
     The first-order tables are built by bin lookup: each AG attribute is
     binned once, every entry starts at one unit (K1 or K2), the cost of a
@@ -227,8 +189,6 @@ class _CostTables:
         self.ce_pn_list = {(i, j): self.ce[i, j].tolist()
                            for (i, j) in self.pn_pairs}
 
-        self.colK2 = w.K2 * (self.pn.astype(float) + self.pn.T.astype(float))
-
 
 def _realized(t, vmap):
     """Realized vertex slots and arc slots as float32 0/1 vectors, plus the
@@ -253,23 +213,6 @@ def _violation_counts(t, v, e):
     return (int(v @ t.Aw @ v) // 2, int(v @ t.Ow @ av),
             int(av @ t.Ew @ av) // 2, int(e @ t.Ae @ e) // 2,
             int(e @ t.Oe @ ae), int(ae @ t.Ee @ ae) // 2)
-
-
-def _planar_ok(g, vmap, sources=None):
-    """Cyclic-order constraint: for each source vertex, the slot indices of
-    its real-mapped outgoing arcs must increase cyclically."""
-    if sources is None:
-        sources = range(g.order)
-    for i in sources:
-        if vmap[i] is None:
-            continue
-        seq = [vmap[j] for j in g.out_targets(i)
-               if j < len(vmap) and vmap[j] is not None]
-        for x, y, z in itertools.combinations(range(len(seq)), 3):
-            a, b, c = seq[x], seq[y], seq[z]
-            if not (a < b < c or (c < a and (a < b or b < c))):
-                return False
-    return True
 
 
 def second_order_cost(g, f, labelling, weights=None):
@@ -363,80 +306,85 @@ def _greedy_cost(g, f, t, rows=None):
     return cost if ok else math.inf
 
 
-def _kp_delta(t, node, p, qp):
-    """Increment of the bound table caused by placing vertex p on slot qp
-    (None for the null target), for the future vertices p+1..n-1 only."""
-    n, m = t.n, t.m
-    w = t.w
-    r = n - p - 1
-    per_i = t.colK2[p + 1:, p]
-    if qp is None:
-        return np.broadcast_to(per_i[:, None], (r, m + 1))
-    D = np.empty((r, m + 1))
-    D[:, :m] = t.ce[p + 1:, p, :, qp] + t.ce[p, p + 1:, qp, :]
-    D[:, m] = per_i
-    if w.mode == "relaxed":
-        if w.K3:
-            D[:, :m] += w.K3 * t.Aw[:, qp].astype(float)
-        if w.K4 and len(node.present):
-            # hits[s]: realized arc slots antagonistic to arc slot s; a
-            # future vertex i on slot r realizes (r, qp) and (qp, r) when
-            # the AG has the arcs (i, p) and (p, i)
-            hits = t.Ae[:, list(node.present)].sum(axis=1, dtype=float)
-            into, out = t.sidx[:, qp], t.sidx[qp, :]
-            h_in = np.where(into >= 0, hits[into], 0.0)
-            h_out = np.where(out >= 0, hits[out], 0.0)
-            D[:, :m] += w.K4 * (t.pn[p + 1:, p, None] * h_in
-                                + t.pn[p, p + 1:, None] * h_out)
-    return D
+def _arc_tables(t, pair, rows):
+    """arc[p][s][q][r] (s < p) for _map_search: the rates of the AG pairs
+    (p, s) and (s, p) on the slot pairs (q, r) and (r, q), plus pair[q, r].
+    Vertex pairs with no AG arc between them share one table.  With rows,
+    a table holds only the rows its vertex p may take, and none is built
+    for a vertex that may take no slot."""
+    shared = (t.ce_absent + t.ce_absent.T + pair).tolist()
+    arc = [[shared] * p for p in range(t.n)]
+    P, S = np.nonzero(t.pn | t.pn.T)
+    keep = P > S
+    if rows is not None:
+        some = np.array([bool(row) for row in rows], dtype=bool)
+        keep &= some[P] & some[S]
+    P, S = P[keep], S[keep]
+    tabs = t.ce[P, S] + t.ce[S, P].transpose(0, 2, 1) + pair
+    if rows is None:
+        for p, s, tab in zip(P.tolist(), S.tolist(), tabs.tolist()):
+            arc[p][s] = tab
+        return arc
+    for p, s, tab in zip(P.tolist(), S.tolist(), tabs):
+        arc[p][s] = full = [None] * t.m
+        for q, row in zip(rows[p], tab[rows[p]].tolist()):
+            full[q] = row
+    return arc
 
 
-def _new_present_slots(t, node, p, qp):
-    """Arc slots realized by placing vertex p on real slot qp."""
-    out = []
-    if qp is None:
-        return out
-    vmap = node.vertex_map
-    for s in range(node.depth):
-        qs = vmap[s]
-        if qs is None:
-            continue
-        if t.pn[p, s]:
-            out.append(int(t.sidx[qp, qs]))
-        if t.pn[s, p]:
-            out.append(int(t.sidx[qs, qp]))
-    return out
+def _bnb_tables(t, rows=None):
+    """The pair's cost as _map_search's tables, in its argument order (vs,
+    v_del, v_ins, arc, a_del, a_floor, a_ins): vertex costs, AG arcs
+    deleted with an endpoint at K2 each, the existable slot pairs as the
+    second side's arcs at no insertion cost, and per pair of placed
+    vertices their arc rates plus the vertex antagonism term, K3 in relaxed
+    mode and infinite in restricted mode."""
+    w, m = t.w, t.m
+    pair = np.where(t.Aw > 0, math.inf if w.mode == "restricted" else w.K3,
+                    0.0)
+    # an AG arc on a slot pair that is not existable costs K2, so K2 also
+    # caps every arc's floor
+    ex = np.append(t.existable, False)[t.sidx]
+    floors = t.ce[np.nonzero(t.pn)][:, ex].min(axis=1, initial=w.K2)
+    qs, rs = np.nonzero(ex)
+    return (t.vc_list, [row[m] for row in t.vc_list], t.del_v_list,
+            _arc_tables(t, pair, rows), dict.fromkeys(t.pn_pairs, w.K2),
+            dict(zip(t.pn_pairs, floors.tolist())),
+            dict.fromkeys(zip(qs.tolist(), rs.tolist()), 0.0))
 
 
-def _hard_reject(t, node, p, qp, new_slots):
-    """Restricted-mode antagonism test of the candidate placement against
-    everything already placed (deletions are only known at the leaf, so
-    occurrence and existence wait until then)."""
-    vmap = node.vertex_map
-    for s in range(node.depth):
-        qs = vmap[s]
-        if qs is not None and t.Aw[qp, qs]:
-            return True
-    for e in new_slots:
-        for old in node.present:
-            if t.Ae[e, old]:
-                return True
-    for x in range(len(new_slots)):
-        for y in range(x + 1, len(new_slots)):
-            if t.Ae[new_slots[x], new_slots[y]]:
-                return True
-    return False
+def _arc_antagonism_vet(t):
+    """Restricted mode's in-tree veto: placing p may realize no arc slot
+    antagonistic to another realized one.  Occurrence and existence depend
+    on what ends up deleted, so they wait for the leaf."""
+    Ae, sidx = t.Ae, t.sidx
+
+    def vet(vmap, p):
+        new, old = [], []
+        for i, j in t.pn_pairs:
+            q, r = vmap[i], vmap[j]
+            if i <= p and j <= p and q is not None and r is not None:
+                (new if p in (i, j) else old).append(sidx[q, r])
+        return not any(Ae[a, b] for k, a in enumerate(new)
+                       for b in new[:k] + old)
+
+    return vet
 
 
 def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
                  disable_pruning=False, upper_bound=math.inf, _tables=None):
     """Distance from AG g to FDG f by depth-first branch and bound.
 
+    The search is _map_search on the pair's tables (_bnb_tables).  Every
+    leaf that could beat the incumbent is scored by labelling_cost, which
+    charges the second-order terms with no table form or rejects a breach,
+    so the distance is the same float as exhaustive_oracle's.
+
     allowed restricts the real candidate slots per AG vertex (the null target
-    is always available).  disable_bound turns the lower-bound test off and
-    disable_pruning the restricted-mode in-tree constraint checks; both then
-    leave the full labelling space to be visited, which the explored_nodes
-    and leaves counters report.
+    is always available).  disable_bound turns the cuts by cost off and
+    disable_pruning the restricted-mode arc antagonism veto; both then leave
+    the full labelling space to be visited, which the explored_nodes and
+    leaves counters report.
 
     The result is the optimum when it lies strictly below upper_bound, and
     otherwise valid=False with an infinite distance.  Unless disable_bound
@@ -452,90 +400,32 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
         raise ValueError("upper_bound must not be NaN")
     n, m = g.order, f.order
     t = _tables if _tables is not None else _CostTables(g, f, w)
-    if allowed is None:
-        allowed_rows = [list(range(m))] * n
-        allowed_bool = np.ones((n, m), dtype=bool)
-    else:
+    rows = None
+    if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         if allowed.shape != (n, m):
             raise ValueError("allowed mask must be %d x %d" % (n, m))
-        allowed_rows = [list(np.nonzero(allowed[i])[0]) for i in range(n)]
-        allowed_bool = allowed
-
-    best_cost = upper_bound
+        rows = [np.flatnonzero(row).tolist() for row in allowed]
     if not disable_bound:
-        seed = _greedy_cost(g, f, t, allowed_rows)
-        best_cost = min(best_cost, math.nextafter(seed, math.inf))
-    best_map = None
-    explored = 0
-    leaves = 0
-    stack = [SearchNode(0, (), 0.0, np.zeros((n, m + 1)), (), 0)]
-    while stack:
-        node = stack.pop()
-        explored += 1
-        p = node.depth
-        if p == n:
-            leaves += 1
-            cost, ok = labelling_cost(g, f, node.vertex_map, w, _tables=t)
-            if ok and cost < best_cost:
-                best_cost = cost
-                best_map = Labelling(node.vertex_map)
-            continue
-        children = []
-        free_base = None
-        if not disable_bound and p + 1 < n:
-            used_bool = np.zeros(m, dtype=bool)
-            u, q = node.used, 0
-            while u:
-                if u & 1:
-                    used_bool[q] = True
-                u >>= 1
-                q += 1
-            free_base = allowed_bool[p + 1:] & ~used_bool
-        for qp in [q for q in allowed_rows[p] if not (node.used >> q) & 1] \
-                + [None]:
-            new_slots = _new_present_slots(t, node, p, qp)
-            if w.planar and qp is not None:
-                vmap_try = node.vertex_map + (qp,)
-                sources = [p] + [s for s in range(p) if t.pn[s, p]]
-                if not _planar_ok(g, vmap_try, sources):
-                    continue
-            if (w.mode == "restricted" and not disable_pruning
-                    and qp is not None
-                    and _hard_reject(t, node, p, qp, new_slots)):
-                continue
-            # kp already holds the arc terms against every placed vertex
-            # and, in relaxed mode, the second-order terms the bound may
-            # count without overshooting; the leaf re-evaluation is exact
-            col = m if qp is None else qp
-            child_cost = node.cost + t.vc[p, col] + node.kp[0, col]
-            kp_child = node.kp[1:] + _kp_delta(t, node, p, qp)
-            if not disable_bound and free_base is not None:
-                sub = t.vc[p + 1:] + kp_child
-                if m:
-                    free = free_base
-                    if qp is not None:
-                        free = free.copy()
-                        free[:, qp] = False
-                    lo = np.min(sub[:, :m], axis=1, where=free,
-                                initial=math.inf)
-                    np.minimum(lo, sub[:, m], out=lo)
-                else:
-                    lo = sub[:, m]
-                if child_cost + float(lo.sum()) >= best_cost + _SLACK:
-                    continue
-            elif not disable_bound:
-                if child_cost >= best_cost + _SLACK:
-                    continue
-            children.append(SearchNode(
-                p + 1, node.vertex_map + (qp,), child_cost, kp_child,
-                node.present + tuple(new_slots),
-                node.used | (0 if qp is None else 1 << qp)))
-        stack.extend(reversed(children))
-    if best_map is None:
-        best_cost = math.inf
-    return MatchResult(best_cost, best_map, explored,
-                       best_map is not None, leaves)
+        seed = _greedy_cost(g, f, t, rows)
+        upper_bound = min(upper_bound, math.nextafter(seed, math.inf))
+
+    vets = []
+    if w.planar:
+        vets.append(_planar_vet(g))
+    if w.mode == "restricted" and not disable_pruning:
+        vets.append(_arc_antagonism_vet(t))
+
+    def vet(vmap, p):
+        return all(ok(vmap, p) for ok in vets)
+
+    def score(vmap):
+        cost, ok = labelling_cost(g, f, vmap, w, _tables=t)
+        return cost if ok else math.inf
+
+    return _map_search(*_bnb_tables(t, rows), upper_bound,
+                       vet if vets else None, rows, score,
+                       bound=not disable_bound)
 
 
 def exhaustive_oracle(g, f, weights=None):

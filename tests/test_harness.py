@@ -407,6 +407,18 @@ def test_csv_row_lines_up():
     assert float(named["correctness"]) == pytest.approx(rep.correctness)
 
 
+def test_csv_row_carries_the_generator_parameters():
+    cfg = GeneratorConfig(nFDG=2, NT=1, NR=2, nv=4, ne=5, nd=1, nl=2,
+                          seed=43)
+    rep = run_experiment(cfg, method="noniter", repetitions=2)
+    named = dict(zip(CSV_COLUMNS, csv_row(rep)))
+    for col in ("nv", "ne", "nd", "nl", "seed", "repetitions"):
+        assert named[col] == str(rep.params[col])
+    assert [named[col] for col in ("nv", "ne", "nd", "nl", "seed",
+                                   "repetitions")] == \
+        ["4", "5", "1", "2", "43", "2"]
+
+
 def test_fileio_reexports():
     assert harness.read_ag is fileio.read_ag
     assert harness.write_fdg is fileio.write_fdg

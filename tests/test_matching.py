@@ -9,7 +9,13 @@ Covers:
   * cyclic arc-order (planar) constraint on explicit labellings
   * bnb against the exhaustive oracle on random pairs: distances bit-equal,
     counters match the closed forms when the bound is off
-  * candidate masks and error handling, a NaN upper bound among it
+  * candidate masks and error handling, a NaN upper bound among it; on
+    random masks (rows that allow no slot among them) the distance is the
+    minimum over the labellings the mask allows
+  * the map-search tables bnb runs on: they price every labelling as
+    labelling_cost does when no second-order term is left for the leaf,
+    never above it otherwise, and their bound at the root stays at or
+    below the optimum
   * property tests of the upper bound: below the optimum nothing comes back,
     above it the unbounded distance and labelling do; the greedy seed is
     never below the exhaustive optimum
@@ -17,6 +23,7 @@ Covers:
     pair by pair from the FDG's relation matrices
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +41,7 @@ from graphproto.core import (
 )
 from graphproto.matching import (
     MatchResult,
+    _bnb_tables,
     _CostTables,
     _greedy_cost,
     _trunc,
@@ -426,3 +434,112 @@ def test_second_order_cost_counts_violations_pair_by_pair(k, name):
         assert second_order_cost(g, f, vmap, w) == want
         violated += want > 0
     assert violated >= 5
+
+
+def _labellings(n, m, rows=None):
+    """Every labelling of n vertices into m slots whose real targets lie in
+    rows[i] (all slots by default)."""
+    options = [[None] + list(range(m) if rows is None else rows[i])
+               for i in range(n)]
+    for vmap in itertools.product(*options):
+        real = [q for q in vmap if q is not None]
+        if len(real) == len(set(real)):
+            yield list(vmap)
+
+
+def _table_cost(tables, vmap):
+    """A complete map's cost under _map_search's tables, term by term as
+    its docstring defines them."""
+    vs, v_del, v_ins, arc, a_del, _, a_ins = tables
+    used = set(vmap)
+    cost = sum(v_del[p] if q is None else vs[p][q] for p, q in enumerate(vmap))
+    cost += sum(c for q, c in enumerate(v_ins) if q not in used)
+    cost += sum(c for (i, j), c in a_del.items()
+                if vmap[i] is None or vmap[j] is None)
+    cost += sum(c for (q, r), c in a_ins.items()
+                if q not in used or r not in used)
+    return cost + sum(arc[p][s][vmap[p]][vmap[s]]
+                      for p in range(len(vmap)) for s in range(p)
+                      if vmap[p] is not None and vmap[s] is not None)
+
+
+def _root_bound(tables):
+    """What _map_search's bound says the root owes: each vertex its cheapest
+    option, each arc its floor, and a surplus of vertices or arcs on either
+    side the cheapest deletion or insertion."""
+    vs, v_del, v_ins, _, a_del, a_floor, a_ins = tables
+    n1, n2 = len(v_del), len(v_ins)
+    vertices = sum(min([v_del[p]] + vs[p][:n2]) for p in range(n1))
+    if n2 > n1:
+        vertices += (n2 - n1) * min(v_ins)
+    elif n1 > n2:
+        vertices = max(vertices, (n1 - n2) * min(v_del))
+    arcs, gap = sum(a_floor.values()), len(a_del) - len(a_ins)
+    if gap > 0:
+        arcs = max(arcs, gap * min(a_del.values()))
+    elif gap < 0:
+        arcs -= gap * min(a_ins.values())
+    return vertices + arcs
+
+
+@st.composite
+def _sparse_pairs(draw):
+    """An AG and an FDG of orders up to four whose samples each miss a
+    slot, so that about half of the FDGs hold antagonistic vertex slots."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(2, 5))
+    ags = [_random_ag(rng, max_order=n - 1)
+           for _ in range(rng.integers(2, 4))]
+    maps = [list(rng.permutation(n))[:a.order] for a in ags]
+    f = synth_from_labelled_ags(ags, CommonLabelling(maps, n))
+    return _random_ag(rng), f
+
+
+@pytest.mark.parametrize("leaf_terms", [False, True])
+@_PROPERTY
+@given(pair=_sparse_pairs(), mode=st.sampled_from(["relaxed", "restricted"]),
+       k2=st.sampled_from([0.5, 1.0, 2.0]),
+       k3=st.sampled_from([0.0, 1.0, 2.5]),
+       leaf=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=5,
+                     max_size=5))
+def test_search_tables_price_labellings_and_bound_the_optimum(
+        leaf_terms, pair, mode, k2, k3, leaf):
+    # K4..K8 have no table form: with them off, relaxed-mode tables price
+    # every labelling in full; with them on, never above its cost
+    g, f = pair
+    k4, k5, k6, k7, k8 = leaf if leaf_terms else [0.0] * 5
+    w = CostWeights(K2=k2, K3=k3, K4=k4, K5=k5, K6=k6, K7=k7, K8=k8,
+                    mode=mode)
+    t = _CostTables(g, f, w)
+    tables = _bnb_tables(t)
+    for vmap in _labellings(g.order, f.order):
+        want, ok = labelling_cost(g, f, vmap, w, _tables=t)
+        got = _table_cost(tables, vmap)
+        if (mode == "relaxed" and not leaf_terms) or \
+                (mode == "restricted" and ok):
+            assert abs(got - want) <= 1e-12
+        else:
+            assert got <= want + 1e-12
+    assert _root_bound(tables) <= exhaustive_oracle(g, f, w).distance + 1e-12
+
+
+@_PROPERTY
+@given(pair=_pairs(), w=_weights, seed=st.integers(0, 2 ** 32 - 1))
+def test_random_mask_keeps_the_best_labelling_it_allows(pair, w, seed):
+    g, f = pair
+    rng = np.random.default_rng(seed)
+    mask = rng.random((g.order, f.order)) < rng.uniform(0.2, 0.9)
+    mask[rng.random(g.order) < 0.3] = False
+    rows = [np.flatnonzero(row).tolist() for row in mask]
+    t = _CostTables(g, f, w)
+    best = math.inf
+    for vmap in _labellings(g.order, f.order, rows):
+        cost, ok = labelling_cost(g, f, vmap, w, _tables=t)
+        if ok:
+            best = min(best, cost)
+    got = bnb_distance(g, f, w, allowed=mask)
+    assert got.valid == (best < math.inf)
+    assert got.distance == best
+    if got.valid:
+        assert all(q is None or mask[i, q]
+                   for i, q in enumerate(got.labelling.vertex_map))
