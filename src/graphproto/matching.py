@@ -357,16 +357,25 @@ def _arc_antagonism_vet(t):
     """Restricted mode's in-tree veto: placing p may realize no arc slot
     antagonistic to another realized one.  Occurrence and existence depend
     on what ends up deleted, so they wait for the leaf."""
-    Ae, sidx = t.Ae, t.sidx
+    foes = {}
+    for a, b in zip(*np.nonzero(t.Ae)):
+        foes.setdefault(int(a), set()).add(int(b))
+    sidx = t.sidx.tolist()
+    # by_last[p]: the AG arcs whose later endpoint is p
+    by_last = [[] for _ in range(t.n)]
+    for i, j in t.pn_pairs:
+        by_last[max(i, j)].append((i, j))
+
+    def realized(vmap, arcs):
+        return [sidx[vmap[i]][vmap[j]] for i, j in arcs
+                if vmap[i] is not None and vmap[j] is not None]
 
     def vet(vmap, p):
-        new, old = [], []
-        for i, j in t.pn_pairs:
-            q, r = vmap[i], vmap[j]
-            if i <= p and j <= p and q is not None and r is not None:
-                (new if p in (i, j) else old).append(sidx[q, r])
-        return not any(Ae[a, b] for k, a in enumerate(new)
-                       for b in new[:k] + old)
+        hit = set()
+        for a in realized(vmap, by_last[p]):
+            hit.update(foes.get(a, ()))
+        return not hit or not any(
+            b in hit for s in range(p + 1) for b in realized(vmap, by_last[s]))
 
     return vet
 
@@ -413,18 +422,19 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
     vets = []
     if w.planar:
         vets.append(_planar_vet(g))
-    if w.mode == "restricted" and not disable_pruning:
+    if w.mode == "restricted" and not disable_pruning and t.Ae.any():
         vets.append(_arc_antagonism_vet(t))
 
-    def vet(vmap, p):
-        return all(ok(vmap, p) for ok in vets)
+    def both(vmap, p):
+        return vets[0](vmap, p) and vets[1](vmap, p)
+
+    vet = both if len(vets) == 2 else vets[0] if vets else None
 
     def score(vmap):
         cost, ok = labelling_cost(g, f, vmap, w, _tables=t)
         return cost if ok else math.inf
 
-    return _map_search(*_bnb_tables(t, rows), upper_bound,
-                       vet if vets else None, rows, score,
+    return _map_search(*_bnb_tables(t, rows), upper_bound, vet, rows, score,
                        bound=not disable_bound)
 
 

@@ -16,6 +16,11 @@ from .core import Labelling
 # incumbent: the two are float sums taken in different orders, and without
 # the margin a rounding could cut a labelling cheaper than the incumbent.
 _SLACK = 1.0 - 1e-9
+# With a score hook the incumbent is a leaf score, a sum taken in another
+# order than the tables', and it can round below zero (a perfect match
+# whose arc rates cancel), where scaling by _SLACK leaves no margin: every
+# cut then also keeps this much above the incumbent.
+_MARGIN = 1e-9
 
 
 class MatchResult:
@@ -85,12 +90,13 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     given, lists the vertices p may land on in ascending order; only
     vs[p][q] and arc[p][s][q] with q among them are read.  score(vmap),
     when given, is the cost a complete map is kept by: at least its table
-    cost, so that terms with no table form (or an infinite one for a map
-    that breaks a constraint) are charged at the leaf.
+    cost up to rounding, so that terms with no table form (or an infinite
+    one for a map that breaks a constraint) are charged at the leaf.
 
     Vertices are placed in index order on free vertices in ascending order,
     then on nothing; the first least-cost map met is kept.  A child is cut
-    when its cost plus a bound on what is still owed reaches the incumbent:
+    when its cost plus a bound on what is still owed reaches the incumbent
+    (plus _MARGIN when a score hook sets the incumbent):
     each unplaced vertex its cheapest option, each arc among them at least
     a_floor[e], and a surplus of vertices, or of arcs among them, on either
     side the cheapest deletion or insertion.  So no cost may be negative,
@@ -129,6 +135,7 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     for j, r in a_ins:
         outs[j] |= 1 << r
         ins[r] |= 1 << j
+    margin = 0.0 if score is None else _MARGIN
     best_cost = upper_bound
     best_map = None
     nodes = leaves = 0
@@ -147,7 +154,8 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
                 if (free >> j) & 1 or (free >> r) & 1:
                     extra += cost
             g += extra
-            if score is not None and (not bound or g * _SLACK < best_cost):
+            if score is not None and (
+                    not bound or g * _SLACK < best_cost + margin):
                 g = score(vmap)
             if g < best_cost:
                 best_cost = g
@@ -177,7 +185,7 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
             if not bound:
                 walk(p + 1, child, rest, a2_rest)
                 continue
-            if child * _SLACK >= best_cost:
+            if child >= best_cost + margin:
                 continue
             # a zero gap is skipped, not multiplied: 0 * inf is nan
             h, gap = a_low, a1_rest - a2_rest
@@ -191,7 +199,7 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
             elif gap < 0:
                 v_h = max(-gap * C_vd, v_h)
             h += v_h
-            if (child + h) * _SLACK < best_cost:
+            if (child + h) * _SLACK < best_cost + margin:
                 walk(p + 1, child, rest, a2_rest)
         vmap[p] = None
 

@@ -4,8 +4,9 @@ Covers:
   * the truncated-log cost normalisation at its anchor points
   * first-order vertex and arc costs for every case of the cost tables
   * labelling-space and search-node counts (frozen values plus recurrence)
-  * hand-computed distances (self match, substitution, deletion with and
-    without occurrence weight, restricted-mode invalidity)
+  * hand-computed distances (self match, a self match whose arc rates
+    cancel to just below zero, substitution, deletion with and without
+    occurrence weight, restricted-mode invalidity)
   * cyclic arc-order (planar) constraint on explicit labellings
   * bnb against the exhaustive oracle on random pairs: distances bit-equal,
     counters match the closed forms when the bound is off
@@ -131,6 +132,25 @@ def test_self_match_is_free():
         assert res.distance == 0.0
         assert res.labelling == Labelling([0, 1, 2])
 
+
+
+def test_self_match_whose_arc_rates_cancel():
+    # labelling_cost adds K2 per matched slot pair and takes it back per
+    # present AG arc; at K2 = 0.3 that leaves -1.1e-16 for the perfect
+    # match, below the table cost 0 of every child: the search must keep
+    # them and return the oracle's float
+    g = AttributedGraph([attr(1), attr(2), attr(3)],
+                        {(0, 1): attr(1), (1, 2): attr(1), (2, 0): attr(1)})
+    f = ag_to_fdg(g)
+    for mode, planar in itertools.product(("relaxed", "restricted"),
+                                          (False, True)):
+        w = CostWeights(K2=0.3, mode=mode, planar=planar)
+        want = exhaustive_oracle(g, f, w)
+        got = bnb_distance(g, f, w)
+        assert want.distance <= 0.0
+        assert got.valid
+        assert got.distance == want.distance
+        assert got.labelling == Labelling([0, 1, 2])
 
 def test_substitution_distance():
     f = ag_to_fdg(AttributedGraph([attr(1)], {}))
