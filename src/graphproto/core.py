@@ -399,12 +399,23 @@ def arc_index(i, j, n):
 
 def slot_pairs(n):
     """All ordered vertex pairs of an order-n complete graph, slot-indexed."""
-    pairs = [None] * (n * (n - 1))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pairs[arc_index(i, j, n)] = (i, j)
-    return pairs
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def _slot_flags(vertex_pdfs, arc_pdfs):
+    """Value-based nullness and strictness of every vertex slot and of every
+    arc slot, the latter in arc_index order, as bool arrays.  An arc slot is
+    unconditionally null when its pdf or either endpoint is, and strict when
+    its pdf and both endpoints are."""
+    vnull = np.array([p.is_null() for p in vertex_pdfs], bool)
+    vstrict = np.array([p.is_strict() for p in vertex_pdfs], bool)
+    pairs = slot_pairs(len(vertex_pdfs))
+    src, dst = np.array(pairs, int).reshape(-1, 2).T
+    qs = [arc_pdfs[ij] for ij in pairs]
+    anull = np.array([q.is_null() for q in qs], bool) | vnull[src] | vnull[dst]
+    astrict = (np.array([q.is_strict() for q in qs], bool)
+               & vstrict[src] & vstrict[dst])
+    return vnull, vstrict, anull, astrict
 
 
 class Fdg:
@@ -419,13 +430,18 @@ class Fdg:
     slot were present (the denominator of the conditional arc pdf).
     bin_width is the width all pdfs bin at, so an FDG of order 0 keeps it
     too; left out, it comes from the pdfs, or is 1.0 when there are none.
+
+    The value-based flags are fixed at construction (_slot_flags): vnull
+    and vstrict per vertex slot, anull and astrict per arc slot in
+    arc_index order, as read-only bool arrays, which vertex_null, arc_null
+    and the other flag methods look up.  Nothing writes an FDG's pdfs after
+    it is built (a grown prototype is a new Fdg), so the flags stay true.
     """
 
     __slots__ = ("vertex_pdfs", "arc_pdfs", "Aw", "Ow", "Ew", "Ae", "Oe", "Ee",
-                 "z", "u", "bin_width")
+                 "z", "u", "bin_width", "vnull", "vstrict", "anull", "astrict")
 
-    def __init__(self, vertex_pdfs, arc_pdfs, relations, z, u, bin_width=None,
-                 validate=True):
+    def __init__(self, vertex_pdfs, arc_pdfs, relations, z, u, bin_width=None):
         self.vertex_pdfs = list(vertex_pdfs)
         if bin_width is None:
             bin_width = self.vertex_pdfs[0].bin_width if self.vertex_pdfs else 1.0
@@ -439,8 +455,11 @@ class Fdg:
         self.Ee = np.asarray(relations["Ee"], dtype=bool)
         self.z = int(z)
         self.u = dict(u)
-        if validate:
-            self._check()
+        self._check()
+        flags = _slot_flags(self.vertex_pdfs, self.arc_pdfs)
+        for flag in flags:
+            flag.setflags(write=False)
+        self.vnull, self.vstrict, self.anull, self.astrict = flags
 
     def _check(self):
         n = self.order
@@ -475,20 +494,18 @@ class Fdg:
         return len(self.vertex_pdfs)
 
     def vertex_null(self, i):
-        return self.vertex_pdfs[i].is_null()
+        return bool(self.vnull[i])
 
     def vertex_strict(self, i):
-        return self.vertex_pdfs[i].is_strict()
+        return bool(self.vstrict[i])
 
     def arc_null(self, i, j):
         """Unconditional Pr(arc = PHI) = 1."""
-        return (self.arc_pdfs[(i, j)].is_null()
-                or self.vertex_null(i) or self.vertex_null(j))
+        return bool(self.anull[arc_index(i, j, self.order)])
 
     def arc_strict(self, i, j):
         """Unconditional Pr(arc = PHI) = 0."""
-        return (self.arc_pdfs[(i, j)].is_strict()
-                and self.vertex_strict(i) and self.vertex_strict(j))
+        return bool(self.astrict[arc_index(i, j, self.order)])
 
     def existable(self, i, j):
         return not self.arc_null(i, j)
@@ -527,17 +544,6 @@ def self_and_transpose(mat):
     return np.logical_and(mat, mat.T)
 
 
-def _null_flags(f):
-    """Value-based nullness and strictness of every vertex and arc slot."""
-    n = f.order
-    vnull = np.array([f.vertex_null(i) for i in range(n)], dtype=bool)
-    vstrict = np.array([f.vertex_strict(i) for i in range(n)], dtype=bool)
-    pairs = slot_pairs(n)
-    anull = np.array([f.arc_null(i, j) for (i, j) in pairs], dtype=bool)
-    astrict = np.array([f.arc_strict(i, j) for (i, j) in pairs], dtype=bool)
-    return vnull, vstrict, anull, astrict
-
-
 def _extended_relations(old_A, old_O, old_E, old_idx, null, strict, size):
     """Fill relation matrices of an extended structure.
 
@@ -563,15 +569,17 @@ def _extended_relations(old_A, old_O, old_E, old_idx, null, strict, size):
     return A, O, E
 
 
-def remap_fdg(f, vertex_map, k):
-    """Re-seat an FDG's slots at new positions inside an order-k frame.
+def _seat(f, vertex_map, k):
+    """f's slots re-seated at new positions inside an order-k frame, as the
+    arguments of the Fdg that remap_fdg builds.
 
     vertex_map[i] is the new position of old slot i (injective, within
     range).  Unclaimed positions become null slots: absent in all z samples,
-    with the degenerate conditional arc pdf and u = 0.  Relation bits between
-    re-seated pairs are kept; pairs involving a null element follow the
-    extension rules (see _extended_relations).  Arc matrices are re-indexed
-    because slot numbering depends on the order.
+    with u = 0 and the degenerate conditional arc pdf, one object shared by
+    all of them.  Relation bits between re-seated pairs are kept; pairs
+    involving a null element follow the extension rules, applied to the
+    frame's _slot_flags (see _extended_relations).  Arc matrices are
+    re-indexed because slot numbering depends on the order.
     """
     n = f.order
     vmap = list(vertex_map)
@@ -582,34 +590,29 @@ def remap_fdg(f, vertex_map, k):
     vertex_pdfs = [null_pdf(f.z, f.bin_width)] * k
     for i, t in enumerate(vmap):
         vertex_pdfs[t] = f.vertex_pdfs[i]
-    arc_pdfs = {}
-    u = {}
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                arc_pdfs[(i, j)] = Pdf({}, 0, f.bin_width)
-                u[(i, j)] = 0
+    pairs = slot_pairs(k)
+    arc_pdfs = dict.fromkeys(pairs, Pdf({}, 0, f.bin_width))
+    u = dict.fromkeys(pairs, 0)
     for (i, j), q in f.arc_pdfs.items():
         arc_pdfs[(vmap[i], vmap[j])] = q
         u[(vmap[i], vmap[j])] = f.u.get((i, j), 0)
-    tmp = Fdg(vertex_pdfs, arc_pdfs,
-              {"Aw": np.ones((k, k), bool), "Ow": np.ones((k, k), bool),
-               "Ew": np.ones((k, k), bool),
-               "Ae": np.ones((k * (k - 1), k * (k - 1)), bool),
-               "Oe": np.ones((k * (k - 1), k * (k - 1)), bool),
-               "Ee": np.ones((k * (k - 1), k * (k - 1)), bool)},
-              f.z, u, f.bin_width, validate=False)
-    vnull, vstrict, anull, astrict = _null_flags(tmp)
-    vidx = np.asarray(vmap, dtype=int)
-    Aw, Ow, Ew = _extended_relations(f.Aw, f.Ow, f.Ew, vidx, vnull, vstrict, k)
-    old_pairs = slot_pairs(n)
-    aidx = np.array([arc_index(vmap[i], vmap[j], k) for (i, j) in old_pairs],
-                    dtype=int)
+    vnull, vstrict, anull, astrict = _slot_flags(vertex_pdfs, arc_pdfs)
+    Aw, Ow, Ew = _extended_relations(f.Aw, f.Ow, f.Ew,
+                                     np.asarray(vmap, dtype=int),
+                                     vnull, vstrict, k)
+    aidx = np.array([arc_index(vmap[i], vmap[j], k)
+                     for (i, j) in slot_pairs(n)], dtype=int)
     Ae, Oe, Ee = _extended_relations(f.Ae, f.Oe, f.Ee, aidx, anull, astrict,
-                                     k * (k - 1))
-    return Fdg(vertex_pdfs, arc_pdfs,
-               {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-               f.z, u, f.bin_width)
+                                     len(pairs))
+    return (vertex_pdfs, arc_pdfs,
+            {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
+            f.z, u, f.bin_width)
+
+
+def remap_fdg(f, vertex_map, k):
+    """Re-seat an FDG's slots at new positions inside an order-k frame;
+    unclaimed positions become null slots (see _seat)."""
+    return Fdg(*_seat(f, vertex_map, k))
 
 
 def extend_fdg(f, k):
@@ -694,39 +697,29 @@ def verify_identities(f, sample, labellings=None):
                         E[x, y] = False
         return A, O, E
 
-    for name, stored, expected in zip(
-            ("Aw", "Ow", "Ew"), (f.Aw, f.Ow, f.Ew), recompute(vp)):
-        for x, y in zip(*np.nonzero(stored != expected)):
-            report.append("%s[%d, %d]: stored %d, sample says %d"
-                          % (name, x, y, stored[x, y], expected[x, y]))
-    for name, stored, expected in zip(
-            ("Ae", "Oe", "Ee"), (f.Ae, f.Oe, f.Ee), recompute(ap)):
+    for name, expected in zip(("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"),
+                              recompute(vp) + recompute(ap)):
+        stored = getattr(f, name)
         for x, y in zip(*np.nonzero(stored != expected)):
             report.append("%s[%d, %d]: stored %d, sample says %d"
                           % (name, x, y, stored[x, y], expected[x, y]))
 
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ao = f.Aw[i, j] and f.Ow[i, j]
-            if ao != f.vertex_null(i):
-                report.append("vertex identity A&O at (%d, %d): relation %d, "
-                              "p(PHI)=1 is %d" % (i, j, ao, f.vertex_null(i)))
-            eo = f.Ew[i, j] and f.Ow[i, j]
-            if eo != f.vertex_strict(j):
-                report.append("vertex identity E&O at (%d, %d): relation %d, "
-                              "p(PHI)=0 is %d" % (i, j, eo, f.vertex_strict(j)))
-    for s, (si, sj) in enumerate(pairs):
-        for t, (ti, tj) in enumerate(pairs):
-            if s == t:
-                continue
-            ao = f.Ae[s, t] and f.Oe[s, t]
-            if ao != f.arc_null(si, sj):
-                report.append("arc identity A&O at (%d, %d): relation %d, "
-                              "Pr(PHI)=1 is %d" % (s, t, ao, f.arc_null(si, sj)))
-            eo = f.Ee[s, t] and f.Oe[s, t]
-            if eo != f.arc_strict(ti, tj):
-                report.append("arc identity E&O at (%d, %d): relation %d, "
-                              "Pr(PHI)=0 is %d" % (s, t, eo, f.arc_strict(ti, tj)))
+    for kind, pr, rel, null, strict in (
+            ("vertex", "p", (f.Aw, f.Ow, f.Ew), f.vnull, f.vstrict),
+            ("arc", "Pr", (f.Ae, f.Oe, f.Ee), f.anull, f.astrict)):
+        A, O, E = rel
+        for x in range(len(null)):
+            for y in range(len(null)):
+                if x == y:
+                    continue
+                ao = A[x, y] and O[x, y]
+                if ao != null[x]:
+                    report.append("%s identity A&O at (%d, %d): relation %d, "
+                                  "%s(PHI)=1 is %d"
+                                  % (kind, x, y, ao, pr, null[x]))
+                eo = E[x, y] and O[x, y]
+                if eo != strict[y]:
+                    report.append("%s identity E&O at (%d, %d): relation %d, "
+                                  "%s(PHI)=0 is %d"
+                                  % (kind, x, y, eo, pr, strict[y]))
     return report

@@ -35,6 +35,8 @@ from .core import AttributedGraph, CostWeights, Fdg
 from .matching import _CostTables, _trunc, arc_cost, bnb_distance, vertex_cost
 
 _EPS = 1e-9
+# relaxation stops once no probability moves by this much in a pass
+_RELAX_TOL = 1e-3
 
 METHODS = ("optimal", "noniter", "relax-v", "relax-ev")
 
@@ -266,8 +268,8 @@ class ProbMatrix:
         return "ProbMatrix(n=%d, m=%d)" % (self.n, self.m)
 
 
-def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
-                        init="vertex", _tables=None):
+def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
+                        _tables=None):
     """Probabilistic relaxation of the vertex-to-slot assignment.
 
     Rows start from the first-order costs (init="vertex") or from the
@@ -281,7 +283,7 @@ def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
     with j running over the AG neighbours of i and b over the slots wired to
     a by an existable arc in either direction.  P <- P * (1 + Q), rows
     renormalised; stops after `iterations` passes or when the largest entry
-    change drops below epsilon.
+    change drops below _RELAX_TOL.
     """
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
@@ -323,13 +325,13 @@ def relax_probabilities(g, f, weights=None, iterations=20, epsilon=1e-3,
         new /= new.sum(axis=1, keepdims=True)
         delta = np.abs(new - P).max()
         P = new
-        if delta < epsilon:
+        if delta < _RELAX_TOL:
             break
     return ProbMatrix(P)
 
 
 def suboptimal_distance(g, f, weights=None, method="expanded", tau=1.0,
-                        t_p=0.0, iterations=20, epsilon=1e-3, init="vertex",
+                        t_p=0.0, iterations=20, init="vertex",
                         upper_bound=math.inf, _tables=None):
     """Branch-and-bound over a reduced candidate space.
 
@@ -346,8 +348,8 @@ def suboptimal_distance(g, f, weights=None, method="expanded", tau=1.0,
     if method == "expanded":
         allowed = ~forbid_matrix(g, f, tau, w, _tables=t)
     elif method == "relaxation":
-        pm = relax_probabilities(g, f, w, iterations=iterations,
-                                 epsilon=epsilon, init=init, _tables=t)
+        pm = relax_probabilities(g, f, w, iterations=iterations, init=init,
+                                 _tables=t)
         allowed = pm.mask(t_p)
     else:
         raise ValueError("unknown method %r" % (method,))

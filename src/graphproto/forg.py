@@ -19,7 +19,7 @@ import math
 
 from .search import _map_search
 from .core import PHI, null_pdf, vertex_list
-from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
+from .synthesis import _merge_into
 
 
 def forg_entropy(f):
@@ -30,15 +30,10 @@ def forg_entropy(f):
 
 
 def forg_synthesize(f1, f2, vertex_map):
-    """Merge f1 into f2's frame under a slot map.
-
-    vertex_map[i] is the f2 slot receiving f1's slot i, or None to give it a
-    fresh slot; fresh slots are appended in slot order.  Pdfs pool count-wise,
-    so each input weighs by its own denominators.
-    """
-    placed, k = place_fresh(vertex_list(vertex_map, f1.order), f2.order)
-    lab = CommonLabelling([placed, list(range(f2.order))], k)
-    return synth_from_labelled_fdgs([f1, f2], lab)
+    """Merge f1 into f2's frame under a slot map: vertex_map[i] is the f2
+    slot receiving f1's slot i, or None to give it a fresh slot (see
+    synthesis._merge_into)."""
+    return _merge_into(f1, f2, vertex_map)
 
 
 def forg_distance(f1, f2):

@@ -117,9 +117,7 @@ class _CostTables:
         k_pr, width = w.K_pr, f.bin_width
 
         pairs = slot_pairs(m)
-        self.fnull = np.array([f.vertex_null(q) for q in range(m)], bool)
-        self.existable = np.array([f.existable(i, j) for (i, j) in pairs],
-                                  bool)
+        self.fnull, self.existable = f.vnull, ~f.anull
 
         by_vbin = _costs_by_bin(enumerate(f.vertex_pdfs), w.K1, k_pr)
         self.vc = np.full((n, m + 1), w.K1)
@@ -206,39 +204,32 @@ def _realized(t, vmap):
     return v, e, inv
 
 
-def _violation_counts(t, v, e):
-    """Violated relation instances: A and E over unordered pairs, O over
+def _violations(w, t, v, e):
+    """Whether any relation instance is violated, and the K3..K8-weighted
+    sum of the violated ones: A and E counted over unordered pairs, O over
     ordered pairs, at both levels."""
     av, ae = 1 - v, 1 - e
-    return (int(v @ t.Aw @ v) // 2, int(v @ t.Ow @ av),
-            int(av @ t.Ew @ av) // 2, int(e @ t.Ae @ e) // 2,
-            int(e @ t.Oe @ ae), int(ae @ t.Ee @ ae) // 2)
+    va, vo, ve = (int(v @ t.Aw @ v) // 2, int(v @ t.Ow @ av),
+                  int(av @ t.Ew @ av) // 2)
+    ea, eo, ee = (int(e @ t.Ae @ e) // 2, int(e @ t.Oe @ ae),
+                  int(ae @ t.Ee @ ae) // 2)
+    return (any((va, vo, ve, ea, eo, ee)),
+            w.K3 * va + w.K5 * vo + w.K7 * ve
+            + w.K4 * ea + w.K6 * eo + w.K8 * ee)
 
 
 def second_order_cost(g, f, labelling, weights=None):
     """Weighted sum of violated second-order relation instances."""
     w = weights or CostWeights()
-    vmap = vertex_list(labelling, g.order)
     t = _CostTables(g, f, w)
-    v, e, _ = _realized(t, vmap)
-    va, vo, ve, ea, eo, ee = _violation_counts(t, v, e)
-    return (w.K3 * va + w.K5 * vo + w.K7 * ve
-            + w.K4 * ea + w.K6 * eo + w.K8 * ee)
+    v, e, _ = _realized(t, vertex_list(labelling, g.order))
+    return _violations(w, t, v, e)[1]
 
 
 def check_constraints(g, f, labelling, weights=None):
     """Hard-constraint test for the given mode: in restricted mode no
     relation violation is allowed; the planar option applies in both."""
-    w = weights or CostWeights()
-    vmap = vertex_list(labelling, g.order)
-    if w.planar and not _planar_ok(g, vmap):
-        return False
-    if w.mode == "restricted":
-        t = _CostTables(g, f, w)
-        v, e, _ = _realized(t, vmap)
-        if any(_violation_counts(t, v, e)):
-            return False
-    return True
+    return labelling_cost(g, f, labelling, weights)[1]
 
 
 def labelling_cost(g, f, labelling, weights=None, _tables=None):
@@ -275,13 +266,12 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
         else:
             cost += t.ce_pn_list[(i, j)][q][r] - ca[q][r]
 
-    va, vo, ve, ea, eo, ee = _violation_counts(t, v, e)
+    violated, second = _violations(w, t, v, e)
     if w.mode == "restricted":
-        if va or vo or ve or ea or eo or ee:
+        if violated:
             return math.inf, False
     else:
-        cost += (w.K3 * va + w.K5 * vo + w.K7 * ve
-                 + w.K4 * ea + w.K6 * eo + w.K8 * ee)
+        cost += second
     if w.planar and not _planar_ok(g, vmap):
         return math.inf, False
     return float(cost), True

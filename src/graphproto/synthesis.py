@@ -3,12 +3,17 @@
 A common labelling places the vertices of every sample graph into a shared
 frame of n slots.  Synthesis from AGs estimates the first-order pdfs by
 frequency and derives the six second-order relations as universal statements
-over the sample.  Synthesis from FDGs re-seats each input in the common frame
-and combines them: pdfs are pooled count-wise (which weights each input by
-its own sample size), relations are intersected, and the sample counters add
-up.  Because all of this is integer arithmetic, building an FDG from z graphs
-in one pass and growing it one graph at a time produce identical results.
+over the sample.  Synthesis from FDGs seats each input in the common frame
+without building an Fdg (core._seat) and combines them: pdfs are pooled
+count-wise (which weights each input by its own sample size), relations are
+intersected, and the sample counters add up.  Only the result is an Fdg; it
+fixes its null and strict flags at construction and no pdf is written after,
+so growing a prototype builds a new one.  Because all of this is integer
+arithmetic, building an FDG from z graphs in one pass and growing it one
+graph at a time produce identical results.
 """
+
+import functools
 
 import numpy as np
 
@@ -16,8 +21,8 @@ from .core import (
     PHI,
     Fdg,
     Pdf,
+    _seat,
     arc_index,
-    remap_fdg,
     slot_pairs,
     vertex_list,
 )
@@ -128,10 +133,11 @@ def synth_from_labelled_ags(ags, labelling, bin_width=1.0):
 def synth_from_labelled_fdgs(fdgs, labelling):
     """Combine FDGs into one under a common labelling of their slots.
 
-    Each input is re-seated in the order-n frame; pooled pdfs weight every
-    input by its own denominators (z for vertices, u per arc slot), the
-    relations hold exactly when they hold in every input, and z and u add.
-    All inputs must share one bin width, which the result keeps.
+    Each input is seated in the order-n frame (core._seat, no Fdg built);
+    pooled pdfs weight every input by its own denominators (z for vertices,
+    u per arc slot), the relations hold exactly when they hold in every
+    input, and z and u add.  All inputs must share one bin width, which the
+    result keeps.
     """
     if len(fdgs) == 0:
         raise ValueError("cannot combine zero FDGs")
@@ -140,36 +146,19 @@ def synth_from_labelled_fdgs(fdgs, labelling):
     if len(labelling.maps) != len(fdgs):
         raise ValueError("%d FDGs but %d labellings"
                          % (len(fdgs), len(labelling.maps)))
-    n = labelling.n
-    seated = []
+    seats = []
     for f, m in zip(fdgs, labelling.maps):
         if any(t is None for t in m):
             raise ValueError("FDG labellings must place every slot")
-        seated.append(remap_fdg(f, m, n))
-
-    acc = seated[0]
-    vertex_pdfs = list(acc.vertex_pdfs)
-    arc_pdfs = dict(acc.arc_pdfs)
-    u = dict(acc.u)
-    Aw, Ow, Ew = acc.Aw.copy(), acc.Ow.copy(), acc.Ew.copy()
-    Ae, Oe, Ee = acc.Ae.copy(), acc.Oe.copy(), acc.Ee.copy()
-    z = acc.z
-    for f in seated[1:]:
-        for s in range(n):
-            vertex_pdfs[s] = vertex_pdfs[s].merge(f.vertex_pdfs[s])
-        for ij in arc_pdfs:
-            arc_pdfs[ij] = arc_pdfs[ij].merge(f.arc_pdfs[ij])
-            u[ij] += f.u[ij]
-        Aw &= f.Aw
-        Ow &= f.Ow
-        Ew &= f.Ew
-        Ae &= f.Ae
-        Oe &= f.Oe
-        Ee &= f.Ee
-        z += f.z
-    return Fdg(vertex_pdfs, arc_pdfs,
-               {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-               z, u, acc.bin_width)
+        seats.append(_seat(f, m, labelling.n))
+    vps, aps, rels, zs, us, _ = zip(*seats)
+    return Fdg([functools.reduce(Pdf.merge, ps) for ps in zip(*vps)],
+               {ij: functools.reduce(Pdf.merge, [a[ij] for a in aps])
+                for ij in aps[0]},
+               {name: np.logical_and.reduce([r[name] for r in rels])
+                for name in rels[0]},
+               sum(zs), {ij: sum(x[ij] for x in us) for ij in us[0]},
+               fdgs[0].bin_width)
 
 
 def ag_to_fdg(g, bin_width=1.0):
@@ -192,6 +181,16 @@ def place_fresh(vmap, m):
     return placed, nxt
 
 
+def _merge_into(f1, f2, vertex_map):
+    """Merge f1 into f2's frame under a partial slot map: vertex_map[i] is
+    the f2 slot receiving f1's slot i, or None for a fresh slot, appended in
+    slot order.  Pdfs pool count-wise, f2's first, so a prototype grown one
+    sample at a time lists its bins as one-pass synthesis does."""
+    placed, k = place_fresh(vertex_list(vertex_map, f1.order), f2.order)
+    return synth_from_labelled_fdgs(
+        [f2, f1], CommonLabelling([list(range(f2.order)), placed], k))
+
+
 def update_fdg_with_ag(f, g, labelling):
     """Grow an FDG with one more AG, binned at f's bin width.
 
@@ -199,7 +198,4 @@ def update_fdg_with_ag(f, g, labelling):
     slot; fresh slots are appended in vertex order).  Equivalent to
     re-synthesising from the enlarged sample.
     """
-    placed, k = place_fresh(vertex_list(labelling, g.order), f.order)
-    h = ag_to_fdg(g, f.bin_width)
-    lab = CommonLabelling([list(range(f.order)), placed], k)
-    return synth_from_labelled_fdgs([f, h], lab)
+    return _merge_into(ag_to_fdg(g, f.bin_width), f, labelling)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from graphproto.core import AttrTuple
+from graphproto.core import AttrTuple, Fdg
 from graphproto.matching import _CostTables
 
 
@@ -31,4 +31,18 @@ def binned_calls(monkeypatch):
         return binned(self, *args, **kwargs)
 
     monkeypatch.setattr(AttrTuple, "binned", counting)
+    return calls
+
+
+@pytest.fixture
+def fdg_builds(monkeypatch):
+    """A list that gains one entry per Fdg construction."""
+    calls = []
+    init = Fdg.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fdg, "__init__", counting)
     return calls

@@ -222,3 +222,183 @@ def test_null_slot_padding():
     assert f.vertex_pdfs[1] == Pdf({(1,): 1}, 1)
     assert f.vertex_pdfs[2] == null_pdf(1)
     assert f.u[(0, 2)] == 0 and f.arc_pdfs[(0, 2)].is_null()
+
+
+def _assert_same_fdg(got, want):
+    assert got.z == want.z and got.bin_width == want.bin_width
+    assert got.vertex_pdfs == want.vertex_pdfs
+    assert got.arc_pdfs == want.arc_pdfs
+    assert got.u == want.u
+    for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _random_labelling(rng, ags, spare=2):
+    """Random injective maps of the AGs into one frame that is often larger
+    than any of them, so slots go private or stay unused."""
+    n = int(rng.integers(max(g.order for g in ags),
+                         sum(g.order for g in ags) + spare))
+    return CommonLabelling(
+        [rng.choice(n, size=g.order, replace=False).tolist() for g in ags], n)
+
+
+def _random_partial_map(rng, g, m):
+    free = list(range(m))
+    rng.shuffle(free)
+    return [free.pop() if free and rng.random() < 0.6 else None
+            for _ in range(g.order)]
+
+
+def test_pooling_with_fresh_slots_is_free_of_order_and_grouping():
+    """Random maps with private and unused slots: pooling one FDG per AG, in
+    any input order, or pooling groups synthesised over their own compact
+    frames, equals direct synthesis over the common labelling."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        ags = [_random_ag(rng) for _ in range(int(rng.integers(2, 6)))]
+        lab = _random_labelling(rng, ags)
+        direct = synth_from_labelled_ags(ags, lab)
+        perm = rng.permutation(len(ags)).tolist()
+        _assert_same_fdg(synth_from_labelled_fdgs(
+            [ag_to_fdg(ags[k]) for k in perm],
+            CommonLabelling([lab.maps[k] for k in perm], lab.n)), direct)
+        cuts = sorted(rng.choice(np.arange(1, len(ags)),
+                                 size=int(rng.integers(1, len(ags))),
+                                 replace=False).tolist())
+        groups, outer = [], []
+        for grp in np.split(np.array(perm), cuts):
+            used = sorted(set(t for k in grp for t in lab.maps[k]))
+            rng.shuffle(used)
+            local = {t: s for s, t in enumerate(used)}
+            groups.append(synth_from_labelled_fdgs(
+                [ag_to_fdg(ags[k]) for k in grp],
+                CommonLabelling([[local[t] for t in lab.maps[k]]
+                                 for k in grp], len(used))))
+            outer.append(used)
+        _assert_same_fdg(synth_from_labelled_fdgs(
+            groups, CommonLabelling(outer, lab.n)), direct)
+        _assert_same_fdg(synth_from_labelled_fdgs(
+            groups[::-1], CommonLabelling(outer[::-1], lab.n)), direct)
+
+
+def test_update_is_the_merge_of_the_ags_fdg():
+    from graphproto.forg import forg_synthesize
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        ags = [_random_ag(rng) for _ in range(int(rng.integers(1, 4)))]
+        width = float(rng.choice([1.0, 2.0]))
+        f = synth_from_labelled_ags(ags, _random_labelling(rng, ags), width)
+        g = _random_ag(rng)
+        vmap = _random_partial_map(rng, g, f.order)
+        _assert_same_fdg(update_fdg_with_ag(f, g, vmap),
+                         forg_synthesize(ag_to_fdg(g, width), f, vmap))
+
+
+def _assert_flags_are_the_pdfs(f):
+    """vnull, vstrict, anull and astrict, and the methods that read them,
+    equal the per-pdf definitions of Pr(PHI) = 1 and Pr(PHI) = 0."""
+    from graphproto.core import slot_pairs
+    pdfs = f.vertex_pdfs
+    pairs = slot_pairs(f.order)
+    want = {
+        "vnull": [p.is_null() for p in pdfs],
+        "vstrict": [p.is_strict() for p in pdfs],
+        "anull": [f.arc_pdfs[(i, j)].is_null() or pdfs[i].is_null()
+                  or pdfs[j].is_null() for (i, j) in pairs],
+        "astrict": [f.arc_pdfs[(i, j)].is_strict() and pdfs[i].is_strict()
+                    and pdfs[j].is_strict() for (i, j) in pairs],
+    }
+    for name, flags in want.items():
+        got = getattr(f, name)
+        assert got.dtype == bool and got.tolist() == flags, name
+        assert not got.flags.writeable, name
+    assert [f.vertex_null(i) for i in range(f.order)] == want["vnull"]
+    assert [f.vertex_strict(i) for i in range(f.order)] == want["vstrict"]
+    assert [f.arc_null(i, j) for (i, j) in pairs] == want["anull"]
+    assert [f.arc_strict(i, j) for (i, j) in pairs] == want["astrict"]
+    assert [f.existable(i, j) for (i, j) in pairs] == [
+        not x for x in want["anull"]]
+
+
+def _flag_cases(rng, path, tmp_path):
+    """FDGs from one constructor path, order 0 among them."""
+    from graphproto.core import extend_fdg, remap_fdg
+    from graphproto.fileio import read_fdg, read_forg, write_fdg, write_forg
+    from graphproto.forg import forg_synthesize
+    ags = [_random_ag(rng) for _ in range(int(rng.integers(1, 5)))]
+    lab = _random_labelling(rng, ags)
+    f = synth_from_labelled_ags(ags, lab)
+    empty = ag_to_fdg(AttributedGraph([], {}))
+    if path == "synth_from_labelled_ags":
+        return [f, empty]
+    if path == "synth_from_labelled_fdgs":
+        return [synth_from_labelled_fdgs([ag_to_fdg(g) for g in ags], lab),
+                synth_from_labelled_fdgs([empty, empty],
+                                         CommonLabelling([[], []], 0))]
+    if path == "remap_fdg":
+        k = f.order + int(rng.integers(0, 4))
+        return [remap_fdg(f, rng.choice(k, size=f.order,
+                                        replace=False).tolist(), k),
+                remap_fdg(empty, [], 0), remap_fdg(empty, [], 2)]
+    if path == "extend_fdg":
+        return [extend_fdg(f, f.order + 2), extend_fdg(empty, 0),
+                extend_fdg(empty, 3)]
+    if path == "read_fdg":
+        write_fdg(f, tmp_path / "f.fdg")
+        write_forg(f, tmp_path / "f.forg")
+        write_fdg(empty, tmp_path / "e.fdg")
+        return [read_fdg(tmp_path / "f.fdg"), read_forg(tmp_path / "f.forg"),
+                read_fdg(tmp_path / "e.fdg")]
+    g = synth_from_labelled_ags(ags[:1], CommonLabelling(lab.maps[:1], lab.n))
+    return [forg_synthesize(g, f, _random_partial_map(rng, g, f.order)),
+            forg_synthesize(empty, empty, []), forg_synthesize(empty, f, []),
+            forg_synthesize(f, empty, [None] * f.order)]
+
+
+@pytest.mark.parametrize("path", [
+    "synth_from_labelled_ags", "synth_from_labelled_fdgs", "remap_fdg",
+    "extend_fdg", "read_fdg", "forg_synthesize"])
+def test_flags_are_worked_out_from_the_pdfs(path, tmp_path):
+    rng = np.random.default_rng(23)
+    seen = {"order 0": 0, "null slot": 0, "total-0 arc pdf": 0}
+    for _ in range(40):
+        for f in _flag_cases(rng, path, tmp_path):
+            _assert_flags_are_the_pdfs(f)
+            seen["order 0"] += f.order == 0
+            seen["null slot"] += bool(f.vnull.any())
+            seen["total-0 arc pdf"] += any(
+                q.total == 0 for q in f.arc_pdfs.values())
+    assert all(seen.values()), seen
+
+
+def test_seating_and_pooling_build_one_fdg(fdg_builds):
+    from graphproto.core import remap_fdg
+    rng = np.random.default_rng(5)
+    parts = [ag_to_fdg(_random_ag(rng, exact_order=3)) for _ in range(3)]
+    fdg_builds.clear()
+    remap_fdg(parts[0], [4, 0, 2], 5)
+    assert len(fdg_builds) == 1
+    fdg_builds.clear()
+    synth_from_labelled_fdgs(
+        parts, CommonLabelling([[0, 1, 2], [2, 3, 4], [4, 1, 0]], 5))
+    assert len(fdg_builds) == 1
+
+
+def test_growing_lists_bins_in_one_pass_order():
+    """A prototype grown one AG at a time keeps each pdf's bins in the order
+    one-pass synthesis gives them, so even float sums over bins agree."""
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        ags = [_random_ag(rng) for _ in range(int(rng.integers(2, 6)))]
+        f = ag_to_fdg(ags[0])
+        maps = [list(range(ags[0].order))]
+        for g in ags[1:]:
+            vmap = _random_partial_map(rng, g, f.order)
+            fresh = iter(range(f.order, f.order + g.order))
+            maps.append([next(fresh) if t is None else t for t in vmap])
+            f = update_fdg_with_ag(f, g, vmap)
+        batch = synth_from_labelled_ags(ags, CommonLabelling(maps, f.order))
+        assert [list(p.counts) for p in f.vertex_pdfs] == [
+            list(p.counts) for p in batch.vertex_pdfs]
+        assert {ij: list(q.counts) for ij, q in f.arc_pdfs.items()} == {
+            ij: list(q.counts) for ij, q in batch.arc_pdfs.items()}
