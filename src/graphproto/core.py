@@ -211,14 +211,13 @@ class AttributedGraph:
 
     __slots__ = ("vertices", "arcs", "arc_order", "extended")
 
-    def __init__(self, vertices, arcs, arc_order=None, extended=False, validate=True):
+    def __init__(self, vertices, arcs, arc_order=None, extended=False):
         self.vertices = list(vertices)
         self.arcs = dict(arcs)
         self.arc_order = None if arc_order is None else {
             i: list(t) for i, t in arc_order.items()}
         self.extended = bool(extended)
-        if validate:
-            self._check()
+        self._check()
 
     def _check(self):
         n = len(self.vertices)

@@ -1,28 +1,23 @@
 """Sub-optimal matching: cut the labelling space down before the search.
 
-Two independent routes produce a per-vertex candidate mask that is then fed
-to bnb_distance as its `allowed` argument:
+match_by_method turns a method name into a per-vertex candidate mask and
+feeds it to bnb_distance as its `allowed` argument; mask and search read
+the pair's one set of cost tables (matching._CostTables).  The masks:
 
-  * the expanded-vertex filter scores every (AG vertex, FDG slot) pair by a
-    cyclic string edit distance between their local star structures and
-    forbids the pairs whose normalised score exceeds a threshold tau.  With
-    tau = 1 and unit weights nothing is forbidden, so the search stays exact.
-    The filter reads its item costs from the pair's cost tables
-    (matching._CostTables: vc, ce[i, j] and del_v), which the search then
-    reuses, so no attribute is scored against a pdf twice.  The public
+  * "noniter", the expanded-vertex filter, scores every (AG vertex, FDG
+    slot) pair by a cyclic string edit distance between their local star
+    structures and forbids the pairs whose normalised score exceeds a
+    threshold tau.  With tau = 1 and unit weights nothing is forbidden, so
+    the search stays exact.  forbid_matrix reads the item costs from the
+    tables and runs the alignment DP only where a vectorised lower bound
+    (_star_bound) does not already decide the pair; the public
     expanded_vertex_distance scores its items by vertex_cost and arc_cost
-    and runs the same alignment DP, with bit-identical results.
-    forbid_matrix runs the DP only where it can change the answer: a
-    vectorised lower bound (_star_bound: the centre cost plus the larger of
-    the sums of each AG item's and each star item's cheapest outcome,
-    after Riesen & Bunke's bipartite bounds) already proves most pairs
-    forbidden, and those keep the bound in place of the distance.  The
-    mask equals the one the exact distances give; relaxation and
-    expanded_vertex_distance pass no limit and stay exact.
-  * probabilistic relaxation iterates a support-driven update on a vertex-to-
-    slot probability matrix and keeps the entries above a threshold t_p
-    (plus each row's best candidate, so no row goes empty).  With t_p = 0
-    the mask is all-true and the search again stays exact.
+    and runs the same DP, with bit-identical results.
+  * "relax-v" and "relax-ev", probabilistic relaxation, iterate a
+    support-driven update on a vertex-to-slot probability matrix and keep
+    the entries above a threshold t_p (plus each row's best candidate, so
+    no row goes empty).  With t_p = 0 the mask is all-true and the search
+    again stays exact.
 
 Deleting an AG vertex is always left available; only real slots are masked.
 """
@@ -83,10 +78,9 @@ def split_into_expanded_vertices(x):
 def expanded_max_distance(n_i, m_j):
     """Cap on the expanded-vertex distance at unit weights: the dearest
     outcome matches every item when the AG star is the larger side, and
-    additionally deletes the slot surplus when it is not."""
-    if n_i >= m_j:
-        return 2 * n_i - 1
-    return n_i + m_j - 1
+    additionally deletes the slot surplus when it is not.  Broadcasts over
+    arrays of sizes."""
+    return n_i + np.maximum(n_i, m_j) - 1
 
 
 def expanded_vertex_distance(ev_g, ev_f, weights=None):
@@ -144,17 +138,7 @@ def _align(central, ins, delc, vsub, asub):
     return best
 
 
-def _existable_pairs(t):
-    """(m, m) bool matrix of the cost tables t, True where the directed slot
-    pair (q, r) is an existable arc slot; the diagonal is False.  Row j
-    marks the FDG star of slot j."""
-    ex = np.zeros((t.m, t.m), bool)
-    off = t.sidx >= 0
-    ex[off] = t.existable[t.sidx[off]]
-    return ex
-
-
-def _star_bound(t, ex):
+def _star_bound(t):
     """Lower bound on every expanded-vertex distance, as an (n, m) array.
 
     AG item x of vertex i matched to item r of slot j's star costs
@@ -164,7 +148,7 @@ def _star_bound(t, ex):
     distance less the centre cost vc[i, j] is at least the AG-side sum of
     each item's cheapest outcome, and at least the FDG-side sum of each
     star item's.  The bound is the centre plus the larger of the two."""
-    n, m = t.n, t.m
+    n, m, ex = t.n, t.m, t.ex
     ag_side = np.zeros((n, m))
     best = np.full((n, m, m), np.inf)
     if t.pn_pairs:
@@ -194,19 +178,16 @@ def _expanded_distances(g, t, limit=None):
     limit every entry is exact."""
     n, m = t.n, t.m
     vc, del_v, ins = t.vc_list, t.del_v_list, t.w.K1 + t.w.K2
-    ex = _existable_pairs(t)
     # the FDG star of slot j: its existable outgoing arc slots, ascending
-    stars = [np.flatnonzero(row).tolist() for row in ex]
+    stars = [np.flatnonzero(row).tolist() for row in t.ex]
     if limit is None:
         dist = np.empty((n, m))
         run = np.ones((n, m), bool)
     else:
-        dist = _star_bound(t, ex)
+        dist = _star_bound(t)
         run = dist <= limit + _EPS
-    size_g = []
     for i in range(n):
         targets = g.out_targets(i)
-        size_g.append(1 + len(targets))
         rates = [t.ce_pn_list[(i, x)] for x in targets]
         for j in np.flatnonzero(run[i]).tolist():
             star = stars[j]
@@ -214,7 +195,7 @@ def _expanded_distances(g, t, limit=None):
                 vc[i][j], ins, [del_v[r] for r in star],
                 [[vc[x][r] for r in star] for x in targets],
                 [[rate[j][r] for r in star] for rate in rates])
-    return dist, size_g, [1 + len(star) for star in stars]
+    return dist, 1 + t.pn.sum(axis=1), 1 + t.ex.sum(axis=1)
 
 
 def forbid_matrix(g, f, tau, weights=None, _tables=None):
@@ -227,10 +208,8 @@ def forbid_matrix(g, f, tau, weights=None, _tables=None):
     distances give."""
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
-    size_g = 1 + t.pn.sum(axis=1)
-    size_f = 1 + _existable_pairs(t).sum(axis=1)
-    cap = np.array([expanded_max_distance(a, b)
-                    for a in size_g for b in size_f], float).reshape(t.n, t.m)
+    cap = expanded_max_distance(1 + t.pn.sum(axis=1)[:, None],
+                                1 + t.ex.sum(axis=1))
     limit = tau * cap + _EPS
     return _expanded_distances(g, t, limit)[0] > limit
 
@@ -291,8 +270,7 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
 
     und = t.pn | t.pn.T
     nbrs = [np.nonzero(und[i])[0] for i in range(n)]
-    exu = _existable_pairs(t)
-    exu |= exu.T
+    exu = t.ex | t.ex.T
 
     P = np.empty((n, m + 1))
     if init == "vertex":
@@ -330,33 +308,6 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
     return ProbMatrix(P)
 
 
-def suboptimal_distance(g, f, weights=None, method="expanded", tau=1.0,
-                        t_p=0.0, iterations=20, init="vertex",
-                        upper_bound=math.inf, _tables=None):
-    """Branch-and-bound over a reduced candidate space.
-
-    method="expanded" forbids slot candidates by the expanded-vertex filter
-    at threshold tau; method="relaxation" keeps the slots whose relaxed
-    probability reaches t_p.  Either way the null target stays available, so
-    the result is always a valid labelling in relaxed mode; its distance is
-    an upper bound on the unrestricted one, tight at tau = 1 / t_p = 0.
-    upper_bound is passed to bnb_distance: a distance not below it comes
-    back as valid=False.
-    """
-    w = weights or CostWeights()
-    t = _tables if _tables is not None else _CostTables(g, f, w)
-    if method == "expanded":
-        allowed = ~forbid_matrix(g, f, tau, w, _tables=t)
-    elif method == "relaxation":
-        pm = relax_probabilities(g, f, w, iterations=iterations, init=init,
-                                 _tables=t)
-        allowed = pm.mask(t_p)
-    else:
-        raise ValueError("unknown method %r" % (method,))
-    return bnb_distance(g, f, w, allowed=allowed, upper_bound=upper_bound,
-                        _tables=t)
-
-
 def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
                     iterations=20, upper_bound=math.inf, _tables=None):
     """Distance from g to f by the matcher a name in METHODS selects.
@@ -365,18 +316,22 @@ def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
     expanded-vertex distance at threshold tau; the two relax- names keep the
     slots whose relaxed probability reaches t_p, with the relaxation started
     from the vertex costs (-v) or the expanded-vertex distances (-ev) and
-    run for at most `iterations` passes.  A distance not below upper_bound
-    comes back as valid=False (see bnb_distance).
+    run for at most `iterations` passes.  The mask and the search read one
+    set of cost tables.  The null target stays available, so in relaxed
+    mode the result is always a valid labelling; its distance is an upper
+    bound on the optimal one, tight at tau = 1 and at t_p = 0.  A distance
+    not below upper_bound comes back as valid=False (see bnb_distance).
     """
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
-    if method == "optimal":
-        return bnb_distance(g, f, weights, upper_bound=upper_bound,
-                            _tables=_tables)
+    w = weights or CostWeights()
+    t = _tables if _tables is not None else _CostTables(g, f, w)
+    allowed = None
     if method == "noniter":
-        return suboptimal_distance(g, f, weights, method="expanded", tau=tau,
-                                   upper_bound=upper_bound, _tables=_tables)
-    return suboptimal_distance(
-        g, f, weights, method="relaxation", t_p=t_p, iterations=iterations,
-        init="vertex" if method == "relax-v" else "expanded",
-        upper_bound=upper_bound, _tables=_tables)
+        allowed = ~forbid_matrix(g, f, tau, w, _tables=t)
+    elif method != "optimal":
+        init = "vertex" if method == "relax-v" else "expanded"
+        allowed = relax_probabilities(g, f, w, iterations, init,
+                                      _tables=t).mask(t_p)
+    return bnb_distance(g, f, w, allowed=allowed, upper_bound=upper_bound,
+                        _tables=t)

@@ -223,16 +223,19 @@ def _int_kv(cur, keyword):
 
 
 def _read_matrix(cur, name, rows, cols):
+    """The named block of 0/1 rows, decoded in one step (see _matrix_rows)."""
     head = cur.next_line()
     if head != name:
         cur.error("expected relation %r, found %r" % (name, head))
-    mat = np.zeros((rows, cols), bool)
-    for r in range(rows):
+    lines = []
+    for _ in range(rows):
         line = cur.next_line()
-        if len(line) != cols or set(line) - {"0", "1"}:
+        # strip leaves the first character that is not 0 or 1 in place
+        if len(line) != cols or line.strip("01"):
             cur.error("bad 0/1 row %r" % line)
-        mat[r] = [c == "1" for c in line]
-    return mat
+        lines.append(line)
+    return np.frombuffer("".join(lines).encode(), np.uint8).reshape(
+        rows, cols) == ord("1")
 
 
 def _read_fdg_body(cur, with_relations):

@@ -19,7 +19,7 @@ import math
 
 from .search import _map_search
 from .core import PHI, null_pdf, vertex_list
-from .synthesis import _merge_into
+from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
 
 def forg_entropy(f):
@@ -31,9 +31,11 @@ def forg_entropy(f):
 
 def forg_synthesize(f1, f2, vertex_map):
     """Merge f1 into f2's frame under a slot map: vertex_map[i] is the f2
-    slot receiving f1's slot i, or None to give it a fresh slot (see
-    synthesis._merge_into)."""
-    return _merge_into(f1, f2, vertex_map)
+    slot receiving f1's slot i, or None to give it a fresh slot, appended in
+    slot order.  Pdfs pool count-wise, f2's first."""
+    placed, k = place_fresh(vertex_list(vertex_map, f1.order), f2.order)
+    return synth_from_labelled_fdgs(
+        [f2, f1], CommonLabelling([list(range(f2.order)), placed], k))
 
 
 def forg_distance(f1, f2):

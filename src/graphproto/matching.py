@@ -102,6 +102,9 @@ class _CostTables:
     times K.  The expanded-vertex filter (efficient.forbid_matrix) reads
     these tables too, so each (attribute, pdf) pair is scored once.
 
+    ex[q, r] is True where the slot pair (q, r) is an existable arc slot
+    (never on the diagonal).  seed caches the unrestricted _greedy_cost.
+
     Second order: Aw, Ow, Ew (over vertex slots) and Ae, Oe, Ee (over arc
     slots, indexed by arc_index) are the FDG's relations as float32 0/1
     matrices, with the diagonal and the pairs an exempt element takes part
@@ -162,6 +165,7 @@ class _CostTables:
         self.sidx = np.full((m, m), -1, dtype=int)
         for s, (q, r) in enumerate(pairs):
             self.sidx[q, r] = s
+        self.ex = np.append(self.existable, False)[self.sidx]
 
         # null vertex slots and non-existable arc slots are exempt: A and E
         # drop every pair one takes part in, O the pairs it is the source of
@@ -186,6 +190,7 @@ class _CostTables:
         self.ce_absent_list = self.ce_absent.tolist()
         self.ce_pn_list = {(i, j): self.ce[i, j].tolist()
                            for (i, j) in self.pn_pairs}
+        self.seed = None
 
 
 def _realized(t, vmap):
@@ -281,7 +286,9 @@ def _greedy_cost(g, f, t, rows=None):
     """Cost of the labelling that gives each vertex, in index order, its
     cheapest free slot among `rows[i]` (all slots by default) if that is
     cheaper than the null target, else the null target; inf when that
-    labelling is invalid."""
+    labelling is invalid.  The unrestricted cost is kept as t.seed."""
+    if rows is None and t.seed is not None:
+        return t.seed
     m = t.m
     vmap = []
     used = set()
@@ -293,6 +300,8 @@ def _greedy_cost(g, f, t, rows=None):
         used.add(pick)
         vmap.append(pick)
     cost, ok = labelling_cost(g, f, vmap, t.w, _tables=t)
+    if rows is None:
+        t.seed = cost if ok else math.inf
     return cost if ok else math.inf
 
 
@@ -334,9 +343,8 @@ def _bnb_tables(t, rows=None):
                     0.0)
     # an AG arc on a slot pair that is not existable costs K2, so K2 also
     # caps every arc's floor
-    ex = np.append(t.existable, False)[t.sidx]
-    floors = t.ce[np.nonzero(t.pn)][:, ex].min(axis=1, initial=w.K2)
-    qs, rs = np.nonzero(ex)
+    floors = t.ce[np.nonzero(t.pn)][:, t.ex].min(axis=1, initial=w.K2)
+    qs, rs = np.nonzero(t.ex)
     return (t.vc_list, [row[m] for row in t.vc_list], t.del_v_list,
             _arc_tables(t, pair, rows), dict.fromkeys(t.pn_pairs, w.K2),
             dict(zip(t.pn_pairs, floors.tolist())),

@@ -95,6 +95,11 @@ def _relations(pres):
 
 def synth_from_labelled_ags(ags, labelling, bin_width=1.0):
     """Build an FDG from a sample of AGs under a common labelling."""
+    return Fdg(*_sample_args(ags, labelling, bin_width))
+
+
+def _sample_args(ags, labelling, bin_width):
+    """The arguments of the Fdg that synth_from_labelled_ags builds."""
     if len(ags) == 0:
         raise ValueError("cannot synthesise from an empty sample")
     if len(labelling.maps) != len(ags):
@@ -125,9 +130,9 @@ def synth_from_labelled_ags(ags, labelling, bin_width=1.0):
 
     Aw, Ow, Ew = _relations(vp)
     Ae, Oe, Ee = _relations(ap)
-    return Fdg(vertex_pdfs, arc_pdfs,
-               {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-               z, u, bin_width)
+    return (vertex_pdfs, arc_pdfs,
+            {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
+            z, u, bin_width)
 
 
 def synth_from_labelled_fdgs(fdgs, labelling):
@@ -151,14 +156,19 @@ def synth_from_labelled_fdgs(fdgs, labelling):
         if any(t is None for t in m):
             raise ValueError("FDG labellings must place every slot")
         seats.append(_seat(f, m, labelling.n))
-    vps, aps, rels, zs, us, _ = zip(*seats)
-    return Fdg([functools.reduce(Pdf.merge, ps) for ps in zip(*vps)],
-               {ij: functools.reduce(Pdf.merge, [a[ij] for a in aps])
-                for ij in aps[0]},
-               {name: np.logical_and.reduce([r[name] for r in rels])
-                for name in rels[0]},
-               sum(zs), {ij: sum(x[ij] for x in us) for ij in us[0]},
-               fdgs[0].bin_width)
+    return Fdg(*_pool(seats))
+
+
+def _pool(seats):
+    """Fdg arguments of one frame, pooled in order into those of one Fdg."""
+    vps, aps, rels, zs, us, widths = zip(*seats)
+    return ([functools.reduce(Pdf.merge, ps) for ps in zip(*vps)],
+            {ij: functools.reduce(Pdf.merge, [a[ij] for a in aps])
+             for ij in aps[0]},
+            {name: np.logical_and.reduce([r[name] for r in rels])
+             for name in rels[0]},
+            sum(zs), {ij: sum(x[ij] for x in us) for ij in us[0]},
+            widths[0])
 
 
 def ag_to_fdg(g, bin_width=1.0):
@@ -181,21 +191,14 @@ def place_fresh(vmap, m):
     return placed, nxt
 
 
-def _merge_into(f1, f2, vertex_map):
-    """Merge f1 into f2's frame under a partial slot map: vertex_map[i] is
-    the f2 slot receiving f1's slot i, or None for a fresh slot, appended in
-    slot order.  Pdfs pool count-wise, f2's first, so a prototype grown one
-    sample at a time lists its bins as one-pass synthesis does."""
-    placed, k = place_fresh(vertex_list(vertex_map, f1.order), f2.order)
-    return synth_from_labelled_fdgs(
-        [f2, f1], CommonLabelling([list(range(f2.order)), placed], k))
-
-
 def update_fdg_with_ag(f, g, labelling):
     """Grow an FDG with one more AG, binned at f's bin width.
 
     labelling maps g's vertices to slots of f (None sends a vertex to a fresh
     slot; fresh slots are appended in vertex order).  Equivalent to
-    re-synthesising from the enlarged sample.
+    re-synthesising from the enlarged sample, f's graphs first.
     """
-    return _merge_into(ag_to_fdg(g, f.bin_width), f, labelling)
+    placed, k = place_fresh(vertex_list(labelling, g.order), f.order)
+    return Fdg(*_pool([
+        _seat(f, range(f.order), k),
+        _sample_args([g], CommonLabelling([placed], k), f.bin_width)]))

@@ -48,9 +48,9 @@ from graphproto import (
     forg_synthesize,
     hierarchical_clustering,
     incremental_clustering,
+    match_by_method,
     perturb,
     split_into_expanded_vertices,
-    suboptimal_distance,
     synth_from_labelled_ags,
     update_fdg_with_ag,
     verify_identities,
@@ -182,12 +182,12 @@ def test_suboptimal_limits_recover_the_optimal_distance():
                         K5=float(rng.choice([0.0, 1.0])),
                         mode="restricted" if trial % 3 == 0 else "relaxed")
         want = bnb_distance(g, f, w)
-        wide = suboptimal_distance(g, f, w, method="expanded", tau=1.0)
+        wide = match_by_method(g, f, w, method="noniter", tau=1.0)
         ok = ok and wide.valid == want.valid and wide.distance == want.distance
         base = bnb_distance(g, f)
-        soft = suboptimal_distance(g, f, method="relaxation", t_p=0.0)
+        soft = match_by_method(g, f, method="relax-v", t_p=0.0)
         ok = ok and soft.valid == base.valid and soft.distance == base.distance
-        ds = [suboptimal_distance(g, f, method="expanded", tau=tau).distance
+        ds = [match_by_method(g, f, method="noniter", tau=tau).distance
               for tau in (1.0, 0.7, 0.4, 0.2)]
         ok = ok and all(lo <= hi for lo, hi in zip(ds, ds[1:]))
     ok = ok and time.perf_counter() - t0 < 120.0
@@ -388,7 +388,7 @@ def _observed(model, subset, rng, sigma):
                 full[(i, j)] = PHI
             else:
                 full[(i, j)] = b
-    return AttributedGraph(verts, full, extended=True, validate=False)
+    return AttributedGraph(verts, full, extended=True)
 
 
 def _with_spurious(g, model, rng, sigma):

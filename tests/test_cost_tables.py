@@ -5,6 +5,8 @@
 * forbid_matrix, which reads the tables, equals the expanded-vertex filter
   evaluated item by item with split_into_expanded_vertices and
   expanded_vertex_distance, at tau 0.3, 0.5 and 1.0
+* the existable slot-pair matrix ex is f.existable off the diagonal and
+  False on it, at orders 0 and 1 and with null slots
 * the lower bound the filter prunes with never exceeds the exact
   expanded-vertex distance, and the pruned forbid_matrix equals the rule
   applied to the exact distances at tau from 0 to 1
@@ -29,7 +31,6 @@ from graphproto import (
     vertex_cost,
 )
 from graphproto.efficient import (
-    _existable_pairs,
     _expanded_distances,
     _star_bound,
     expanded_max_distance,
@@ -153,6 +154,24 @@ def test_tables_and_filter_equal_per_entry_evaluation():
     assert min(seen.values()) >= 10, seen
 
 
+def test_existable_slot_pairs_follow_the_fdg():
+    rng = np.random.default_rng(2026)
+    empty = synth_from_labelled_ags([AttributedGraph([], {})],
+                                    CommonLabelling.identity([0]))
+    fdgs = [empty, extend_fdg(empty, 1), extend_fdg(empty, 3)]
+    fdgs += [_random_fdg(rng, 1.0) for _ in range(60)]
+    g = AttributedGraph([attr(1)], {})
+    null_slots = 0
+    for f in fdgs:
+        m = f.order
+        ex = _CostTables(g, f, CostWeights()).ex
+        assert ex.dtype == bool and ex.shape == (m, m)
+        assert ex.tolist() == [[q != r and f.existable(q, r)
+                                for r in range(m)] for q in range(m)]
+        null_slots += any(f.vertex_null(q) for q in range(m))
+    assert {f.order for f in fdgs} >= {0, 1} and null_slots >= 10
+
+
 def test_star_bound_is_admissible_and_pruning_keeps_the_mask():
     rng = np.random.default_rng(2025)
     seen = dict.fromkeys(("null slot", "total 0", "empty AG star",
@@ -166,9 +185,8 @@ def test_star_bound_is_admissible_and_pruning_keeps_the_mask():
         g = _random_ag(rng, int(rng.integers(1, 6)), 2)
 
         t = _CostTables(g, f, w)
-        ex = _existable_pairs(t)
         dist, size_g, size_f = _expanded_distances(g, t)
-        bound = _star_bound(t, ex)
+        bound = _star_bound(t)
         assert (bound <= dist + 1e-12).all()
         cap = np.array([[expanded_max_distance(a, b) for b in size_f]
                         for a in size_g], float).reshape(dist.shape)

@@ -9,8 +9,12 @@
 * at benchmark size (order-14 models, larger stars than the random
   inputs) the pruned forbid_matrix equals the rule applied to the exact
   distances
-* suboptimal_distance at tau = 1 (expanded) and t_p = 0 (relaxation)
+* match_by_method at tau = 1 (noniter) and t_p = 0 (relax-v)
   reproduces the unrestricted search bit for bit
+* the size cap broadcasts over arrays with the scalar rule's values
+* every name in METHODS gives the search on the mask built by hand, node
+  counts included, in both modes, planar or not, with an upper bound, and
+  on tables that already hold the unrestricted greedy seed
 * relaxation rows are probability vectors and masking keeps each row's best
 * a relaxation match builds its pair's cost tables once
 """
@@ -47,9 +51,8 @@ from graphproto.efficient import (
     match_by_method,
     relax_probabilities,
     split_into_expanded_vertices,
-    suboptimal_distance,
 )
-from graphproto.matching import _CostTables
+from graphproto.matching import _CostTables, _greedy_cost
 
 
 def _brute_cyclic(ev_g, ev_f, w):
@@ -134,6 +137,16 @@ def test_max_distance_branches():
     assert expanded_max_distance(2, 3) == 4
     assert expanded_max_distance(1, 1) == 1
     assert expanded_max_distance(2, 2) == 3
+
+
+def test_max_distance_broadcasts_over_arrays():
+    sizes = np.arange(1, 9)
+    got = expanded_max_distance(sizes[:, None], sizes)
+    assert got.shape == (8, 8)
+    assert got.tolist() == [[2 * a - 1 if a >= b else a + b - 1
+                             for b in range(1, 9)] for a in range(1, 9)]
+    assert got.tolist() == [[expanded_max_distance(a, b)
+                             for b in range(1, 9)] for a in range(1, 9)]
 
 
 def test_distance_zero_on_own_prototype():
@@ -258,7 +271,7 @@ def test_suboptimal_expanded_tau_one_is_exact():
                         K5=float(rng.choice([0.0, 1.0])),
                         mode="restricted" if trial % 3 == 0 else "relaxed")
         want = bnb_distance(g, f, w)
-        got = suboptimal_distance(g, f, w, method="expanded", tau=1.0)
+        got = match_by_method(g, f, w, method="noniter", tau=1.0)
         assert got.valid == want.valid
         assert got.distance == want.distance
         assert got.labelling == want.labelling
@@ -270,7 +283,7 @@ def test_suboptimal_relaxation_tp_zero_is_exact():
         g = _random_ag(rng)
         f = _random_fdg(rng)
         want = bnb_distance(g, f)
-        got = suboptimal_distance(g, f, method="relaxation", t_p=0.0)
+        got = match_by_method(g, f, method="relax-v", t_p=0.0)
         assert got.valid == want.valid
         assert got.distance == want.distance
         assert got.labelling == want.labelling
@@ -283,11 +296,45 @@ def test_suboptimal_never_beats_exact():
         f = _random_fdg(rng)
         want = bnb_distance(g, f)
         free = bnb_distance(g, f, disable_bound=True, disable_pruning=True)
-        for res in (suboptimal_distance(g, f, method="expanded", tau=0.4),
-                    suboptimal_distance(g, f, method="relaxation", t_p=0.3)):
+        for res in (match_by_method(g, f, method="noniter", tau=0.4),
+                    match_by_method(g, f, method="relax-v", t_p=0.3)):
             assert res.valid
             assert res.distance >= want.distance - 1e-12
             assert res.explored_nodes <= free.explored_nodes
+
+
+def test_every_method_is_the_search_on_its_own_mask():
+    rng = np.random.default_rng(37)
+    seen = dict.fromkeys(("restricted", "planar", "masked", "cut"), 0)
+    for trial in range(40):
+        g, f = _random_ag(rng), _random_fdg(rng)
+        w = CostWeights(K3=float(rng.choice([0.0, 1.0])),
+                        mode="restricted" if trial % 3 == 0 else "relaxed",
+                        planar=trial % 4 == 1)
+        bound = (math.inf, 1.5)[trial % 2]
+        masks = {
+            "optimal": None,
+            "noniter": ~forbid_matrix(g, f, 0.5, w),
+            "relax-v": relax_probabilities(g, f, w, 5, "vertex").mask(0.2),
+            "relax-ev": relax_probabilities(g, f, w, 5, "expanded").mask(0.2),
+        }
+        for method, mask in masks.items():
+            # tables that already hold the unrestricted greedy seed, as in
+            # the classify loop, which orders prototypes by it
+            t = _CostTables(g, f, w)
+            _greedy_cost(g, f, t)
+            got = match_by_method(g, f, w, method, tau=0.5, t_p=0.2,
+                                  iterations=5, upper_bound=bound, _tables=t)
+            want = bnb_distance(g, f, w, allowed=mask, upper_bound=bound)
+            assert ((got.distance, got.valid, got.labelling,
+                     got.explored_nodes)
+                    == (want.distance, want.valid, want.labelling,
+                        want.explored_nodes))
+            seen["masked"] += mask is not None and not mask.all()
+            seen["cut"] += not got.valid
+        seen["restricted"] += w.mode == "restricted"
+        seen["planar"] += w.planar
+    assert min(seen.values()) >= 5, seen
 
 
 def test_relaxation_rows_are_distributions():
@@ -327,7 +374,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         relax_probabilities(g, f, init="nope")
     with pytest.raises(ValueError):
-        suboptimal_distance(g, f, method="nope")
+        match_by_method(g, f, method="nope")
 
 
 def test_relaxation_match_builds_tables_once(table_builds):

@@ -18,6 +18,9 @@
   ParseError at its line, and a missing field one at the record's last line
 * relation rows are written as the digit strings of the 0/1 matrices, at
   every order from 0 up
+* the first bad relation row (a character other than 0 or 1, non-ASCII
+  ones included, or the wrong length) is a ParseError at its own line, also
+  when later rows are bad or the file ends after it
 """
 
 import math
@@ -190,6 +193,33 @@ def test_fdg_parse_errors(tmp_path, mangle):
     p.write_text(mangle(p.read_text()))
     with pytest.raises(ParseError):
         read_fdg(str(p))
+
+
+@pytest.mark.parametrize("edits, cut, bad", [
+    ({2: "\u00e9"}, None, 2),
+    ({1: "\u4e2d"}, None, 1),
+    ({3: "2", 4: "+"}, None, 3),
+    ({2: "x", 4: ""}, None, 2),
+    ({1: "", 3: "\u00e9"}, None, 1),
+    ({4: "\u00e9"}, 5, 4),
+])
+def test_first_bad_relation_row_is_reported_at_its_line(tmp_path, edits, cut,
+                                                        bad):
+    """Row k of the Ae block gets edits[k] in place of its first digit (""
+    drops it); with cut, the file ends after that many rows."""
+    p = tmp_path / "f.fdg"
+    write_fdg(_sample_fdg(), str(p))
+    lines = p.read_text().splitlines()
+    head = lines.index("Ae")
+    for k, c in edits.items():
+        lines[head + 1 + k] = c + lines[head + 1 + k][1:]
+    if cut is not None:
+        lines = lines[:head + 1 + cut]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_fdg(str(p))
+    assert err.value.lineno == head + 2 + bad
+    assert str(err.value).endswith("bad 0/1 row %r" % lines[head + 1 + bad])
 
 
 def test_parse_error_carries_location(tmp_path):
