@@ -435,10 +435,17 @@ class Fdg:
     arc_index order, as read-only bool arrays, which vertex_null, arc_null
     and the other flag methods look up.  Nothing writes an FDG's pdfs after
     it is built (a grown prototype is a new Fdg), so the flags stay true.
+
+    _costs is an FDG's one cache: the AG-independent part of its cost
+    tables (matching._fdg_costs) under the last K1, K2 and K_pr it was
+    matched with, as (key, read-only parts), or None.  It is filled lazily,
+    by the first match, so an FDG that is never matched pays nothing for
+    it, and it stays valid for the same reason the flags do.
     """
 
     __slots__ = ("vertex_pdfs", "arc_pdfs", "Aw", "Ow", "Ew", "Ae", "Oe", "Ee",
-                 "z", "u", "bin_width", "vnull", "vstrict", "anull", "astrict")
+                 "z", "u", "bin_width", "vnull", "vstrict", "anull", "astrict",
+                 "_costs")
 
     def __init__(self, vertex_pdfs, arc_pdfs, relations, z, u, bin_width=None):
         self.vertex_pdfs = list(vertex_pdfs)
@@ -459,6 +466,7 @@ class Fdg:
         for flag in flags:
             flag.setflags(write=False)
         self.vnull, self.vstrict, self.anull, self.astrict = flags
+        self._costs = None
 
     def _check(self):
         n = self.order
@@ -467,10 +475,9 @@ class Fdg:
             raise ValueError("vertex relation matrices must be %d x %d" % (n, n))
         if self.Ae.shape != (m, m) or self.Oe.shape != (m, m) or self.Ee.shape != (m, m):
             raise ValueError("arc relation matrices must be %d x %d" % (m, m))
-        for i in range(n):
-            for j in range(n):
-                if i != j and (i, j) not in self.arc_pdfs:
-                    raise ValueError("missing arc pdf for slot (%d, %d)" % (i, j))
+        missing = set(slot_pairs(n)).difference(self.arc_pdfs)
+        if missing:
+            raise ValueError("missing arc pdf for slot (%d, %d)" % min(missing))
         for p in self.vertex_pdfs + list(self.arc_pdfs.values()):
             if p.bin_width != self.bin_width:
                 raise ValueError("pdf bin width %r differs from the FDG's %r"

@@ -326,8 +326,11 @@ def _fdg_lines(f, header):
 
 
 def _matrix_rows(mat):
-    """The rows of a 0/1 matrix as strings of '0' and '1'."""
-    return [(row.astype(np.uint8) + 48).tobytes().decode() for row in mat]
+    """The rows of a 0/1 matrix as strings of '0' and '1', the block
+    encoded in one step (see _read_matrix)."""
+    rows, cols = mat.shape
+    text = (mat.astype(np.uint8) + 48).tobytes().decode()
+    return [text[k * cols:(k + 1) * cols] for k in range(rows)]
 
 
 def read_fdg(path):

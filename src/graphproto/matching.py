@@ -70,17 +70,68 @@ def arc_cost(b, pdf, endpoint_null, k_pr=1e-4):
 
 
 def _costs_by_bin(pdfs, k, k_pr):
-    """bin -> (flat positions, costs): every bin a pdf holds, mapped to the
+    """(positions, costs, spans): every bin a pdf holds, with the flat
     positions of the pdfs that hold it and k * _trunc of its probability
-    under each.  pdfs are (flat position, pdf) pairs; a pdf with total 0
-    holds only the null bin, at probability 1."""
+    under each.  positions and costs are flat arrays grouped by bin, and
+    spans maps a bin to its slice of them.  pdfs are (flat position, pdf)
+    pairs; a pdf with total 0 holds only the null bin, at probability 1."""
     by_bin = {}
     for pos, pdf in pdfs:
         for key, pr in pdf.probs().items():
             hit = by_bin.setdefault(key, ([], []))
             hit[0].append(pos)
             hit[1].append(k * _trunc(pr, k_pr))
-    return by_bin
+    positions, costs, spans = [], [], {}
+    for key, (ps, cs) in by_bin.items():
+        spans[key] = slice(len(positions), len(positions) + len(ps))
+        positions += ps
+        costs += cs
+    return np.array(positions, dtype=int), np.array(costs, dtype=float), spans
+
+
+def _put_by_bin(row, key, by_bin):
+    """Overwrite the 1-d row, at the positions of the pdfs that hold the
+    bin key, with that bin's costs (a _costs_by_bin map)."""
+    positions, costs, spans = by_bin
+    span = spans.get(key)
+    if span is not None:
+        row[positions[span]] = costs[span]
+
+
+def _fdg_costs(f, w):
+    """The part of the (AG, f, w) cost tables that no AG enters, for
+    _CostTables: the vertex and arc _costs_by_bin maps (an arc slot with a
+    null endpoint left out), del_v, ce_absent, sidx and ex, all read-only.
+
+    It depends on f and on w's K1, K2 and K_pr only, so it is kept on f
+    (Fdg._costs) under those three and rebuilt when they change."""
+    key = (w.K1, w.K2, w.K_pr)
+    if f._costs is not None and f._costs[0] == key:
+        return f._costs[1]
+    m, k_pr = f.order, w.K_pr
+    pairs = slot_pairs(m)
+    by_vbin = _costs_by_bin(enumerate(f.vertex_pdfs), w.K1, k_pr)
+    del_v = np.full(m, w.K1)
+    _put_by_bin(del_v, None, by_vbin)
+    # a pair with a null slot at either end is free when absent and
+    # costs one unit when present, whatever its pdf says
+    endpoint_null = f.vnull[:, None] | f.vnull[None, :]
+    by_abin = _costs_by_bin(
+        ((q * m + r, f.arc_pdfs[(q, r)]) for (q, r) in pairs
+         if not endpoint_null[q, r]), w.K2, k_pr)
+    ce_absent = np.full((m, m), w.K2)
+    ce_absent[endpoint_null] = 0.0
+    np.fill_diagonal(ce_absent, 0.0)
+    _put_by_bin(ce_absent.reshape(-1), None, by_abin)
+    sidx = np.full((m, m), -1, dtype=int)
+    for s, (q, r) in enumerate(pairs):
+        sidx[q, r] = s
+    ex = np.append(~f.anull, False)[sidx]
+    parts = (by_vbin, by_abin, del_v, ce_absent, sidx, ex)
+    for a in by_vbin[:2] + by_abin[:2] + parts[2:]:
+        a.setflags(write=False)
+    f._costs = (key, parts)
+    return parts
 
 
 class _CostTables:
@@ -97,13 +148,20 @@ class _CostTables:
     The first-order tables are built by bin lookup: each AG attribute is
     binned once, every entry starts at one unit (K1 or K2), the cost of a
     bin the slot's pdf has never seen, and the slots whose pdf holds the
-    AG's bin are overwritten from a bin -> (slots, costs) map
-    (_costs_by_bin).  Entries are bit-identical to vertex_cost and arc_cost
-    times K.  The expanded-vertex filter (efficient.forbid_matrix) reads
-    these tables too, so each (attribute, pdf) pair is scored once.
+    AG's bin are overwritten, by fancy indexing, from a bin -> (slots,
+    costs) map (_costs_by_bin).  Entries are bit-identical to vertex_cost
+    and arc_cost times K.  The expanded-vertex filter
+    (efficient.forbid_matrix) reads these tables too, so each (attribute,
+    pdf) pair is scored once.
 
     ex[q, r] is True where the slot pair (q, r) is an existable arc slot
     (never on the diagonal).  seed caches the unrestricted _greedy_cost.
+
+    The by-bin maps, del_v, ce_absent, sidx and ex come from the FDG's
+    cache (_fdg_costs): the first build under the pair's K1, K2 and K_pr
+    fills it, and every later one shares it, read-only.  Only the AG's
+    side (binning its attributes and filling vc and ce from the maps) and
+    the relation masks below are built per pair.
 
     Second order: Aw, Ow, Ew (over vertex slots) and Ae, Oe, Ee (over arc
     slots, indexed by arc_index) are the FDG's relations as float32 0/1
@@ -117,55 +175,27 @@ class _CostTables:
         n, m = g.order, f.order
         self.n, self.m = n, m
         self.w = w
-        k_pr, width = w.K_pr, f.bin_width
-
-        pairs = slot_pairs(m)
+        width = f.bin_width
         self.fnull, self.existable = f.vnull, ~f.anull
+        (by_vbin, by_abin, self.del_v, self.ce_absent, self.sidx,
+         self.ex) = _fdg_costs(f, w)
 
-        by_vbin = _costs_by_bin(enumerate(f.vertex_pdfs), w.K1, k_pr)
         self.vc = np.full((n, m + 1), w.K1)
-        for i, a in enumerate(g.vertices):
-            hit = by_vbin.get(a.binned(width))
-            if hit:
-                np.put(self.vc[i], *hit)
-        self.del_v = np.full(m, w.K1)
-        hit = by_vbin.get(None)
-        if hit:
-            np.put(self.del_v, *hit)
+        for row, a in zip(self.vc, g.vertices):
+            _put_by_bin(row, a.binned(width), by_vbin)
 
-        self.pn = np.zeros((n, n), bool)
-        for (i, j), b in g.arcs.items():
-            if not b.is_null:
-                self.pn[i, j] = True
-        # a pair with a null slot at either end is free when absent and
-        # costs one unit when present, whatever its pdf says
-        endpoint_null = self.fnull[:, None] | self.fnull[None, :]
-        by_abin = _costs_by_bin(
-            ((q * m + r, f.arc_pdfs[(q, r)]) for (q, r) in pairs
-             if not endpoint_null[q, r]), w.K2, k_pr)
-        self.ce_absent = np.full((m, m), w.K2)
-        self.ce_absent[endpoint_null] = 0.0
-        np.fill_diagonal(self.ce_absent, 0.0)
-        hit = by_abin.get(None)
-        if hit:
-            np.put(self.ce_absent, *hit)
         # ce[i, j] is the rate matrix of the ordered AG pair (i, j) over
         # ordered slot pairs: ce_absent where g has no arc (i, j)
+        self.pn = np.zeros((n, n), bool)
         self.ce = np.empty((n, n, m, m))
         self.ce[:] = self.ce_absent
         for (i, j), b in g.arcs.items():
             if b.is_null:
                 continue
+            self.pn[i, j] = True
             mat = self.ce[i, j]
             mat.fill(w.K2)
-            hit = by_abin.get(b.binned(width))
-            if hit:
-                np.put(mat, *hit)
-
-        self.sidx = np.full((m, m), -1, dtype=int)
-        for s, (q, r) in enumerate(pairs):
-            self.sidx[q, r] = s
-        self.ex = np.append(self.existable, False)[self.sidx]
+            _put_by_bin(mat.reshape(-1), b.binned(width), by_abin)
 
         # null vertex slots and non-existable arc slots are exempt: A and E
         # drop every pair one takes part in, O the pairs it is the source of

@@ -2,6 +2,7 @@
 
 import pytest
 
+from graphproto import matching
 from graphproto.core import AttrTuple, Fdg
 from graphproto.matching import _CostTables
 
@@ -45,4 +46,19 @@ def fdg_builds(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Fdg, "__init__", counting)
+    return calls
+
+
+@pytest.fixture
+def bin_maps(monkeypatch):
+    """A list that gains one entry per _costs_by_bin call: two per FDG
+    whose AG-independent costs are worked out (vertex and arc pdfs)."""
+    calls = []
+    costs_by_bin = matching._costs_by_bin
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return costs_by_bin(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_costs_by_bin", counting)
     return calls

@@ -312,6 +312,15 @@ def test_fdg_validation():
         Fdg(f.vertex_pdfs, f.arc_pdfs, rel, f.z, f.u)
 
 
+def test_missing_arc_pdf_names_the_first_slot_pair():
+    _, _, f = _fixture()
+    arc_pdfs = dict(f.arc_pdfs)
+    for ij in ((3, 1), (1, 2), (2, 0)):
+        del arc_pdfs[ij]
+    with pytest.raises(ValueError, match=r"missing arc pdf for slot \(1, 2\)"):
+        Fdg(f.vertex_pdfs, arc_pdfs, f.relations(), f.z, f.u)
+
+
 def test_unconditional_arc_prob():
     _, _, f = _fixture()
     assert unconditional_arc_prob(f, (0, 3), attr(10)) == pytest.approx(0.25)

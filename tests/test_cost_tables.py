@@ -10,6 +10,10 @@
 * the lower bound the filter prunes with never exceeds the exact
   expanded-vertex distance, and the pruned forbid_matrix equals the rule
   applied to the exact distances at tau from 0 to 1
+* tables built from an FDG's cache, after other weights refilled it, equal
+  tables built on a fresh copy of the FDG, and the cache is read-only
+* classifying twice against the same prototypes scores each prototype's
+  pdfs once, and weights the cache does not depend on leave it alone
 
 Inputs mix string and numeric components, bin widths 0.5, 1 and 3, K_pr
 1e-4 and 0.05, null vertex slots, arc pdfs with total 0 between present
@@ -24,9 +28,11 @@ from graphproto import (
     AttributedGraph,
     CommonLabelling,
     CostWeights,
+    Fdg,
     arc_cost,
     attr,
     extend_fdg,
+    fdg_classify,
     synth_from_labelled_ags,
     vertex_cost,
 )
@@ -205,3 +211,63 @@ def test_star_bound_is_admissible_and_pruning_keeps_the_mask():
         seen["empty AG star"] += min(size_g) == 1
         seen["empty FDG star"] += min(size_f) == 1
     assert min(seen.values()) >= 10, seen
+
+
+def _attributes(t):
+    """Every array, list and dict attribute of a _CostTables, arrays as
+    (dtype, shape, bytes) so equal means bit for bit."""
+    out = {}
+    for name, v in vars(t).items():
+        if isinstance(v, np.ndarray):
+            out[name] = (v.dtype, v.shape, v.tobytes())
+        elif isinstance(v, (list, dict)):
+            out[name] = v
+    return out
+
+
+def test_warm_tables_equal_cold_ones():
+    rng = np.random.default_rng(2027)
+    empty = synth_from_labelled_ags([AttributedGraph([], {})],
+                                    CommonLabelling.identity([0]))
+    fdgs = [empty, extend_fdg(empty, 1), extend_fdg(empty, 3)]
+    fdgs += [_random_fdg(rng, (0.5, 1.0, 3.0)[k % 3]) for k in range(90)]
+    seen = dict.fromkeys(("order 0", "order 1", "null slot", "total 0"), 0)
+    for case, f in enumerate(fdgs):
+        w1 = CostWeights(K_pr=(1e-4, 0.05)[case % 2], K3=0.5)
+        # each of K1, K2 and K_pr alone refills the cache
+        w2 = w1.replace(**({"K1": 0.7}, {"K2": 1.9}, {"K_pr": 0.01})[case % 3])
+        for w in (w1, w2, w1):
+            g = _random_ag(rng, int(rng.integers(0, 5)), 2)
+            warm = _CostTables(g, f, w)
+            fresh = Fdg(f.vertex_pdfs, f.arc_pdfs, f.relations(), f.z, f.u,
+                        f.bin_width)
+            assert _attributes(warm) == _attributes(_CostTables(g, fresh, w))
+            parts = f._costs[1]
+            arrays = [a for p in parts[:2] for a in p[:2]] + list(parts[2:])
+            arrays += [warm.del_v, warm.ce_absent, warm.sidx, warm.ex]
+            assert not any(a.flags.writeable for a in arrays)
+        seen["order 0"] += f.order == 0
+        seen["order 1"] += f.order == 1
+        seen["null slot"] += any(f.vertex_null(q) for q in range(f.order))
+        seen["total 0"] += any(
+            p.total == 0 and not (f.vertex_null(q) or f.vertex_null(r))
+            for (q, r), p in f.arc_pdfs.items())
+    assert min(seen.values()) >= 1 and seen["null slot"] >= 10 \
+        and seen["total 0"] >= 10, seen
+
+
+def test_each_prototype_is_scored_once(bin_maps):
+    rng = np.random.default_rng(2028)
+    models = [_random_fdg(rng, 1.0) for _ in range(3)]
+    tests = [_random_ag(rng, 3, 0) for _ in range(2)]
+    w = CostWeights()
+    for g in tests:
+        fdg_classify(g, models, w)
+    # two bin maps (vertex and arc pdfs) per prototype, not per comparison
+    assert len(bin_maps) == 6
+    for other in (w.replace(K3=0.0, K4=1.0, K5=2.0, K6=0.5, K7=1.5, K8=3.0),
+                  w.replace(mode="restricted"), w.replace(planar=True)):
+        fdg_classify(tests[0], models, other)
+    assert len(bin_maps) == 6
+    fdg_classify(tests[0], models, w.replace(K1=2.0))
+    assert len(bin_maps) == 12
