@@ -11,7 +11,10 @@ optional planar flag applies the matcher's cyclic-order constraint.
 
 edit_distance builds cost tables once per pair, and search._map_search, the
 bounded depth-first search bnb_distance and forg_distance run on too, finds
-the cheapest map on them.
+the cheapest map on them.  Its lower bound charges every vertex not yet
+mapped and every arc not yet paid for, so a pair that cannot come within
+the caller's upper_bound is refused at the root, before its arc tables are
+built.
 """
 
 import math
@@ -103,18 +106,21 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
             return C_ei if e1 is None else subs[e1, (q, r)]
         return 0.0 if e1 is None else C_ed
 
-    # arc[p][s][q][r], s < p: both arcs between g1 vertices p and s against
-    # both arcs between q and r
-    inserts_only = [[one(None, q, r) + one(None, r, q) for r in range(n2)]
-                    for q in range(n2)]
-    arc = [[None] * p for p in range(n1)]
-    for p in range(n1):
-        for s in range(p):
-            ps = (p, s) if (p, s) in arcs1 else None
-            sp = (s, p) if (s, p) in arcs1 else None
-            arc[p][s] = inserts_only if ps is None and sp is None else \
-                [[one(ps, q, r) + one(sp, r, q) for r in range(n2)]
-                 for q in range(n2)]
+    def arc():
+        # arc[p][s][q][r], s < p: both arcs between g1 vertices p and s
+        # against both arcs between q and r
+        inserts_only = [[one(None, q, r) + one(None, r, q) for r in range(n2)]
+                        for q in range(n2)]
+        tables = [[None] * p for p in range(n1)]
+        for p in range(n1):
+            for s in range(p):
+                ps = (p, s) if (p, s) in arcs1 else None
+                sp = (s, p) if (s, p) in arcs1 else None
+                tables[p][s] = inserts_only if ps is None and sp is None \
+                    else [[one(ps, q, r) + one(sp, r, q) for r in range(n2)]
+                          for q in range(n2)]
+        return tables
+
     a_floor = {e1: min([C_ed] + [subs[e1, e2] for e2 in arcs2])
                for e1 in arcs1}
 

@@ -18,7 +18,9 @@ Conventions used throughout the package:
   * the null bin of a pdf is keyed by None.
 """
 
+import itertools
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -417,6 +419,10 @@ def _slot_flags(vertex_pdfs, arc_pdfs):
     return vnull, vstrict, anull, astrict
 
 
+_bin_width = attrgetter("bin_width")
+_total = attrgetter("total")
+
+
 class Fdg:
     """Function-described graph.
 
@@ -478,18 +484,21 @@ class Fdg:
         missing = set(slot_pairs(n)).difference(self.arc_pdfs)
         if missing:
             raise ValueError("missing arc pdf for slot (%d, %d)" % min(missing))
-        for p in self.vertex_pdfs + list(self.arc_pdfs.values()):
-            if p.bin_width != self.bin_width:
-                raise ValueError("pdf bin width %r differs from the FDG's %r"
-                                 % (p.bin_width, self.bin_width))
-        for ij, q in self.arc_pdfs.items():
-            uij = self.u.get(ij, 0)
-            if q.total != uij:
-                raise ValueError("arc pdf total %d disagrees with u=%d at %s"
-                                 % (q.total, uij, (ij,)))
+        pdfs = self.vertex_pdfs + list(self.arc_pdfs.values())
+        if set(map(_bin_width, pdfs)) - {self.bin_width}:
+            p = next(p for p in pdfs if p.bin_width != self.bin_width)
+            raise ValueError("pdf bin width %r differs from the FDG's %r"
+                             % (p.bin_width, self.bin_width))
+        totals = list(map(_total, self.arc_pdfs.values()))
+        if totals != list(map(self.u.get, self.arc_pdfs, itertools.repeat(0))):
+            ij, total = next((ij, q.total) for ij, q in self.arc_pdfs.items()
+                             if q.total != self.u.get(ij, 0))
+            raise ValueError("arc pdf total %d disagrees with u=%d at %s"
+                             % (total, self.u.get(ij, 0), (ij,)))
+        # the matrices are bool, so their bytes compare as their entries do
         for name, mat in (("Aw", self.Aw), ("Ew", self.Ew),
                           ("Ae", self.Ae), ("Ee", self.Ee)):
-            if not np.array_equal(mat, mat.T):
+            if mat.tobytes() != mat.T.tobytes():
                 raise ValueError("%s must be symmetric" % name)
         for name, mat in (("Ow", self.Ow), ("Oe", self.Oe)):
             if not mat.diagonal().all():

@@ -53,9 +53,13 @@ def forg_distance(f1, f2):
     pool = {(e1, e2): q1.merge(q2).entropy()
             for e1, q1 in a1.items() for e2, q2 in a2.items()}
     n2 = f2.order
-    arc = [[[[pool[(p, s), (q, r)] + pool[(s, p), (r, q)] if q != r else None
-              for r in range(n2)] for q in range(n2)] for s in range(p)]
-           for p in range(f1.order)]
+
+    def arc():
+        return [[[[pool[(p, s), (q, r)] + pool[(s, p), (r, q)]
+                   if q != r else None for r in range(n2)]
+                  for q in range(n2)] for s in range(p)]
+                for p in range(f1.order)]
+
     a_del = {e1: q1.entropy() for e1, q1 in a1.items()}
     a_floor = {e1: min([a_del[e1]] + [pool[e1, e2] for e2 in a2])
                for e1 in a1}

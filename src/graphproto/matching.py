@@ -31,8 +31,11 @@ the incumbent.  A node of the search is one partial labelling, the root and
 the complete ones included.  The incumbent starts just above the cost of a
 greedy labelling, or at a caller's upper bound, whichever is lower, so a
 caller that only needs distances below a known value (the nearest-prototype
-loop) can abandon a losing pair early.  exhaustive_oracle grinds through the
-whole labelling space and is kept around as an independent check.
+loop) can abandon a losing pair early.  The bound charges every unplaced
+vertex and every AG arc not yet paid for, so a pair whose root bound
+already reaches the incumbent is abandoned with one walk, before its arc
+tables are built.  exhaustive_oracle grinds through the whole labelling
+space and is kept around as an independent check.
 """
 
 import itertools
@@ -335,12 +338,16 @@ def _greedy_cost(g, f, t, rows=None):
     return cost if ok else math.inf
 
 
-def _arc_tables(t, pair, rows):
+def _arc_tables(t, rows):
     """arc[p][s][q][r] (s < p) for _map_search: the rates of the AG pairs
-    (p, s) and (s, p) on the slot pairs (q, r) and (r, q), plus pair[q, r].
-    Vertex pairs with no AG arc between them share one table.  With rows,
-    a table holds only the rows its vertex p may take, and none is built
-    for a vertex that may take no slot."""
+    (p, s) and (s, p) on the slot pairs (q, r) and (r, q), plus the vertex
+    antagonism term of (q, r), K3 in relaxed mode and infinite in
+    restricted mode.  Vertex pairs with no AG arc between them share one
+    table.  With rows, a table holds only the rows its vertex p may take,
+    and none is built for a vertex that may take no slot."""
+    w = t.w
+    pair = np.where(t.Aw > 0, math.inf if w.mode == "restricted" else w.K3,
+                    0.0)
     shared = (t.ce_absent + t.ce_absent.T + pair).tolist()
     arc = [[shared] * p for p in range(t.n)]
     P, S = np.nonzero(t.pn | t.pn.T)
@@ -365,18 +372,15 @@ def _bnb_tables(t, rows=None):
     """The pair's cost as _map_search's tables, in its argument order (vs,
     v_del, v_ins, arc, a_del, a_floor, a_ins): vertex costs, AG arcs
     deleted with an endpoint at K2 each, the existable slot pairs as the
-    second side's arcs at no insertion cost, and per pair of placed
-    vertices their arc rates plus the vertex antagonism term, K3 in relaxed
-    mode and infinite in restricted mode."""
+    second side's arcs at no insertion cost, and the builder of the tables
+    of arc rates per pair of placed vertices (_arc_tables)."""
     w, m = t.w, t.m
-    pair = np.where(t.Aw > 0, math.inf if w.mode == "restricted" else w.K3,
-                    0.0)
     # an AG arc on a slot pair that is not existable costs K2, so K2 also
     # caps every arc's floor
     floors = t.ce[np.nonzero(t.pn)][:, t.ex].min(axis=1, initial=w.K2)
     qs, rs = np.nonzero(t.ex)
     return (t.vc_list, [row[m] for row in t.vc_list], t.del_v_list,
-            _arc_tables(t, pair, rows), dict.fromkeys(t.pn_pairs, w.K2),
+            lambda: _arc_tables(t, rows), dict.fromkeys(t.pn_pairs, w.K2),
             dict(zip(t.pn_pairs, floors.tolist())),
             dict.fromkeys(zip(qs.tolist(), rs.tolist()), 0.0))
 

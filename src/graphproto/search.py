@@ -26,7 +26,8 @@ _MARGIN = 1e-9
 class MatchResult:
     """Outcome of a matching run: explored_nodes counts the search's calls
     on partial maps (the root and the leaves included), leaves the complete
-    maps among them."""
+    maps among them.  A search whose root bound already reaches its upper
+    bound counts one walk and no leaf."""
 
     __slots__ = ("distance", "labelling", "explored_nodes", "valid", "leaves")
 
@@ -85,25 +86,34 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     v_ins[q] per q unused; a_del[e] per arc (ordered pair) e of the first
     side with a deleted endpoint, a_ins[e] per arc of the second side with
     an unused endpoint, and arc[p][s][q][r] (s < p) for the arcs between p
-    and s, both ways, when p lands on q and s on r.  vet(vmap, p), when
-    given, vetoes a placement of p by returning False.  rows[p], when
-    given, lists the vertices p may land on in ascending order; only
-    vs[p][q] and arc[p][s][q] with q among them are read.  score(vmap),
-    when given, is the cost a complete map is kept by: at least its table
-    cost up to rounding, so that terms with no table form (or an infinite
-    one for a map that breaks a constraint) are charged at the leaf.
+    and s, both ways, when p lands on q and s on r.  arc is passed as a
+    builder: arc() returns those tables, and is called only when the root
+    survives the bound (always with bound False), so a pair decided at the
+    root builds none.  vet(vmap, p), when given, vetoes a placement of p
+    by returning False.  rows[p], when given, lists the vertices p may
+    land on in ascending order; only vs[p][q] and arc[p][s][q] with q
+    among them are read.  score(vmap), when given, is the cost a complete
+    map is kept by: at least its table cost up to rounding, so that terms
+    with no table form (or an infinite one for a map that breaks a
+    constraint) are charged at the leaf.
 
     Vertices are placed in index order on free vertices in ascending order,
-    then on nothing; the first least-cost map met is kept.  A child is cut
-    when its cost plus a bound on what is still owed reaches the incumbent
-    (plus _MARGIN when a score hook sets the incumbent):
-    each unplaced vertex its cheapest option, each arc among them at least
-    a_floor[e], and a surplus of vertices, or of arcs among them, on either
-    side the cheapest deletion or insertion.  So no cost may be negative,
-    and an arc on a pair that is no arc of the other side must cost at
-    least the cheapest arc deletion (first side) or insertion (second side).
-    With bound False nothing is cut by cost, an infinite one included, and
-    every leaf is scored.
+    then on nothing; the first least-cost map met is kept.  The root, and
+    then each child, is cut when its cost plus a bound on what is still
+    owed reaches the upper bound or the incumbent (plus _MARGIN when a
+    score hook sets the incumbent): each unplaced vertex its cheapest
+    option, a surplus of vertices on either side the cheapest deletion or
+    insertion, and every arc not yet paid for (on the first side, one
+    whose later endpoint is unplaced; on the second, one with an unused
+    endpoint) at least a_floor[e].  The unpaid arcs fall in two groups:
+    those among unplaced (or unused) vertices, and those across the cut,
+    with one endpoint placed (or used).  An arc can only land on an arc of
+    its own group, so a surplus of either group on either side owes the
+    cheapest arc deletion or insertion per arc, counted apart.  So no cost
+    may be negative, and an arc on a pair that is no arc of the other side
+    must cost at least the cheapest arc deletion (first side) or insertion
+    (second side).  With bound False nothing is cut by cost, an infinite
+    one included, and every leaf is scored.
     """
     if math.isnan(upper_bound):
         raise ValueError("upper_bound must not be NaN")
@@ -113,35 +123,73 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     charged = [(e2, cost) for e2, cost in a_ins.items() if cost]
     C_vd, C_vi, C_ed, C_ei = (min(x, default=0.0) for x in (
         v_del, v_ins, a_del.values(), a_ins.values()))
-    # dels[p][s]: the arcs between p and s (s < p) when either is deleted;
-    # a1[p] and e_floor[p]: the count and floor of the arcs among p..n1-1
+    # dels[p][s]: the arcs between p and s (s < p) when either is deleted.
+    # While 0..p-1 are placed, an arc is unpaid when its later endpoint is
+    # p or above: a1[p] and e_floor[p] are the count and floor sum of those
+    # among p..n1-1, x1[p] and x_floor[p] of those across the cut
     dels = [[0.0] * p for p in range(n1)]
     a1 = [0] * (n1 + 1)
     e_floor = [0.0] * (n1 + 1)
+    x1 = [0] * (n1 + 1)
+    x_floor = [0.0] * (n1 + 1)
     for (i, j), cost in a_del.items():
         s, p = sorted((i, j))
         dels[p][s] += cost
         a1[s] += 1
         e_floor[s] += a_floor[i, j]
+        for k in range(s + 1, p + 1):
+            x1[k] += 1
+            x_floor[k] += a_floor[i, j]
     for p in range(n1 - 1, -1, -1):
         a1[p] += a1[p + 1]
         e_floor[p] += e_floor[p + 1]
     v_min = [min([v_del[p]] + [vs[p][q] for q in rows[p]])
              for p in range(n1)]
     v_floor = [sum(v_min[p:]) for p in range(n1 + 1)]
-    # outs/ins: each second-side vertex's arc partners, as bit masks
+    # outs/ins: each second-side vertex's arc partners, as bit masks, and
+    # deg its number of arcs
     outs = [0] * n2
     ins = [0] * n2
+    deg = [0] * n2
     for j, r in a_ins:
         outs[j] |= 1 << r
         ins[r] |= 1 << j
+        deg[j] += 1
+        deg[r] += 1
+
+    def owed(p, free, a2, x2):
+        # what p..n1-1 still owe while the second side's vertices in free
+        # are unused, a2 of its arcs lie among them and x2 across the cut;
+        # a zero gap is skipped, not multiplied: 0 * inf is nan
+        h, gap = e_floor[p], a1[p] - a2
+        if gap > 0:
+            h = max(gap * C_ed, h)
+        elif gap < 0:
+            h -= gap * C_ei
+        h_x, gap = x_floor[p], x1[p] - x2
+        if gap > 0:
+            h_x = max(gap * C_ed, h_x)
+        elif gap < 0:
+            h_x -= gap * C_ei
+        h += h_x
+        v_h, gap = v_floor[p], free.bit_count() - n1 + p
+        if gap > 0:
+            v_h += gap * C_vi
+        elif gap < 0:
+            v_h = max(-gap * C_vd, v_h)
+        return h + v_h
+
     margin = 0.0 if score is None else _MARGIN
+    full = (1 << n2) - 1
+    if bound and owed(0, full, len(a_ins), 0) * _SLACK >= upper_bound + margin:
+        return MatchResult(math.inf, None, 1, False, 0)
+    arc = arc()
     best_cost = upper_bound
     best_map = None
     nodes = leaves = 0
     vmap = [None] * n1
 
-    def walk(p, g, free, a2):
+    def walk(p, g, free, a2, x2):
         nonlocal best_cost, best_map, nodes, leaves
         nodes += 1
         if p == n1:
@@ -162,15 +210,13 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
                 best_map = Labelling(vmap)
             return
         vs_p, arc_p, dels_p = vs[p], arc[p], dels[p]
-        a1_rest, left = a1[p + 1], n1 - p - 1
-        a_low, v_low = e_floor[p + 1], v_floor[p + 1]
         for q in [q for q in rows[p] if (free >> q) & 1] + [None]:
             vmap[p] = q
             if q is None:
                 step = v_del[p]
                 for s in range(p):
                     step += dels_p[s]
-                rest, a2_rest = free, a2
+                rest, a2_rest, x2_rest = free, a2, x2
             else:
                 if vet is not None and not vet(vmap, p):
                     continue
@@ -179,31 +225,22 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
                     r = vmap[s]
                     step += dels_p[s] if r is None else arc_p[s][q][r]
                 rest = free & ~(1 << q)
-                a2_rest = a2 - (outs[q] & rest).bit_count() \
-                    - (ins[q] & rest).bit_count()
+                # q's arcs to free vertices now cross the cut, and its
+                # other arcs, to used vertices, are paid
+                cross = (outs[q] & rest).bit_count() \
+                    + (ins[q] & rest).bit_count()
+                a2_rest = a2 - cross
+                x2_rest = x2 + 2 * cross - deg[q]
             child = g + step
             if not bound:
-                walk(p + 1, child, rest, a2_rest)
-                continue
-            if child >= best_cost + margin:
-                continue
-            # a zero gap is skipped, not multiplied: 0 * inf is nan
-            h, gap = a_low, a1_rest - a2_rest
-            if gap > 0:
-                h = max(gap * C_ed, h)
-            elif gap < 0:
-                h -= gap * C_ei
-            v_h, gap = v_low, rest.bit_count() - left
-            if gap > 0:
-                v_h += gap * C_vi
-            elif gap < 0:
-                v_h = max(-gap * C_vd, v_h)
-            h += v_h
-            if (child + h) * _SLACK < best_cost + margin:
-                walk(p + 1, child, rest, a2_rest)
+                walk(p + 1, child, rest, a2_rest, x2_rest)
+            elif child < best_cost + margin and (
+                    child + owed(p + 1, rest, a2_rest, x2_rest)) * _SLACK \
+                    < best_cost + margin:
+                walk(p + 1, child, rest, a2_rest, x2_rest)
         vmap[p] = None
 
-    walk(0, 0.0, (1 << n2) - 1, len(a_ins))
+    walk(0, 0.0, full, len(a_ins), 0)
     # walk's closure holds walk itself: free the tables now, not at the
     # next cyclic collection
     del walk

@@ -6,7 +6,8 @@ Covers:
   * non-finite attribute components are refused where the tuple is built
   * a non-positive or non-finite bin width is refused before any binning
   * AG validation (coherence, self loops, arc_order) and null-padding extension
-  * FDG construction, unconditional arc probabilities, co-occurrence
+  * FDG construction (a bad FDG names its first offender), unconditional
+    arc probabilities, co-occurrence
   * a NaN cost weight is refused
   * FDG extension: kept bits, null/strict table rules, arc slot re-indexing
   * verify_identities on a hand-built sample, including single-bit damage
@@ -309,6 +310,33 @@ def test_fdg_validation():
     rel = f.relations()
     rel["Aw"] = asym
     with pytest.raises(ValueError):
+        Fdg(f.vertex_pdfs, f.arc_pdfs, rel, f.z, f.u)
+
+
+def test_fdg_check_names_the_first_offender():
+    _, _, f = _fixture()
+    vertex_pdfs = list(f.vertex_pdfs)
+    arc_pdfs = dict(f.arc_pdfs)
+    for k in (1, 3):
+        vertex_pdfs[k] = Pdf(vertex_pdfs[k].counts, 4, 1.0 + k)
+    arc_pdfs[0, 3] = Pdf(arc_pdfs[0, 3].counts, arc_pdfs[0, 3].total, 5.0)
+    with pytest.raises(ValueError, match=r"pdf bin width 2\.0 differs "
+                                         r"from the FDG's 1\.0"):
+        Fdg(vertex_pdfs, arc_pdfs, f.relations(), f.z, f.u, 1.0)
+    with pytest.raises(ValueError, match=r"pdf bin width 5\.0 differs "
+                                         r"from the FDG's 1\.0"):
+        Fdg(f.vertex_pdfs, arc_pdfs, f.relations(), f.z, f.u, 1.0)
+    bad_u = dict(f.u)
+    bad_u[3, 1] = 7
+    bad_u[1, 3] = 9
+    with pytest.raises(ValueError, match=r"arc pdf total 2 disagrees with "
+                                         r"u=9 at \(\(1, 3\),\)"):
+        Fdg(f.vertex_pdfs, f.arc_pdfs, f.relations(), f.z, bad_u)
+    rel = f.relations()
+    for name in ("Ee", "Ew"):
+        rel[name] = rel[name].copy()
+        rel[name][0, 1] = ~rel[name][0, 1]
+    with pytest.raises(ValueError, match="Ew must be symmetric"):
         Fdg(f.vertex_pdfs, f.arc_pdfs, rel, f.z, f.u)
 
 

@@ -478,6 +478,7 @@ def _table_cost(tables, vmap):
                 if vmap[i] is None or vmap[j] is None)
     cost += sum(c for (q, r), c in a_ins.items()
                 if q not in used or r not in used)
+    arc = arc()
     return cost + sum(arc[p][s][vmap[p]][vmap[s]]
                       for p in range(len(vmap)) for s in range(p)
                       if vmap[p] is not None and vmap[s] is not None)

@@ -1,0 +1,258 @@
+"""The map search's bound on every caller's tables.
+
+_map_search is run on the tables the edit distance, bnb_distance (relaxed
+and restricted, with and without candidate rows) and the FORG distance
+build, taken from the caller's own call, at upper bounds around the
+optimum.  A bound that overestimated what a branch still owes would cut
+the optimal map at one of them; a brute force over every map shows it.
+A pair whose root bound already reaches the upper bound is decided with
+one walk and builds no arc tables.
+"""
+
+import itertools
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphproto import AttributedGraph, CostWeights, attr
+from graphproto import baseline, forg, matching
+from graphproto.baseline import EditCosts, edit_distance
+from graphproto.forg import forg_distance
+from graphproto.matching import bnb_distance, count_search_nodes
+from graphproto.search import _map_search
+from graphproto.synthesis import CommonLabelling, synth_from_labelled_ags
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+
+
+def _captured(module, call):
+    """call()'s result and the MatchResult and arguments of the one
+    _map_search call it makes through module."""
+    seen = []
+
+    def record(*args, **kwargs):
+        res = _map_search(*args, **kwargs)
+        seen.append((res, args, kwargs))
+        return res
+
+    with mock.patch.object(module, "_map_search", record):
+        out = call()
+    (res, args, kwargs), = seen
+    return out, res, list(args), kwargs
+
+
+def _maps(n1, n2, rows):
+    """Every injective partial map of n1 vertices into n2, vertex p on
+    rows[p] (all n2 by default) or on nothing."""
+    options = [list(range(n2) if rows is None else rows[p]) + [None]
+               for p in range(n1)]
+    for vmap in itertools.product(*options):
+        real = [q for q in vmap if q is not None]
+        if len(real) == len(set(real)):
+            yield list(vmap)
+
+
+def _table_cost(tables, arc, vmap):
+    """A complete map's cost under _map_search's tables, term by term as
+    its docstring defines them."""
+    vs, v_del, v_ins, _, a_del, _, a_ins = tables
+    used = set(vmap)
+    cost = sum(v_del[p] if q is None else vs[p][q] for p, q in enumerate(vmap))
+    cost += sum(c for q, c in enumerate(v_ins) if q not in used)
+    cost += sum(c for (i, j), c in a_del.items()
+                if vmap[i] is None or vmap[j] is None)
+    cost += sum(c for (q, r), c in a_ins.items()
+                if q not in used or r not in used)
+    return cost + sum(arc[p][s][vmap[p]][vmap[s]]
+                      for p in range(len(vmap)) for s in range(p)
+                      if vmap[p] is not None and vmap[s] is not None)
+
+
+def _brute(args):
+    """Cost of every map the search may return on its arguments: the
+    score hook's, when there is one, else the tables'; maps a vet rejects
+    are left out."""
+    tables = args[:7]
+    vet, rows, score = (args[8:] + [None] * 3)[:3]
+    n1, n2 = len(tables[1]), len(tables[2])
+    arc = tables[3]()
+    costs = {}
+    for vmap in _maps(n1, n2, rows):
+        if vet is not None and not all(
+                q is None or vet(vmap[:p + 1] + [None] * (n1 - p - 1), p)
+                for p, q in enumerate(vmap)):
+            continue
+        costs[tuple(vmap)] = score(vmap) if score is not None else \
+            _table_cost(tables, arc, vmap)
+    return costs
+
+
+def _check_around_the_optimum(args, kwargs):
+    """The search on args finds the brute force's optimum and a map that
+    attains it, returns that same map at every upper bound above it, and
+    (inf, None) at the optimum and below."""
+    costs = _brute(args)
+    best = min(costs.values(), default=math.inf)
+
+    def search(upper_bound):
+        args[7] = upper_bound
+        return _map_search(*args, **kwargs)
+
+    free = search(math.inf)
+    vmap = None
+    if best == math.inf:
+        assert free.distance == math.inf and free.labelling is None
+    else:
+        assert free.distance == pytest.approx(best, abs=1e-9)
+        vmap = list(free.labelling.vertex_map)
+        assert costs[tuple(vmap)] == pytest.approx(best, abs=1e-9)
+    d = free.distance
+    for u in (math.nextafter(d, -math.inf), d, math.nextafter(d, math.inf),
+              math.inf):
+        res = search(u)
+        if d < u:
+            assert res.distance == d
+            assert list(res.labelling.vertex_map) == vmap
+        else:
+            assert res.distance == math.inf
+            assert res.labelling is None
+            assert not res.valid
+
+
+def _random_ag(rng, max_order=4):
+    order = int(rng.integers(0, max_order + 1))
+    vertices = [attr(int(rng.integers(0, 4))) for _ in range(order)]
+    arcs = {(i, j): attr(int(rng.integers(0, 4)))
+            for i in range(order) for j in range(order)
+            if i != j and rng.random() < 0.35}
+    return AttributedGraph(vertices, arcs)
+
+
+@st.composite
+def _ag_pairs(draw):
+    """Two AGs of orders 0 to four."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _random_ag(rng), _random_ag(rng)
+
+
+def _scaled(scale):
+    return lambda a, b: scale * abs(a.values[0] - b.values[0])
+
+
+_constant = st.sampled_from([0.0, 0.3, 1.0, 2.0, math.inf])
+_edit_costs = st.builds(
+    lambda ins, dels, vs, es: EditCosts(C_vi=ins[0], C_ei=ins[1],
+                                        C_vd=dels[0], C_ed=dels[1],
+                                        vertex_sub=_scaled(vs),
+                                        arc_sub=_scaled(es)),
+    st.tuples(_constant, _constant), st.tuples(_constant, _constant),
+    st.sampled_from([0.0, 0.25, 1.0]), st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@_PROPERTY
+@given(pair=_ag_pairs(), c=_edit_costs, planar=st.booleans())
+def test_edit_tables_keep_the_optimum(pair, c, planar):
+    g1, g2 = pair
+    _, _, args, kwargs = _captured(
+        baseline, lambda: edit_distance(g1, g2, c, planar=planar))
+    _check_around_the_optimum(args, kwargs)
+
+
+@st.composite
+def _bnb_cases(draw):
+    """An AG and an FDG of orders 0 to four, weights in either mode, and
+    candidate rows or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(0, 5))
+    ags = [_random_ag(rng, max_order=n) for _ in range(rng.integers(1, 4))]
+    maps = [list(rng.permutation(n))[:a.order] for a in ags]
+    f = synth_from_labelled_ags(ags, CommonLabelling(maps, n))
+    g = _random_ag(rng)
+    allowed = None
+    if draw(st.booleans()):
+        allowed = rng.random((g.order, n)) < 0.6
+    return g, f, allowed
+
+
+_bnb_weights = st.builds(
+    lambda mode, k2, k3, leaf: CostWeights(
+        K2=k2, K3=k3, K4=leaf[0], K5=leaf[1], K6=leaf[2], K7=leaf[3],
+        K8=leaf[4], mode=mode),
+    st.sampled_from(["relaxed", "restricted"]),
+    st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 2.5]),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=5, max_size=5))
+
+
+@_PROPERTY
+@given(case=_bnb_cases(), w=_bnb_weights)
+def test_bnb_tables_keep_the_optimum(case, w):
+    g, f, allowed = case
+    _, _, args, kwargs = _captured(
+        matching, lambda: bnb_distance(g, f, w, allowed=allowed))
+    _check_around_the_optimum(args, kwargs)
+
+
+def _random_prototype(rng, n, z):
+    """Synthesis of z random AGs on random subsets of n slots."""
+    ags, maps = [], []
+    for _ in range(z):
+        slots = [s for s in range(n) if rng.random() < 0.6]
+        k = len(slots)
+        arcs = {(i, j): attr(float(rng.uniform(0, 6))) for i in range(k)
+                for j in range(k) if i != j and rng.random() < 0.4}
+        ags.append(AttributedGraph(
+            [attr(float(rng.uniform(0, 6))) for _ in slots], arcs))
+        maps.append(slots)
+    return synth_from_labelled_ags(ags, CommonLabelling(maps, n), 2.0)
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_forg_tables_keep_the_optimum(seed):
+    rng = np.random.default_rng(seed)
+    f1, f2 = (_random_prototype(rng, int(rng.integers(0, 5)),
+                                int(rng.integers(1, 4))) for _ in range(2))
+    _, _, args, kwargs = _captured(forg, lambda: forg_distance(f1, f2))
+    _check_around_the_optimum(args, kwargs)
+
+
+@pytest.fixture
+def arc_table_builds(monkeypatch):
+    """A list that gains one entry per matching._arc_tables call."""
+    calls = []
+    build = matching._arc_tables
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_arc_tables", counting)
+    return calls
+
+
+def test_a_pair_decided_at_the_root_builds_no_arc_tables(arc_table_builds):
+    g = AttributedGraph([attr(1), attr(2), attr(3)],
+                        {(0, 1): attr(1), (1, 2): attr(2)})
+    far = AttributedGraph([attr(50), attr(60), attr(70)],
+                          {(1, 0): attr(9), (2, 1): attr(8)})
+    f = synth_from_labelled_ags([far], CommonLabelling([[0, 1, 2]], 3))
+    res = bnb_distance(g, f, upper_bound=0.5)
+    assert (res.distance, res.labelling, res.valid) == (math.inf, None, False)
+    assert (res.explored_nodes, res.leaves) == (1, 0)
+    assert arc_table_builds == []
+    # without the bound nothing is decided at the root
+    res = bnb_distance(g, f, upper_bound=0.5, disable_bound=True)
+    assert res.explored_nodes == count_search_nodes(3, 3)
+    assert arc_table_builds == [1]
+    assert bnb_distance(g, f).valid
+    assert arc_table_builds == [1, 1]
+
+    out, res, _, _ = _captured(
+        baseline, lambda: edit_distance(g, far, upper_bound=0.5))
+    assert out == (math.inf, None)
+    assert (res.explored_nodes, res.leaves) == (1, 0)
