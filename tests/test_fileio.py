@@ -32,7 +32,9 @@ import pytest
 from graphproto import (
     AttributedGraph,
     CommonLabelling,
+    Fdg,
     Labelling,
+    Pdf,
     ag_to_fdg,
     attr,
     bnb_distance,
@@ -383,3 +385,68 @@ def test_fdg_relation_rows_at_small_orders(tmp_path, order):
                     for row in getattr(f, name).astype(int))
     assert rows == want
     _same_fdg(read_fdg(str(path)), f)
+
+
+def _golden_fdg():
+    """Order 2, z = 3: numeric, string, mixed and null bins, thirds that
+    need every digit of %r, and an arc slot with total 0."""
+    vertex_pdfs = [Pdf({("red",): 1, (1,): 1, None: 1}, 3, 0.5),
+                   Pdf({(2, "x"): 2, None: 1}, 3, 0.5)]
+    arc_pdfs = {(0, 1): Pdf({(-3,): 1, None: 1}, 2, 0.5),
+                (1, 0): Pdf({}, 0, 0.5)}
+    relations = {"Aw": [[1, 0], [0, 1]], "Ow": [[1, 1], [0, 1]],
+                 "Ew": [[0, 1], [1, 0]], "Ae": [[1, 1], [1, 1]],
+                 "Oe": [[1, 0], [1, 1]], "Ee": [[0, 0], [0, 0]]}
+    return Fdg(vertex_pdfs, arc_pdfs, relations, 3, {(0, 1): 2, (1, 0): 0},
+               0.5)
+
+
+_GOLDEN_PDFS = """order 2
+z 3
+bin_width 0.5
+vertex 1
+total 3
+# 0.3333333333333333
+1 0.3333333333333333
+red 0.3333333333333333
+vertex 2
+total 3
+# 0.3333333333333333
+2,x 0.6666666666666666
+arc 1 2
+u 2
+# 0.5
+-3 0.5
+arc 2 1
+u 0
+"""
+
+_GOLDEN_RELATIONS = """relations
+Aw
+10
+01
+Ow
+11
+01
+Ew
+01
+10
+Ae
+11
+11
+Oe
+10
+11
+Ee
+00
+00
+"""
+
+
+@pytest.mark.parametrize("writer, text", [
+    (write_fdg, "fdg\n" + _GOLDEN_PDFS + _GOLDEN_RELATIONS),
+    (write_forg, "forg\n" + _GOLDEN_PDFS)])
+def test_written_text_is_pinned_byte_for_byte(tmp_path, writer, text):
+    p = tmp_path / "golden"
+    writer(_golden_fdg(), str(p))
+    assert p.read_bytes() == text.encode()
