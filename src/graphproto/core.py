@@ -18,9 +18,8 @@ Conventions used throughout the package:
   * the null bin of a pdf is keyed by None.
 """
 
-import itertools
+import functools
 import math
-from operator import attrgetter
 
 import numpy as np
 
@@ -403,44 +402,199 @@ def slot_pairs(n):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def _slot_flags(vertex_pdfs, arc_pdfs):
+class BinStore:
+    """The pdfs of one kind of FDG slot as count arrays: the vertex slots,
+    or the arc slots in arc_index order.
+
+    keys lists the distinct bin keys, the null bin None first.  Entry e
+    puts count[e] > 0 samples of slot slot[e] in bin keys[bin[e]]; entries
+    are sorted by slot, a slot holds a bin at most once, and each slot
+    lists its bins in the order they were first seen, which synthesis,
+    pooling and file reading all keep.  total[s] is the sum of slot s's
+    counts; a slot with total 0 is the degenerate pdf that puts all mass
+    on the null bin.  width is the bin width of every pdf.  Counts and
+    totals stay below 2**53.  Nothing writes a store after it is built.
+    """
+
+    __slots__ = ("keys", "slot", "bin", "count", "total", "width")
+
+    def __init__(self, keys, slot, bin, count, size, width):
+        self.keys = keys
+        self.slot = np.asarray(slot, dtype=np.int64)
+        self.bin = np.asarray(bin, dtype=np.int64)
+        self.count = np.asarray(count, dtype=np.int64)
+        self.total = np.bincount(self.slot, weights=self.count,
+                                 minlength=size).astype(np.int64)
+        self.width = width
+
+    @classmethod
+    def of_pdfs(cls, pdfs, width):
+        """Store of Pdf objects, one per slot in order, each binned at
+        width."""
+        index = {None: 0}
+        slots, bins, counts = [], [], []
+        for s, p in enumerate(pdfs):
+            if p.bin_width != width:
+                raise ValueError("pdf bin width %r differs from the FDG's %r"
+                                 % (p.bin_width, width))
+            for k, c in p.counts.items():
+                slots.append(s)
+                bins.append(index.setdefault(k, len(index)))
+                counts.append(c)
+        return cls(list(index), slots, bins, counts, len(pdfs), width)
+
+    @classmethod
+    def sorted(cls, keys, slots, bins, counts, size, width):
+        """Store of entries whose (slot, bin) pairs are distinct, each slot's
+        in order but the slots in any order."""
+        slots = np.asarray(slots, dtype=np.int64)
+        order = np.argsort(slots, kind="stable")
+        return cls(keys, slots[order], np.asarray(bins)[order],
+                   np.asarray(counts)[order], size, width)
+
+    @classmethod
+    def tally(cls, keys, slots, bins, counts, size, width):
+        """Store of entries listed in the order they were seen: the counts
+        of a repeated (slot, bin) add up, and each slot lists its bins in
+        the order of their first entry."""
+        code = slots * len(keys) + bins
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        first = np.empty(len(code), bool)
+        first[:1] = True
+        np.not_equal(code[1:], code[:-1], out=first[1:])
+        start = np.flatnonzero(first)
+        code = code[start]
+        rank = np.lexsort((order[start], code // len(keys)))
+        return cls(keys, code[rank] // len(keys), code[rank] % len(keys),
+                   np.add.reduceat(counts[order], start)[rank], size, width)
+
+    @classmethod
+    def pooled(cls, stores):
+        """Count-wise sum of stores over one frame of slots, which equals
+        the total-weighted mixture of their pdfs; a slot lists its bins in
+        order of first appearance, earlier stores first, as Pdf.merge
+        does."""
+        index = {}
+        bins = []
+        for st in stores:
+            remap = np.array([index.setdefault(k, len(index))
+                              for k in st.keys])
+            bins.append(remap[st.bin])
+        return cls.tally(list(index),
+                         np.concatenate([st.slot for st in stores]),
+                         np.concatenate(bins),
+                         np.concatenate([st.count for st in stores]),
+                         len(stores[0].total), stores[0].width)
+
+    def seated(self, rows, size, fill):
+        """The store with slot s moved to rows[s] inside a frame of `size`
+        slots; each slot no row lands on holds `fill` samples in the null
+        bin (rows must be distinct)."""
+        slots, bins, counts = rows[self.slot], self.bin, self.count
+        if fill:
+            free = np.ones(size, bool)
+            free[rows] = False
+            new = np.flatnonzero(free)
+            slots = np.concatenate([slots, new])
+            bins = np.concatenate([bins, np.zeros(len(new), np.int64)])
+            counts = np.concatenate([counts, np.full(len(new), fill)])
+        return BinStore.sorted(self.keys, slots, bins, counts, size,
+                               self.width)
+
+    def bounds(self):
+        """Where each slot's entries start, and where the last one ends."""
+        return np.searchsorted(self.slot,
+                               np.arange(len(self.total) + 1)).tolist()
+
+    def probs(self):
+        """Probability of every entry: its count over its slot's total."""
+        return self.count / self.total[self.slot]
+
+    def null_counts(self):
+        """Samples in the null bin, per slot."""
+        out = np.zeros(len(self.total), np.int64)
+        null = self.bin == 0
+        out[self.slot[null]] = self.count[null]
+        return out
+
+    def flags(self):
+        """Per slot: Pr(PHI) = 1, and Pr(PHI) = 0."""
+        null = self.null_counts()
+        return null == self.total, (null == 0) & (self.total > 0)
+
+    def entropies(self):
+        """Shannon entropy of every slot's pdf in bits, each summed over
+        its bins in their order, as Pdf.entropy does."""
+        terms = [p * math.log2(p) for p in self.probs().tolist()]
+        return 0.0 - np.bincount(self.slot, weights=terms,
+                                 minlength=len(self.total))
+
+    def pdfs(self):
+        """A Pdf per slot, built on demand; it is a copy, and writing it
+        leaves the store as it is."""
+        keys = [self.keys[b] for b in self.bin.tolist()]
+        counts = self.count.tolist()
+        bounds = self.bounds()
+        return [Pdf(dict(zip(keys[a:e], counts[a:e])), t, self.width)
+                for a, e, t in zip(bounds, bounds[1:], self.total.tolist())]
+
+    def pdf(self, s):
+        a, e = np.searchsorted(self.slot, [s, s + 1]).tolist()
+        return Pdf(dict(zip([self.keys[b] for b in self.bin[a:e].tolist()],
+                            self.count[a:e].tolist())),
+                   int(self.total[s]), self.width)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_ends(n):
+    """Read-only source and target slots of the order-n arc slots, in
+    arc_index order."""
+    ends = np.array(slot_pairs(n), dtype=np.int64).reshape(-1, 2).T.copy()
+    ends.setflags(write=False)
+    return ends
+
+
+def _slot_flags(vbins, abins):
     """Value-based nullness and strictness of every vertex slot and of every
     arc slot, the latter in arc_index order, as bool arrays.  An arc slot is
     unconditionally null when its pdf or either endpoint is, and strict when
     its pdf and both endpoints are."""
-    vnull = np.array([p.is_null() for p in vertex_pdfs], bool)
-    vstrict = np.array([p.is_strict() for p in vertex_pdfs], bool)
-    pairs = slot_pairs(len(vertex_pdfs))
-    src, dst = np.array(pairs, int).reshape(-1, 2).T
-    qs = [arc_pdfs[ij] for ij in pairs]
-    anull = np.array([q.is_null() for q in qs], bool) | vnull[src] | vnull[dst]
-    astrict = (np.array([q.is_strict() for q in qs], bool)
-               & vstrict[src] & vstrict[dst])
-    return vnull, vstrict, anull, astrict
-
-
-_bin_width = attrgetter("bin_width")
-_total = attrgetter("total")
+    vnull, vstrict = vbins.flags()
+    src, dst = _pair_ends(len(vnull))
+    anull, astrict = abins.flags()
+    return (vnull, vstrict, anull | vnull[src] | vnull[dst],
+            astrict & vstrict[src] & vstrict[dst])
 
 
 class Fdg:
     """Function-described graph.
 
-    vertex_pdfs[i] is the pdf of vertex slot i; arc_pdfs[(i, j)] the pdf of
-    the arc slot (i, j) conditional on both endpoints being non-null, present
-    for every ordered pair.  Aw/Ow/Ew are n-by-n Boolean antagonism,
-    occurrence and existence matrices over vertex slots; Ae/Oe/Ee their
-    arc-slot counterparts indexed by arc_index.  z counts the AGs the FDG was
-    synthesised from and u[(i, j)] the AGs in which both endpoints of that
-    slot were present (the denominator of the conditional arc pdf).
-    bin_width is the width all pdfs bin at, so an FDG of order 0 keeps it
-    too; left out, it comes from the pdfs, or is 1.0 when there are none.
+    Its pdfs live in two count stores (BinStore): vbins holds vertex slot
+    i's pdf as row i, abins the pdf of arc slot (i, j), conditional on both
+    endpoints being non-null, as row arc_index(i, j).  vertex_pdfs and
+    arc_pdfs are Pdf views of those rows, a list and a dict over every
+    ordered pair, built on first access and kept (_pdfs): no code of the
+    package reads them where time matters, and writing them leaves the
+    stores as they are.  u[(i, j)], the AGs in which both
+    endpoints of a slot were present (the denominator of its arc pdf), is
+    the row's total.  Aw/Ow/Ew are n-by-n Boolean antagonism, occurrence
+    and existence matrices over vertex slots; Ae/Oe/Ee their arc-slot
+    counterparts indexed by arc_index.  z counts the AGs the FDG was
+    synthesised from.  bin_width is the one width all pdfs bin at, kept by
+    the stores, so an FDG of order 0 keeps it too.
+
+    Fdg(vertex_pdfs, arc_pdfs, relations, z, u, bin_width) takes the pdfs
+    as a list of Pdf and a dict over the ordered pairs, with u a dict and
+    bin_width, left out, that of the pdfs or 1.0 when there are none; or as
+    two stores, with u None and the stores' width.
 
     The value-based flags are fixed at construction (_slot_flags): vnull
     and vstrict per vertex slot, anull and astrict per arc slot in
     arc_index order, as read-only bool arrays, which vertex_null, arc_null
-    and the other flag methods look up.  Nothing writes an FDG's pdfs after
-    it is built (a grown prototype is a new Fdg), so the flags stay true.
+    and the other flag methods look up.  Nothing writes an FDG's stores
+    after it is built (a grown prototype is a new Fdg), so the flags stay
+    true.
 
     _costs is an FDG's one cache: the AG-independent part of its cost
     tables (matching._fdg_costs) under the last K1, K2 and K_pr it was
@@ -449,16 +603,26 @@ class Fdg:
     it, and it stays valid for the same reason the flags do.
     """
 
-    __slots__ = ("vertex_pdfs", "arc_pdfs", "Aw", "Ow", "Ew", "Ae", "Oe", "Ee",
-                 "z", "u", "bin_width", "vnull", "vstrict", "anull", "astrict",
+    __slots__ = ("vbins", "abins", "Aw", "Ow", "Ew", "Ae", "Oe", "Ee",
+                 "z", "vnull", "vstrict", "anull", "astrict", "_pdfs",
                  "_costs")
 
     def __init__(self, vertex_pdfs, arc_pdfs, relations, z, u, bin_width=None):
-        self.vertex_pdfs = list(vertex_pdfs)
-        if bin_width is None:
-            bin_width = self.vertex_pdfs[0].bin_width if self.vertex_pdfs else 1.0
-        self.bin_width = checked_bin_width(bin_width)
-        self.arc_pdfs = dict(arc_pdfs)
+        if isinstance(vertex_pdfs, BinStore):
+            self.vbins, self.abins = vertex_pdfs, arc_pdfs
+        else:
+            vertex_pdfs = list(vertex_pdfs)
+            if bin_width is None:
+                bin_width = vertex_pdfs[0].bin_width if vertex_pdfs else 1.0
+            bin_width = checked_bin_width(bin_width)
+            pairs = slot_pairs(len(vertex_pdfs))
+            missing = set(pairs).difference(arc_pdfs)
+            if missing:
+                raise ValueError("missing arc pdf for slot (%d, %d)"
+                                 % min(missing))
+            self.vbins = BinStore.of_pdfs(vertex_pdfs, bin_width)
+            self.abins = BinStore.of_pdfs([arc_pdfs[ij] for ij in pairs],
+                                          bin_width)
         self.Aw = np.asarray(relations["Aw"], dtype=bool)
         self.Ow = np.asarray(relations["Ow"], dtype=bool)
         self.Ew = np.asarray(relations["Ew"], dtype=bool)
@@ -466,35 +630,35 @@ class Fdg:
         self.Oe = np.asarray(relations["Oe"], dtype=bool)
         self.Ee = np.asarray(relations["Ee"], dtype=bool)
         self.z = int(z)
-        self.u = dict(u)
-        self._check()
-        flags = _slot_flags(self.vertex_pdfs, self.arc_pdfs)
+        self._check(u, bin_width)
+        flags = _slot_flags(self.vbins, self.abins)
         for flag in flags:
             flag.setflags(write=False)
         self.vnull, self.vstrict, self.anull, self.astrict = flags
-        self._costs = None
+        self._pdfs = self._costs = None
 
-    def _check(self):
+    def _check(self, u, bin_width):
         n = self.order
         m = n * (n - 1)
         if self.Aw.shape != (n, n) or self.Ow.shape != (n, n) or self.Ew.shape != (n, n):
             raise ValueError("vertex relation matrices must be %d x %d" % (n, n))
         if self.Ae.shape != (m, m) or self.Oe.shape != (m, m) or self.Ee.shape != (m, m):
             raise ValueError("arc relation matrices must be %d x %d" % (m, m))
-        missing = set(slot_pairs(n)).difference(self.arc_pdfs)
-        if missing:
-            raise ValueError("missing arc pdf for slot (%d, %d)" % min(missing))
-        pdfs = self.vertex_pdfs + list(self.arc_pdfs.values())
-        if set(map(_bin_width, pdfs)) - {self.bin_width}:
-            p = next(p for p in pdfs if p.bin_width != self.bin_width)
-            raise ValueError("pdf bin width %r differs from the FDG's %r"
-                             % (p.bin_width, self.bin_width))
-        totals = list(map(_total, self.arc_pdfs.values()))
-        if totals != list(map(self.u.get, self.arc_pdfs, itertools.repeat(0))):
-            ij, total = next((ij, q.total) for ij, q in self.arc_pdfs.items()
-                             if q.total != self.u.get(ij, 0))
-            raise ValueError("arc pdf total %d disagrees with u=%d at %s"
-                             % (total, self.u.get(ij, 0), (ij,)))
+        if len(self.abins.total) != m:
+            raise ValueError("%d arc pdfs for order %d"
+                             % (len(self.abins.total), n))
+        for width in (self.abins.width, bin_width):
+            if width is not None and width != self.bin_width:
+                raise ValueError("pdf bin width %r differs from the FDG's %r"
+                                 % (width, self.bin_width))
+        if self.z < 0:
+            raise ValueError("z must be non-negative, got %d" % self.z)
+        if u is not None:
+            totals = self.abins.total.tolist()
+            for ij, total in zip(slot_pairs(n), totals):
+                if total != u.get(ij, 0):
+                    raise ValueError("arc pdf total %d disagrees with u=%d at %s"
+                                     % (total, u.get(ij, 0), (ij,)))
         # the matrices are bool, so their bytes compare as their entries do
         for name, mat in (("Aw", self.Aw), ("Ew", self.Ew),
                           ("Ae", self.Ae), ("Ee", self.Ee)):
@@ -506,7 +670,29 @@ class Fdg:
 
     @property
     def order(self):
-        return len(self.vertex_pdfs)
+        return len(self.vbins.total)
+
+    @property
+    def bin_width(self):
+        return self.vbins.width
+
+    def _views(self):
+        if self._pdfs is None:
+            self._pdfs = (self.vbins.pdfs(), dict(zip(
+                slot_pairs(self.order), self.abins.pdfs())))
+        return self._pdfs
+
+    @property
+    def vertex_pdfs(self):
+        return self._views()[0]
+
+    @property
+    def arc_pdfs(self):
+        return self._views()[1]
+
+    @property
+    def u(self):
+        return dict(zip(slot_pairs(self.order), self.abins.total.tolist()))
 
     def vertex_null(self, i):
         return bool(self.vnull[i])
@@ -541,9 +727,9 @@ def unconditional_arc_prob(f, arc, value):
     only when both endpoints are present.
     """
     i, j = arc
-    q = f.arc_pdfs[(i, j)]
-    p1 = f.vertex_pdfs[i].prob_null()
-    p2 = f.vertex_pdfs[j].prob_null()
+    q = f.abins.pdf(arc_index(i, j, f.order))
+    p1 = f.vbins.pdf(i).prob_null()
+    p2 = f.vbins.pdf(j).prob_null()
     both = (1.0 - p1) * (1.0 - p2)
     if value is None or (isinstance(value, AttrTuple) and value.is_null):
         return 1.0 - (1.0 - q.prob_null()) * both
@@ -569,18 +755,22 @@ def _extended_relations(old_A, old_O, old_E, old_idx, null, strict, size):
     a null element occurs in everything, existence with a null element holds
     only against a strict one, two null elements are never existent).
     """
-    non_null = ~null
-    A = null[:, None] | null[None, :]
+    n = len(old_idx)
+    e = null[:, None] & (strict & ~null)
+    A = null[:, None] | null
     O = np.repeat(null[:, None], size, axis=1)
-    E = ((null[:, None] & non_null[None, :] & strict[None, :])
-         | (non_null[:, None] & null[None, :] & strict[:, None]))
-    if len(old_idx):
-        ix = np.ix_(old_idx, old_idx)
-        keep = non_null[old_idx]
-        both = keep[:, None] & keep[None, :]
-        A[ix] |= old_A & both
-        O[ix] |= old_O & both
-        E[ix] |= old_E & both
+    E = e | e.T
+    if n:
+        # each new slot's old row (any row for a new one, masked out)
+        row = np.zeros(size, np.int64)
+        row[old_idx] = np.arange(n)
+        keep = np.zeros(size, bool)
+        keep[old_idx] = True
+        keep &= ~null
+        both = keep[:, None] & keep
+        A |= old_A.take(row, 0).take(row, 1) & both
+        O |= old_O.take(row, 0).take(row, 1) & both
+        E |= old_E.take(row, 0).take(row, 1) & both
     return A, O, E
 
 
@@ -589,12 +779,13 @@ def _seat(f, vertex_map, k):
     arguments of the Fdg that remap_fdg builds.
 
     vertex_map[i] is the new position of old slot i (injective, within
-    range).  Unclaimed positions become null slots: absent in all z samples,
-    with u = 0 and the degenerate conditional arc pdf, one object shared by
-    all of them.  Relation bits between re-seated pairs are kept; pairs
-    involving a null element follow the extension rules, applied to the
-    frame's _slot_flags (see _extended_relations).  Arc matrices are
-    re-indexed because slot numbering depends on the order.
+    range).  The stores' rows move with their slots (BinStore.seated), and
+    unclaimed positions become null slots: absent in all z samples, with
+    u = 0 and the degenerate conditional arc pdf.  Relation bits between
+    re-seated pairs are kept; pairs involving a null element follow the
+    extension rules, applied to the frame's _slot_flags (see
+    _extended_relations).  Arc matrices are re-indexed because slot
+    numbering depends on the order.
     """
     n = f.order
     vmap = list(vertex_map)
@@ -602,26 +793,23 @@ def _seat(f, vertex_map, k):
         raise ValueError("vertex map must place each old slot once")
     if any(not (0 <= t < k) for t in vmap):
         raise ValueError("vertex map target outside order %d" % k)
-    vertex_pdfs = [null_pdf(f.z, f.bin_width)] * k
-    for i, t in enumerate(vmap):
-        vertex_pdfs[t] = f.vertex_pdfs[i]
-    pairs = slot_pairs(k)
-    arc_pdfs = dict.fromkeys(pairs, Pdf({}, 0, f.bin_width))
-    u = dict.fromkeys(pairs, 0)
-    for (i, j), q in f.arc_pdfs.items():
-        arc_pdfs[(vmap[i], vmap[j])] = q
-        u[(vmap[i], vmap[j])] = f.u.get((i, j), 0)
-    vnull, vstrict, anull, astrict = _slot_flags(vertex_pdfs, arc_pdfs)
-    Aw, Ow, Ew = _extended_relations(f.Aw, f.Ow, f.Ew,
-                                     np.asarray(vmap, dtype=int),
-                                     vnull, vstrict, k)
-    aidx = np.array([arc_index(vmap[i], vmap[j], k)
-                     for (i, j) in slot_pairs(n)], dtype=int)
+    if k == n and vmap == list(range(n)):
+        # nothing moves: f's own stores and relations, which nothing writes
+        return f.vbins, f.abins, f.relations(), f.z, None
+    rows = np.array(vmap, dtype=np.int64)
+    src, dst = rows[_pair_ends(n)]
+    # arc_index of (src, dst) in the order-k frame
+    aidx = src * (k - 1) + dst - (dst > src)
+    vbins = f.vbins.seated(rows, k, f.z)
+    abins = f.abins.seated(aidx, k * (k - 1), 0)
+    vnull, vstrict, anull, astrict = _slot_flags(vbins, abins)
+    Aw, Ow, Ew = _extended_relations(f.Aw, f.Ow, f.Ew, rows, vnull, vstrict,
+                                     k)
     Ae, Oe, Ee = _extended_relations(f.Ae, f.Oe, f.Ee, aidx, anull, astrict,
-                                     len(pairs))
-    return (vertex_pdfs, arc_pdfs,
+                                     k * (k - 1))
+    return (vbins, abins,
             {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-            f.z, u, f.bin_width)
+            f.z, None)
 
 
 def remap_fdg(f, vertex_map, k):

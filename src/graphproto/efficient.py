@@ -65,11 +65,12 @@ def split_into_expanded_vertices(x):
             out.append(ExpandedVertex(x.vertices[i], items, i))
         return out
     if isinstance(x, Fdg):
+        vp, ap = x.vertex_pdfs, x.arc_pdfs
         out = []
         for i in range(x.order):
-            items = [(x.arc_pdfs[(i, j)], x.vertex_pdfs[j])
+            items = [(ap[(i, j)], vp[j])
                      for j in range(x.order) if j != i and x.existable(i, j)]
-            out.append(ExpandedVertex(x.vertex_pdfs[i], items, i))
+            out.append(ExpandedVertex(vp[i], items, i))
         return out
     raise ValueError("expected an AttributedGraph or an Fdg, got %r"
                      % type(x).__name__)

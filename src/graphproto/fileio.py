@@ -28,14 +28,16 @@ A match result is rendered as a four-line record: distance, valid,
 labelling, explored.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from .core import (PHI, AttributedGraph, Fdg, Pdf, attr, checked_bin_width,
-                   slot_pairs, vertex_list)
+from .core import (PHI, AttributedGraph, BinStore, Fdg, arc_index, attr,
+                   checked_bin_width, slot_pairs, vertex_list)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
+_DIGITS = {"0", "1"}
 
 
 class ParseError(ValueError):
@@ -50,7 +52,7 @@ class _Cursor:
 
     def __init__(self, path):
         with open(path) as fh:
-            self.lines = fh.read().splitlines()
+            self.lines = list(map(str.strip, fh.read().splitlines()))
         self.path = path
         self.pos = 0
 
@@ -59,26 +61,16 @@ class _Cursor:
 
     def next_line(self):
         while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
+            line = self.lines[self.pos]
             self.pos += 1
             if line:
                 return line
         self.error("unexpected end of file")
 
-    def peek(self):
-        saved = self.pos
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            if line:
-                self.pos = saved
-                return line
-            self.pos += 1
-        self.pos = saved
-        return None
-
     def expect_done(self):
-        if self.peek() is not None:
-            self.error("trailing content %r" % self.peek())
+        rest = next(filter(None, self.lines[self.pos:]), None)
+        if rest is not None:
+            self.error("trailing content %r" % rest)
 
 
 def _scalar(token):
@@ -92,18 +84,28 @@ def _scalar(token):
         return token
 
 
-def _parse_tuple(token, cur):
+@functools.lru_cache(maxsize=4096)
+def _components(token):
+    """The values of a comma-separated attribute tuple; ValueError with the
+    reason when it is bad."""
     parts = token.split(",")
     if any(p == "" for p in parts):
-        cur.error("bad attribute tuple %r" % token)
+        raise ValueError("bad attribute tuple %r" % token)
     values = tuple(_scalar(p) for p in parts)
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        cur.error("non-finite attribute component in %r" % token)
+        raise ValueError("non-finite attribute component in %r" % token)
     return values
 
 
+def _parse_tuple(token, cur):
+    try:
+        return _components(token)
+    except ValueError as exc:
+        cur.error(str(exc))
+
+
 def _tuple_token(values):
-    return ",".join(str(c) for c in values)
+    return ",".join(map(str, values))
 
 
 def read_ag(path):
@@ -166,45 +168,140 @@ def write_ag(g, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _bin_token(key):
-    if key is None:
-        return "#"
-    return _tuple_token(key)
+@functools.lru_cache(maxsize=64)
+def _heads(m):
+    """The head lines of an order-m file's vertex and arc sections."""
+    return (["vertex %d" % (i + 1) for i in range(m)],
+            ["arc %d %d" % (i + 1, j + 1) for i, j in slot_pairs(m)])
 
 
-def _pdf_lines(pdf):
-    out = []
-    keys = sorted(pdf.counts,
-                  key=lambda k: (0, "") if k is None else (1, _bin_token(k)))
-    for k in keys:
-        out.append("%s %r" % (_bin_token(k), pdf.counts[k] / pdf.total))
-    return out
+def _pdf_sections(bins, heads, word):
+    """The lines of a store's pdf sections: each slot's head line, its
+    `word <total>` line and a `bin probability` line per bin, bins sorted
+    by token (the null bin first) and the probability %r of count/total,
+    all encoded from the store's arrays."""
+    # the null bin comes first, as keys[0]
+    tokens = ["#"] + [_tuple_token(k) for k in bins.keys[1:]]
+    rank = np.zeros(len(tokens), np.int64)
+    rank[sorted(range(1, len(tokens)), key=tokens.__getitem__)] = \
+        np.arange(1, len(tokens))
+    order = np.lexsort((rank[bins.bin], bins.slot))
+    entries = [tokens[b] + " " + repr(p) for b, p in zip(
+        bins.bin[order].tolist(), bins.probs()[order].tolist())]
+    bounds = bins.bounds()
+    lines = []
+    for head, total, a, e in zip(heads, bins.total.tolist(), bounds,
+                                 bounds[1:]):
+        lines.append(head)
+        lines.append(word % total)
+        lines += entries[a:e]
+    return lines
 
 
-def _read_pdf_entries(cur, total, bin_width):
-    counts = {}
-    lineno = cur.pos
-    while True:
-        line = cur.peek()
-        if line is None or line.split()[0] in _KEYWORDS:
-            break
-        line = cur.next_line()
-        fields = line.rsplit(None, 1)
-        if len(fields) != 2:
-            cur.error("expected 'bin probability', found %r" % line)
-        tok, ptok = fields
-        key = None if tok == "#" else _parse_tuple(tok, cur)
-        if key in counts:
-            cur.error("duplicate bin %r" % tok)
-        try:
-            prob = float(ptok)
-        except ValueError:
-            cur.error("bad probability %r" % ptok)
-        counts[key] = int(round(prob * total))
+def _vertex_head(cur, m, seen):
+    i = _int_kv(cur, "vertex")
+    if not 1 <= i <= m:
+        cur.error("vertex index %d out of range" % i)
+    if i - 1 in seen:
+        cur.error("duplicate vertex %d" % i)
+    return i - 1
+
+
+def _arc_head(cur, m, seen):
+    fields = cur.next_line().split()
+    if len(fields) != 3 or fields[0] != "arc":
+        cur.error("expected 'arc <i> <j>'")
     try:
-        return Pdf(counts, total, bin_width)
-    except ValueError as exc:
-        raise ParseError(cur.path, lineno, str(exc))
+        i, j = int(fields[1]), int(fields[2])
+    except ValueError:
+        cur.error("bad arc indices %r" % (fields[1:],))
+    if not (1 <= i <= m and 1 <= j <= m) or i == j:
+        cur.error("arc slot (%d, %d) out of range" % (i, j))
+    s = arc_index(i - 1, j - 1, m)
+    if s in seen:
+        cur.error("duplicate arc slot (%d, %d)" % (i, j))
+    return s
+
+
+def _read_pdfs(cur, heads, parse_head, m, word, width):
+    """BinStore of the pdf sections of one kind in an order-m file, one
+    per head line, decoded in one pass over their lines.  A section is its
+    head line (heads[s] for slot s in the written order, else read by
+    parse_head(cur, m, seen)), a `word <total>` line, and the `bin
+    probability` lines up to the next keyword line; a count is probability
+    times total, rounded.  The first fault is a ParseError
+    at its line; a pdf whose counts do not fit its total is one at its
+    `word` line."""
+    lines = cur.lines
+    word_ = word + " "
+    # the bins, interned by token and by value
+    tokens, keys = {"#": 0}, {None: 0}
+    seen = set()
+    slots, bins, counts = [], [], []
+    for s, head in enumerate(heads):
+        pos = cur.pos
+        while pos < len(lines) and not lines[pos]:
+            pos += 1
+        if pos < len(lines) and lines[pos] == head and s not in seen:
+            cur.pos = pos + 1
+        else:
+            s = parse_head(cur, m, seen)
+        seen.add(s)
+        line = cur.next_line()
+        if line.startswith(word_) and line[len(word_):].isdecimal():
+            total = int(line[len(word_):])
+        else:
+            cur.pos -= 1
+            total = _int_kv(cur, word)
+        at = pos = cur.pos
+        section = {}
+        while pos < len(lines):
+            line = lines[pos]
+            pos += 1
+            if not line:
+                continue
+            fields = line.split()
+            if fields[0] in _KEYWORDS:
+                pos -= 1
+                break
+            cur.pos = pos
+            if len(fields) != 2:
+                fields = line.rsplit(None, 1)
+                if len(fields) != 2:
+                    cur.error("expected 'bin probability', found %r" % line)
+            tok, ptok = fields
+            b = tokens.get(tok)
+            if b is None:
+                b = tokens[tok] = keys.setdefault(_parse_tuple(tok, cur),
+                                                  len(keys))
+            if b in section:
+                cur.error("duplicate bin %r" % tok)
+            try:
+                c = float(ptok) * total
+            except ValueError:
+                cur.error("bad probability %r" % ptok)
+            if not math.isfinite(c):
+                cur.error("bad probability %r" % ptok)
+            section[b] = round(c)
+        values = section.values()
+        if min(values, default=0) < 0:
+            raise ParseError(cur.path, at,
+                             "pdf counts must be non-negative integers")
+        if sum(values) != total:
+            raise ParseError(cur.path, at, "pdf counts sum to %d, expected "
+                             "total %d" % (sum(values), total))
+        if total >= 1 << 53:
+            raise ParseError(cur.path, at, "total %d too large" % total)
+        slots += [s] * len(section)
+        bins += section
+        counts += values
+    if 0 in counts:
+        # a bin written with probability 0 holds no samples
+        keep = [k for k, c in enumerate(counts) if c]
+        slots, bins, counts = ([a[k] for k in keep]
+                               for a in (slots, bins, counts))
+    return BinStore.sorted(list(keys), slots, bins, counts, len(heads),
+                           width)
 
 
 def _expect_kv(cur, keyword):
@@ -223,18 +320,27 @@ def _int_kv(cur, keyword):
 
 
 def _read_matrix(cur, name, rows, cols):
-    """The named block of 0/1 rows, decoded in one step (see _matrix_rows)."""
+    """The named block of 0/1 rows, decoded in one step (see _matrix_rows).
+    A block of `rows` lines of `cols` digits each is taken whole; anything
+    else is read row by row, to the first bad one."""
     head = cur.next_line()
     if head != name:
         cur.error("expected relation %r, found %r" % (name, head))
-    lines = []
-    for _ in range(rows):
-        line = cur.next_line()
-        # strip leaves the first character that is not 0 or 1 in place
-        if len(line) != cols or line.strip("01"):
-            cur.error("bad 0/1 row %r" % line)
-        lines.append(line)
-    return np.frombuffer("".join(lines).encode(), np.uint8).reshape(
+    lines = cur.lines[cur.pos:cur.pos + rows]
+    text = "".join(lines)
+    if (len(lines) == rows and set(map(len, lines)) <= {cols}
+            and set(text) <= _DIGITS):
+        cur.pos += rows
+    else:
+        lines = []
+        for _ in range(rows):
+            line = cur.next_line()
+            # strip leaves the first character that is not 0 or 1 in place
+            if len(line) != cols or line.strip("01"):
+                cur.error("bad 0/1 row %r" % line)
+            lines.append(line)
+        text = "".join(lines)
+    return np.frombuffer(text.encode(), np.uint8).reshape(
         rows, cols) == ord("1")
 
 
@@ -243,39 +349,17 @@ def _read_fdg_body(cur, with_relations):
     if m < 0:
         cur.error("negative order")
     z = _int_kv(cur, "z")
+    if z < 0:
+        cur.error("negative z")
     raw = _expect_kv(cur, "bin_width")
     try:
         bin_width = checked_bin_width(raw)
     except ValueError:
         cur.error("bad bin_width %r (want a positive finite number)" % raw)
 
-    vertex_pdfs = [None] * m
-    for _ in range(m):
-        i = _int_kv(cur, "vertex")
-        if not 1 <= i <= m:
-            cur.error("vertex index %d out of range" % i)
-        if vertex_pdfs[i - 1] is not None:
-            cur.error("duplicate vertex %d" % i)
-        total = _int_kv(cur, "total")
-        vertex_pdfs[i - 1] = _read_pdf_entries(cur, total, bin_width)
-
-    arc_pdfs = {}
-    u = {}
-    for _ in range(m * (m - 1)):
-        fields = cur.next_line().split()
-        if len(fields) != 3 or fields[0] != "arc":
-            cur.error("expected 'arc <i> <j>'")
-        try:
-            i, j = int(fields[1]), int(fields[2])
-        except ValueError:
-            cur.error("bad arc indices %r" % (fields[1:],))
-        if not (1 <= i <= m and 1 <= j <= m) or i == j:
-            cur.error("arc slot (%d, %d) out of range" % (i, j))
-        if (i - 1, j - 1) in arc_pdfs:
-            cur.error("duplicate arc slot (%d, %d)" % (i, j))
-        uij = _int_kv(cur, "u")
-        arc_pdfs[(i - 1, j - 1)] = _read_pdf_entries(cur, uij, bin_width)
-        u[(i - 1, j - 1)] = uij
+    vheads, aheads = _heads(m)
+    vbins = _read_pdfs(cur, vheads, _vertex_head, m, "total", bin_width)
+    abins = _read_pdfs(cur, aheads, _arc_head, m, "u", bin_width)
 
     big = m * (m - 1)
     if with_relations:
@@ -301,7 +385,7 @@ def _read_fdg_body(cur, with_relations):
         }
     cur.expect_done()
     try:
-        return Fdg(vertex_pdfs, arc_pdfs, relations, z, u, bin_width)
+        return Fdg(vbins, abins, relations, z, None)
     except ValueError as exc:
         raise ParseError(cur.path, cur.pos, str(exc))
 
@@ -309,14 +393,9 @@ def _read_fdg_body(cur, with_relations):
 def _fdg_lines(f, header):
     m = f.order
     lines = [header, "order %d" % m, "z %d" % f.z, "bin_width %r" % f.bin_width]
-    for i in range(m):
-        lines.append("vertex %d" % (i + 1))
-        lines.append("total %d" % f.vertex_pdfs[i].total)
-        lines.extend(_pdf_lines(f.vertex_pdfs[i]))
-    for (i, j) in slot_pairs(m):
-        lines.append("arc %d %d" % (i + 1, j + 1))
-        lines.append("u %d" % f.u.get((i, j), 0))
-        lines.extend(_pdf_lines(f.arc_pdfs[(i, j)]))
+    vheads, aheads = _heads(m)
+    lines += _pdf_sections(f.vbins, vheads, "total %d")
+    lines += _pdf_sections(f.abins, aheads, "u %d")
     if header == "fdg":
         lines.append("relations")
         for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):

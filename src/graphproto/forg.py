@@ -23,10 +23,9 @@ from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
 
 def forg_entropy(f):
-    """Sum of vertex entropies and conditional arc entropies, in bits."""
-    h = sum(p.entropy() for p in f.vertex_pdfs)
-    h += sum(q.entropy() for q in f.arc_pdfs.values())
-    return h
+    """Sum of vertex entropies and conditional arc entropies, in bits: a
+    row reduction of each count store (BinStore.entropies)."""
+    return sum(f.vbins.entropies().tolist()) + sum(f.abins.entropies().tolist())
 
 
 def forg_synthesize(f1, f2, vertex_map):
@@ -49,6 +48,7 @@ def forg_distance(f1, f2):
     # as in forg_synthesize, an empty slot side pads as certainly null, and
     # an empty arc side as the empty pdf, which leaves the other's entropy
     pad1, pad2 = null_pdf(f1.z, f1.bin_width), null_pdf(f2.z, f2.bin_width)
+    v1, v2 = f1.vertex_pdfs, f2.vertex_pdfs
     a1, a2 = f1.arc_pdfs, f2.arc_pdfs
     pool = {(e1, e2): q1.merge(q2).entropy()
             for e1, q1 in a1.items() for e2, q2 in a2.items()}
@@ -64,10 +64,9 @@ def forg_distance(f1, f2):
     a_floor = {e1: min([a_del[e1]] + [pool[e1, e2] for e2 in a2])
                for e1 in a1}
     res = _map_search(
-        [[p.merge(q).entropy() for q in f2.vertex_pdfs]
-         for p in f1.vertex_pdfs],
-        [p.merge(pad2).entropy() for p in f1.vertex_pdfs],
-        [pad1.merge(q).entropy() for q in f2.vertex_pdfs],
+        [[p.merge(q).entropy() for q in v2] for p in v1],
+        [p.merge(pad2).entropy() for p in v1],
+        [pad1.merge(q).entropy() for q in v2],
         arc, a_del, a_floor, {e2: q2.entropy() for e2, q2 in a2.items()},
         math.inf)
     return res.distance - base, list(res.labelling.vertex_map)
@@ -95,8 +94,8 @@ def outcome_probability(f, g, labelling):
     inv = {s: v_i for v_i, s in enumerate(vmap) if s is not None}
 
     pr = 1.0
-    for s in range(n):
-        pr *= f.vertex_pdfs[s].prob_attr(slot_attr[s])
+    for p, a in zip(f.vertex_pdfs, slot_attr):
+        pr *= p.prob_attr(a)
         if pr == 0.0:
             return 0.0
     for (si, sj), q in f.arc_pdfs.items():

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CostWeights, Labelling, slot_pairs, vertex_list
+from .core import CostWeights, Labelling, _pair_ends, vertex_list
 from .search import MatchResult, _map_search, _planar_ok, _planar_vet
 
 
@@ -72,24 +72,30 @@ def arc_cost(b, pdf, endpoint_null, k_pr=1e-4):
     return _trunc(pdf.prob_attr(b), k_pr)
 
 
-def _costs_by_bin(pdfs, k, k_pr):
-    """(positions, costs, spans): every bin a pdf holds, with the flat
-    positions of the pdfs that hold it and k * _trunc of its probability
-    under each.  positions and costs are flat arrays grouped by bin, and
-    spans maps a bin to its slice of them.  pdfs are (flat position, pdf)
-    pairs; a pdf with total 0 holds only the null bin, at probability 1."""
+def _costs_by_bin(bins, positions, k, k_pr):
+    """(positions, costs, spans): every bin a slot of the store holds, with
+    the flat positions of the slots that hold it and k * _trunc of its
+    probability under each, in one pass over the store's entries.
+    positions and costs are flat arrays grouped by bin, and spans maps a
+    bin to its slice of them.  positions[s] is slot s's flat position, or
+    -1 to leave the slot out; a slot with total 0 holds only the null bin,
+    at probability 1."""
+    pos = positions.tolist()
+    log_k = math.log(k_pr)
     by_bin = {}
-    for pos, pdf in pdfs:
-        for key, pr in pdf.probs().items():
-            hit = by_bin.setdefault(key, ([], []))
-            hit[0].append(pos)
-            hit[1].append(k * _trunc(pr, k_pr))
-    positions, costs, spans = [], [], {}
-    for key, (ps, cs) in by_bin.items():
-        spans[key] = slice(len(positions), len(positions) + len(ps))
-        positions += ps
+    empty = [(s, 0, 1.0) for s in np.flatnonzero(bins.total == 0).tolist()]
+    for s, b, pr in itertools.chain(empty, zip(
+            bins.slot.tolist(), bins.bin.tolist(), bins.probs().tolist())):
+        if pos[s] >= 0:
+            hit = by_bin.setdefault(b, ([], []))
+            hit[0].append(pos[s])
+            hit[1].append(k if pr < k_pr else k * (math.log(pr) / log_k))
+    flat, costs, spans = [], [], {}
+    for b, (ps, cs) in by_bin.items():
+        spans[bins.keys[b]] = slice(len(flat), len(flat) + len(ps))
+        flat += ps
         costs += cs
-    return np.array(positions, dtype=int), np.array(costs, dtype=float), spans
+    return np.array(flat, dtype=int), np.array(costs, dtype=float), spans
 
 
 def _put_by_bin(row, key, by_bin):
@@ -112,23 +118,22 @@ def _fdg_costs(f, w):
     if f._costs is not None and f._costs[0] == key:
         return f._costs[1]
     m, k_pr = f.order, w.K_pr
-    pairs = slot_pairs(m)
-    by_vbin = _costs_by_bin(enumerate(f.vertex_pdfs), w.K1, k_pr)
+    by_vbin = _costs_by_bin(f.vbins, np.arange(m), w.K1, k_pr)
     del_v = np.full(m, w.K1)
     _put_by_bin(del_v, None, by_vbin)
     # a pair with a null slot at either end is free when absent and
     # costs one unit when present, whatever its pdf says
     endpoint_null = f.vnull[:, None] | f.vnull[None, :]
+    src, dst = _pair_ends(m)
     by_abin = _costs_by_bin(
-        ((q * m + r, f.arc_pdfs[(q, r)]) for (q, r) in pairs
-         if not endpoint_null[q, r]), w.K2, k_pr)
+        f.abins, np.where(endpoint_null[src, dst], -1, src * m + dst),
+        w.K2, k_pr)
     ce_absent = np.full((m, m), w.K2)
     ce_absent[endpoint_null] = 0.0
     np.fill_diagonal(ce_absent, 0.0)
     _put_by_bin(ce_absent.reshape(-1), None, by_abin)
     sidx = np.full((m, m), -1, dtype=int)
-    for s, (q, r) in enumerate(pairs):
-        sidx[q, r] = s
+    sidx[src, dst] = np.arange(len(src))
     ex = np.append(~f.anull, False)[sidx]
     parts = (by_vbin, by_abin, del_v, ce_absent, sidx, ex)
     for a in by_vbin[:2] + by_abin[:2] + parts[2:]:

@@ -18,11 +18,12 @@ import functools
 import numpy as np
 
 from .core import (
-    PHI,
+    BinStore,
     Fdg,
-    Pdf,
+    _pair_ends,
     _seat,
     arc_index,
+    checked_bin_width,
     slot_pairs,
     vertex_list,
 )
@@ -58,34 +59,6 @@ class CommonLabelling:
         return "CommonLabelling(%d graphs, n=%d)" % (len(self.maps), self.n)
 
 
-def _presence(ags, labelling):
-    """Vertex and arc presence matrices (samples by slots) plus inverses."""
-    n = labelling.n
-    z = len(ags)
-    pairs = slot_pairs(n)
-    vp = np.zeros((z, n), dtype=bool)
-    ap = np.zeros((z, len(pairs)), dtype=bool)
-    inverses = []
-    for g_i, (g, m) in enumerate(zip(ags, labelling.maps)):
-        if len(m) != g.order:
-            raise ValueError("labelling arity mismatch at graph %d" % g_i)
-        inv = {}
-        for v_i, s in enumerate(m):
-            if s is None:
-                if not g.vertices[v_i].is_null:
-                    raise ValueError("graph %d leaves a non-null vertex "
-                                     "outside the frame" % g_i)
-            elif not g.vertices[v_i].is_null:
-                vp[g_i, s] = True
-                inv[s] = v_i
-        inverses.append(inv)
-        for (i, j), b in g.arcs.items():
-            if not b.is_null:
-                si, sj = m[i], m[j]
-                ap[g_i, arc_index(si, sj, n)] = True
-    return vp, ap, inverses
-
-
 def _relations(pres):
     """A/O/E as universal statements, via counting matrix products."""
     p = pres.astype(np.int64)
@@ -99,7 +72,10 @@ def synth_from_labelled_ags(ags, labelling, bin_width=1.0):
 
 
 def _sample_args(ags, labelling, bin_width):
-    """The arguments of the Fdg that synth_from_labelled_ags builds."""
+    """The arguments of the Fdg that synth_from_labelled_ags builds: every
+    AG counts one sample into each vertex slot's row and into the row of
+    each arc slot whose two endpoints it fills, PHI for what it leaves
+    out, and the relations come from what it fills."""
     if len(ags) == 0:
         raise ValueError("cannot synthesise from an empty sample")
     if len(labelling.maps) != len(ags):
@@ -107,32 +83,44 @@ def _sample_args(ags, labelling, bin_width):
                          % (len(ags), len(labelling.maps)))
     n = labelling.n
     z = len(ags)
-    vp, ap, inverses = _presence(ags, labelling)
-
-    vertex_pdfs = []
-    for s in range(n):
-        attrs = []
-        for g_i, g in enumerate(ags):
-            inv = inverses[g_i]
-            attrs.append(g.vertices[inv[s]] if s in inv else PHI)
-        vertex_pdfs.append(Pdf.from_attrs(attrs, bin_width))
-
-    arc_pdfs = {}
-    u = {}
-    for (si, sj) in slot_pairs(n):
-        attrs = []
-        for g_i, g in enumerate(ags):
-            inv = inverses[g_i]
-            if si in inv and sj in inv:
-                attrs.append(g.arcs.get((inv[si], inv[sj]), PHI))
-        arc_pdfs[(si, sj)] = Pdf.from_attrs(attrs, bin_width)
-        u[(si, sj)] = len(attrs)
-
+    bin_width = checked_bin_width(bin_width)
+    # the bin of every (sample, slot) and of every (sample, slot, slot),
+    # the null bin 0 where the sample leaves it empty, each kind with keys
+    # of its own
+    vindex, aindex = {None: 0}, {None: 0}
+    vkey = np.zeros((z, n), np.int64)
+    akey = np.zeros((z, n, n), np.int64)
+    for g_i, (g, m) in enumerate(zip(ags, labelling.maps)):
+        if len(m) != g.order:
+            raise ValueError("labelling arity mismatch at graph %d" % g_i)
+        for s, a in zip(m, g.vertices):
+            if a.is_null:
+                continue
+            if s is None:
+                raise ValueError("graph %d leaves a non-null vertex "
+                                 "outside the frame" % g_i)
+            vkey[g_i, s] = vindex.setdefault(a.binned(bin_width),
+                                              len(vindex))
+        for (i, j), b in g.arcs.items():
+            if not b.is_null:
+                akey[g_i, m[i], m[j]] = aindex.setdefault(
+                    b.binned(bin_width), len(aindex))
+    src, dst = _pair_ends(n)
+    akey = akey[:, src, dst]
+    vp, ap = vkey > 0, akey > 0
+    # an arc slot's row holds the samples that fill both of its endpoints
+    slots, samples = np.nonzero((vp[:, src] & vp[:, dst]).T)
+    # one sample puts at most one entry in a row, already in order
+    store = BinStore if z == 1 else BinStore.tally
+    vbins = store(list(vindex), np.repeat(np.arange(n), z), vkey.T.ravel(),
+                  np.ones(n * z, np.int64), n, bin_width)
+    abins = store(list(aindex), slots, akey[samples, slots],
+                  np.ones(len(slots), np.int64), len(src), bin_width)
     Aw, Ow, Ew = _relations(vp)
     Ae, Oe, Ee = _relations(ap)
-    return (vertex_pdfs, arc_pdfs,
+    return (vbins, abins,
             {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-            z, u, bin_width)
+            z, None)
 
 
 def synth_from_labelled_fdgs(fdgs, labelling):
@@ -160,15 +148,13 @@ def synth_from_labelled_fdgs(fdgs, labelling):
 
 
 def _pool(seats):
-    """Fdg arguments of one frame, pooled in order into those of one Fdg."""
-    vps, aps, rels, zs, us, widths = zip(*seats)
-    return ([functools.reduce(Pdf.merge, ps) for ps in zip(*vps)],
-            {ij: functools.reduce(Pdf.merge, [a[ij] for a in aps])
-             for ij in aps[0]},
-            {name: np.logical_and.reduce([r[name] for r in rels])
+    """Fdg arguments of one frame, pooled in order into those of one Fdg:
+    the stores add up count-wise (BinStore.pooled)."""
+    vbs, abs_, rels, zs, _ = zip(*seats)
+    return (BinStore.pooled(vbs), BinStore.pooled(abs_),
+            {name: functools.reduce(np.logical_and, [r[name] for r in rels])
              for name in rels[0]},
-            sum(zs), {ij: sum(x[ij] for x in us) for ij in us[0]},
-            widths[0])
+            sum(zs), None)
 
 
 def ag_to_fdg(g, bin_width=1.0):

@@ -551,3 +551,9 @@ def test_labelling_takers_accept_both_forms_and_check_arity(name):
     for short in ([1, 2], Labelling([1, 2])):
         with pytest.raises(ValueError):
             call(short)
+
+
+def test_negative_z_is_refused():
+    _, _, f = _fixture()
+    with pytest.raises(ValueError, match="z must be non-negative"):
+        Fdg(f.vertex_pdfs, f.arc_pdfs, f.relations(), -1, f.u)

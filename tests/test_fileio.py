@@ -187,6 +187,10 @@ def test_fdg_header_checked(tmp_path):
     lambda t: t[:t.index("relations")],
     lambda t: t.replace("01", "0x", 1),
     lambda t: t.replace("z 2", "z x", 1),
+    lambda t: t.replace("2 0.5", "2 nan", 1),
+    lambda t: t.replace("2 0.5", "2 inf", 1),
+    lambda t: t.replace("2 0.5", "2 -inf", 1),
+    lambda t: t.replace("2 0.5", "2 1e400", 1),
 ])
 def test_fdg_parse_errors(tmp_path, mangle):
     f = _sample_fdg()
@@ -450,3 +454,53 @@ def test_written_text_is_pinned_byte_for_byte(tmp_path, writer, text):
     p = tmp_path / "golden"
     writer(_golden_fdg(), str(p))
     assert p.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("reader, writer", [(read_fdg, write_fdg),
+                                            (read_forg, write_forg)])
+@pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_probability_is_a_parse_error_at_its_line(
+        tmp_path, reader, writer, prob):
+    p = tmp_path / "bad.fdg"
+    writer(_sample_fdg(), p)
+    lines = p.read_text().splitlines()
+    k = lines.index("2 0.5")
+    lines[k] = "2 " + prob
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        reader(str(p))
+    assert str(p) in str(err.value)
+    assert err.value.lineno == k + 1
+
+
+def test_negative_z_is_a_parse_error_at_its_line(tmp_path):
+    p = tmp_path / "bad.fdg"
+    write_fdg(_sample_fdg(), p)
+    lines = p.read_text().splitlines()
+    k = lines.index("z 2")
+    lines[k] = "z -1"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_fdg(str(p))
+    assert err.value.lineno == k + 1
+    assert "z" in str(err.value)
+
+
+def test_a_bin_at_probability_zero_holds_no_samples(tmp_path):
+    p = tmp_path / "f.fdg"
+    write_fdg(_sample_fdg(), p)
+    text = p.read_text().replace("2 0.5\n", "2 0.5\n7 0.0\n", 1)
+    p.write_text(text)
+    f = read_fdg(str(p))
+    assert f.vertex_pdfs[1].counts == {(2,): 1, (4,): 1}
+    again = tmp_path / "again.fdg"
+    write_fdg(f, again)
+    assert "7 0.0" not in again.read_text()
+
+
+def test_a_pdf_of_bins_at_probability_zero_is_empty(tmp_path):
+    p = tmp_path / "f.fdg"
+    write_fdg(_sample_fdg(), p)
+    p.write_text(p.read_text().replace("u 2\n", "u 0\n", 1))
+    f = read_fdg(str(p))
+    assert f.arc_pdfs[(0, 1)].total == 0 and not f.arc_pdfs[(0, 1)].counts
