@@ -12,8 +12,12 @@ null vertices, which marks it as extended).
 FDG file: a `fdg` header, then order / z / bin_width lines, one `vertex i`
 section per slot and one `arc i j` section per ordered slot pair, each
 listing `bin probability` pairs (bins are comma-separated components, `#`
-for the null bin); vertex sections carry their sample total, arc sections
-their denominator u.  Counts are recovered as probability times total.  The
+for the null bin, sorted by that text with `#` first; the probability is the
+%r of count/total); vertex sections carry their sample total, arc sections
+their denominator u.  Both directions work on the FDG's count stores: the
+writer encodes each store's arrays, and the reader decodes all sections in
+one pass over the lines, a count being probability times total, rounded,
+with no Pdf built.  A probability that is not finite is a ParseError.  The
 bin_width line holds the FDG's bin width at every order, 0 included.  A
 final `relations` section gives the six matrices as 0/1 row strings.  The
 FORG format is the same with a `forg` header and no relations section; a
@@ -37,7 +41,6 @@ from .core import (PHI, AttributedGraph, BinStore, Fdg, arc_index, attr,
                    checked_bin_width, slot_pairs, vertex_list)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
-_DIGITS = {"0", "1"}
 
 
 class ParseError(ValueError):
@@ -168,13 +171,6 @@ def write_ag(g, path):
         fh.write("\n".join(lines) + "\n")
 
 
-@functools.lru_cache(maxsize=64)
-def _heads(m):
-    """The head lines of an order-m file's vertex and arc sections."""
-    return (["vertex %d" % (i + 1) for i in range(m)],
-            ["arc %d %d" % (i + 1, j + 1) for i, j in slot_pairs(m)])
-
-
 def _pdf_sections(bins, heads, word):
     """The lines of a store's pdf sections: each slot's head line, its
     `word <total>` line and a `bin probability` line per bin, bins sorted
@@ -223,36 +219,22 @@ def _arc_head(cur, m, seen):
     return s
 
 
-def _read_pdfs(cur, heads, parse_head, m, word, width):
-    """BinStore of the pdf sections of one kind in an order-m file, one
-    per head line, decoded in one pass over their lines.  A section is its
-    head line (heads[s] for slot s in the written order, else read by
-    parse_head(cur, m, seen)), a `word <total>` line, and the `bin
-    probability` lines up to the next keyword line; a count is probability
-    times total, rounded.  The first fault is a ParseError
-    at its line; a pdf whose counts do not fit its total is one at its
-    `word` line."""
+def _read_pdfs(cur, read_head, m, count, word, width):
+    """BinStore of `count` pdf sections of an order-m file, decoded in one
+    pass over their lines: a head line, whose slot read_head(cur, m, seen)
+    reads, a `word <total>` line and the `bin probability` lines up to the
+    next keyword line.  A count is probability times total, rounded.  The
+    first fault is a ParseError at its line; a pdf whose counts do not fit
+    its total is one at its `word` line."""
     lines = cur.lines
-    word_ = word + " "
     # the bins, interned by token and by value
     tokens, keys = {"#": 0}, {None: 0}
     seen = set()
     slots, bins, counts = [], [], []
-    for s, head in enumerate(heads):
-        pos = cur.pos
-        while pos < len(lines) and not lines[pos]:
-            pos += 1
-        if pos < len(lines) and lines[pos] == head and s not in seen:
-            cur.pos = pos + 1
-        else:
-            s = parse_head(cur, m, seen)
+    for _ in range(count):
+        s = read_head(cur, m, seen)
         seen.add(s)
-        line = cur.next_line()
-        if line.startswith(word_) and line[len(word_):].isdecimal():
-            total = int(line[len(word_):])
-        else:
-            cur.pos -= 1
-            total = _int_kv(cur, word)
+        total = _int_kv(cur, word)
         at = pos = cur.pos
         section = {}
         while pos < len(lines):
@@ -300,8 +282,7 @@ def _read_pdfs(cur, heads, parse_head, m, word, width):
         keep = [k for k, c in enumerate(counts) if c]
         slots, bins, counts = ([a[k] for k in keep]
                                for a in (slots, bins, counts))
-    return BinStore.sorted(list(keys), slots, bins, counts, len(heads),
-                           width)
+    return BinStore.sorted(list(keys), slots, bins, counts, count, width)
 
 
 def _expect_kv(cur, keyword):
@@ -320,27 +301,18 @@ def _int_kv(cur, keyword):
 
 
 def _read_matrix(cur, name, rows, cols):
-    """The named block of 0/1 rows, decoded in one step (see _matrix_rows).
-    A block of `rows` lines of `cols` digits each is taken whole; anything
-    else is read row by row, to the first bad one."""
+    """The named block of 0/1 rows, decoded in one step (see _matrix_rows)."""
     head = cur.next_line()
     if head != name:
         cur.error("expected relation %r, found %r" % (name, head))
-    lines = cur.lines[cur.pos:cur.pos + rows]
-    text = "".join(lines)
-    if (len(lines) == rows and set(map(len, lines)) <= {cols}
-            and set(text) <= _DIGITS):
-        cur.pos += rows
-    else:
-        lines = []
-        for _ in range(rows):
-            line = cur.next_line()
-            # strip leaves the first character that is not 0 or 1 in place
-            if len(line) != cols or line.strip("01"):
-                cur.error("bad 0/1 row %r" % line)
-            lines.append(line)
-        text = "".join(lines)
-    return np.frombuffer(text.encode(), np.uint8).reshape(
+    lines = []
+    for _ in range(rows):
+        line = cur.next_line()
+        # strip leaves the first character that is not 0 or 1 in place
+        if len(line) != cols or line.strip("01"):
+            cur.error("bad 0/1 row %r" % line)
+        lines.append(line)
+    return np.frombuffer("".join(lines).encode(), np.uint8).reshape(
         rows, cols) == ord("1")
 
 
@@ -357,9 +329,8 @@ def _read_fdg_body(cur, with_relations):
     except ValueError:
         cur.error("bad bin_width %r (want a positive finite number)" % raw)
 
-    vheads, aheads = _heads(m)
-    vbins = _read_pdfs(cur, vheads, _vertex_head, m, "total", bin_width)
-    abins = _read_pdfs(cur, aheads, _arc_head, m, "u", bin_width)
+    vbins = _read_pdfs(cur, _vertex_head, m, m, "total", bin_width)
+    abins = _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width)
 
     big = m * (m - 1)
     if with_relations:
@@ -393,9 +364,10 @@ def _read_fdg_body(cur, with_relations):
 def _fdg_lines(f, header):
     m = f.order
     lines = [header, "order %d" % m, "z %d" % f.z, "bin_width %r" % f.bin_width]
-    vheads, aheads = _heads(m)
-    lines += _pdf_sections(f.vbins, vheads, "total %d")
-    lines += _pdf_sections(f.abins, aheads, "u %d")
+    lines += _pdf_sections(f.vbins, ["vertex %d" % (i + 1) for i in range(m)],
+                           "total %d")
+    lines += _pdf_sections(f.abins, ["arc %d %d" % (i + 1, j + 1)
+                                     for i, j in slot_pairs(m)], "u %d")
     if header == "fdg":
         lines.append("relations")
         for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):

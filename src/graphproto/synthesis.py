@@ -1,12 +1,14 @@
 """Synthesis of function-described graphs from labelled samples.
 
 A common labelling places the vertices of every sample graph into a shared
-frame of n slots.  Synthesis from AGs estimates the first-order pdfs by
-frequency and derives the six second-order relations as universal statements
-over the sample.  Synthesis from FDGs seats each input in the common frame
-without building an Fdg (core._seat) and combines them: pdfs are pooled
-count-wise (which weights each input by its own sample size), relations are
-intersected, and the sample counters add up.  Only the result is an Fdg; it
+frame of n slots.  Synthesis from AGs counts every sample's bins straight
+into the FDG's count stores (core.BinStore) and derives the six
+second-order relations as universal statements over the sample.  Synthesis
+from FDGs seats each input in the common frame without building an Fdg
+(core._seat, a re-indexing of the stores' rows) and combines them: the
+stores add up count-wise (which weights each input by its own sample size),
+relations are intersected, and the sample counters add up.  Only the result
+is an Fdg; it
 fixes its null and strict flags at construction and no pdf is written after,
 so growing a prototype builds a new one.  Because all of this is integer
 arithmetic, building an FDG from z graphs in one pass and growing it one
@@ -22,9 +24,7 @@ from .core import (
     Fdg,
     _pair_ends,
     _seat,
-    arc_index,
     checked_bin_width,
-    slot_pairs,
     vertex_list,
 )
 

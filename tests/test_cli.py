@@ -298,3 +298,18 @@ def test_bench_reads_weights_from_config(tmp_path, capsys):
     row = dict(zip(rows[0], rows[1]))
     assert (row["K1"], row["K2"], row["K3"], row["K4"]) == \
         ("1.0", "5.0", "1.0", "0.5")
+
+
+@pytest.mark.parametrize("prob", ["nan", "inf", "1e400"])
+def test_non_finite_probability_exits_2_at_its_line(tmp_path, capsys, prob):
+    g = _g1()
+    write_ag(g, tmp_path / "g.ag")
+    path = tmp_path / "bad.fdg"
+    write_fdg(ag_to_fdg(g), path)
+    lines = path.read_text().splitlines()
+    k = lines.index("total 1") + 1
+    lines[k] = lines[k].split()[0] + " " + prob
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["dist", "--ag", str(tmp_path / "g.ag"),
+                 "--fdg", str(path)]) == 2
+    assert "%s:%d: bad probability" % (path, k + 1) in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """First-order prototype checks.
 
 Covers:
-  * entropy of the two-graph prototype (exactly 2 bits)
+  * entropy of the two-graph prototype (exactly 2 bits), and on random
+    prototypes the sum of the pdfs' entropies, bit for bit
   * merged entropies and distances of three candidate prototypes against it,
     frozen to closed-form values, with the identity map optimal each time
   * the distance against the minimum over every slot map of the synthesis
@@ -180,3 +181,18 @@ def test_distance_refuses_orders_above_twenty():
     assert forg_distance(ten, ten)[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         forg_distance(eleven, ten)
+
+
+def test_entropy_is_the_sum_over_the_pdf_views_bit_for_bit():
+    """The row reduction of the count stores adds each pdf's terms in its
+    bin order and the pdfs in slot order, as summing Pdf.entropy does."""
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n, width = int(rng.integers(0, 6)), (0.5, 1.0, 3.0)[_ % 3]
+        f = _random_prototype(rng, n, int(rng.integers(1, 5)), width)
+        if rng.random() < 0.5:
+            g = _random_prototype(rng, n, int(rng.integers(1, 4)), width)
+            f = forg_synthesize(g, f, [None] * n)
+        want = sum(p.entropy() for p in f.vertex_pdfs)
+        want += sum(q.entropy() for q in f.arc_pdfs.values())
+        assert forg_entropy(f) == want
