@@ -649,417 +649,6 @@ class Fdg:
 
     @property
     def order(self):
-        return len(self.vertices)
-
-    def present_arcs(self):
-        """Pairs ((i, j), attr) of non-null arcs."""
-        return [(ij, b) for ij, b in self.arcs.items() if not b.is_null]
-
-    def out_targets(self, i):
-        """Targets of vertex i's non-null outgoing arcs, in cyclic order.
-
-        Falls back to ascending target index when no arc_order was given.
-        """
-        if self.arc_order is not None and i in self.arc_order:
-            return list(self.arc_order[i])
-        return sorted(j for (a, j), b in self.arcs.items()
-                      if a == i and not b.is_null)
-
-    def __repr__(self):
-        return "AttributedGraph(order=%d, arcs=%d%s)" % (
-            self.order, len(self.present_arcs()), ", extended" if self.extended else "")
-
-
-def extend_ag(g, k):
-    """Pad an AG with null elements to a complete graph of order k."""
-    if k < g.order:
-        raise ValueError("cannot extend order %d graph to order %d" % (g.order, k))
-    vertices = list(g.vertices) + [PHI] * (k - g.order)
-    arcs = {}
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                arcs[(i, j)] = g.arcs.get((i, j), PHI)
-    return AttributedGraph(vertices, arcs, arc_order=g.arc_order, extended=True)
-
-
-class Labelling:
-    """Vertex map from a source graph into a target structure.
-
-    vertex_map[i] is the target index of source vertex i, or None for the
-    null target.  Injective on non-null targets.
-    """
-
-    __slots__ = ("vertex_map",)
-
-    def __init__(self, vertex_map):
-        vm = tuple(vertex_map)
-        real = [t for t in vm if t is not None]
-        if len(real) != len(set(real)):
-            raise ValueError("labelling maps two vertices to one target")
-        self.vertex_map = vm
-
-    def __len__(self):
-        return len(self.vertex_map)
-
-    def target(self, i):
-        return self.vertex_map[i]
-
-    def inverse(self, m):
-        """Target-to-source view over m target slots (None where unmatched)."""
-        inv = [None] * m
-        for i, t in enumerate(self.vertex_map):
-            if t is not None:
-                inv[t] = i
-        return inv
-
-    def real_pairs(self):
-        return [(i, t) for i, t in enumerate(self.vertex_map) if t is not None]
-
-    def __eq__(self, other):
-        if not isinstance(other, Labelling):
-            return NotImplemented
-        return self.vertex_map == other.vertex_map
-
-    def __hash__(self):
-        return hash(self.vertex_map)
-
-    def __repr__(self):
-        return "Labelling(%s)" % (self.vertex_map,)
-
-
-def vertex_list(labelling, order):
-    """The vertex map of a Labelling or of a plain sequence, as a new list.
-
-    Raises ValueError unless it has exactly `order` entries, one per source
-    vertex.
-    """
-    vmap = list(labelling.vertex_map) if isinstance(labelling, Labelling) \
-        else list(labelling)
-    if len(vmap) != order:
-        raise ValueError("labelling arity %d does not match order %d"
-                         % (len(vmap), order))
-    return vmap
-
-
-class CostWeights:
-    """Weights and options of the AG-to-FDG distance.
-
-    K1/K2 weight first-order vertex/arc costs; K3..K8 the second-order costs
-    (antagonism, occurrence, existence on vertices and arcs, in the order
-    K3 vertex-A, K4 arc-A, K5 vertex-O, K6 arc-O, K7 vertex-E, K8 arc-E).
-    K_pr is the low-probability floor of the cost normalisation.  mode picks
-    hard second-order constraints ("restricted") or additive second-order
-    costs ("relaxed"); planar adds the arc-order constraint in both modes.
-    """
-
-    __slots__ = ("K1", "K2", "K3", "K4", "K5", "K6", "K7", "K8",
-                 "K_pr", "planar", "mode")
-
-    def __init__(self, K1=1.0, K2=1.0, K3=1.0, K4=0.0, K5=0.0, K6=0.0,
-                 K7=0.0, K8=0.0, K_pr=1e-4, planar=False, mode="relaxed"):
-        for name, k in (("K1", K1), ("K2", K2), ("K3", K3), ("K4", K4),
-                        ("K5", K5), ("K6", K6), ("K7", K7), ("K8", K8)):
-            if not k >= 0:
-                raise ValueError("%s must be non-negative" % name)
-        if not (0.0 < K_pr < 1.0):
-            raise ValueError("K_pr must lie strictly between 0 and 1")
-        if mode not in ("restricted", "relaxed"):
-            raise ValueError("mode must be 'restricted' or 'relaxed'")
-        self.K1, self.K2, self.K3, self.K4 = float(K1), float(K2), float(K3), float(K4)
-        self.K5, self.K6, self.K7, self.K8 = float(K5), float(K6), float(K7), float(K8)
-        self.K_pr = float(K_pr)
-        self.planar = bool(planar)
-        self.mode = mode
-
-    def replace(self, **kw):
-        cur = {s: getattr(self, s) for s in self.__slots__}
-        cur.update(kw)
-        return CostWeights(**cur)
-
-    def __repr__(self):
-        return ("CostWeights(K1=%g, K2=%g, K3=%g, K4=%g, K5=%g, K6=%g, K7=%g, "
-                "K8=%g, K_pr=%g, planar=%s, mode=%s)" % (
-                    self.K1, self.K2, self.K3, self.K4, self.K5, self.K6,
-                    self.K7, self.K8, self.K_pr, self.planar, self.mode))
-
-
-def arc_number(k, l, n):
-    """1-based label of the ordered pair (k, l) among the n(n-1) arc slots."""
-    if not (1 <= k <= n and 1 <= l <= n) or k == l:
-        raise ValueError("invalid arc indices (%d, %d) for order %d" % (k, l, n))
-    if l < k:
-        return (k - 1) * (n - 1) + l
-    return (k - 1) * (n - 1) + l - 1
-
-
-def arc_index(i, j, n):
-    """0-based slot index of the ordered pair (i, j) under 0-based vertices."""
-    return arc_number(i + 1, j + 1, n) - 1
-
-
-def slot_pairs(n):
-    """All ordered vertex pairs of an order-n complete graph, slot-indexed."""
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-class BinStore:
-    """The pdfs of one kind of FDG slot as count arrays: the vertex slots,
-    or the arc slots in arc_index order.
-
-    keys lists the distinct bin keys, the null bin None first.  Entry e
-    puts count[e] > 0 samples of slot slot[e] in bin keys[bin[e]]; entries
-    are sorted by slot, a slot holds a bin at most once, and each slot
-    lists its bins in the order they were first seen, which synthesis,
-    pooling and file reading all keep.  total[s] is the sum of slot s's
-    counts; a slot with total 0 is the degenerate pdf that puts all mass
-    on the null bin.  width is the bin width of every pdf.  Counts and
-    totals stay below 2**53.  Nothing writes a store after it is built.
-    """
-
-    __slots__ = ("keys", "slot", "bin", "count", "total", "width")
-
-    def __init__(self, keys, slot, bin, count, size, width):
-        self.keys = keys
-        self.slot = np.asarray(slot, dtype=np.int64)
-        self.bin = np.asarray(bin, dtype=np.int64)
-        self.count = np.asarray(count, dtype=np.int64)
-        self.total = np.bincount(self.slot, weights=self.count,
-                                 minlength=size).astype(np.int64)
-        self.width = width
-
-    @classmethod
-    def of_pdfs(cls, pdfs, width):
-        """Store of Pdf objects, one per slot in order, each binned at
-        width."""
-        index = {None: 0}
-        slots, bins, counts = [], [], []
-        for s, p in enumerate(pdfs):
-            if p.bin_width != width:
-                raise ValueError("pdf bin width %r differs from the FDG's %r"
-                                 % (p.bin_width, width))
-            for k, c in p.counts.items():
-                slots.append(s)
-                bins.append(index.setdefault(k, len(index)))
-                counts.append(c)
-        return cls(list(index), slots, bins, counts, len(pdfs), width)
-
-    @classmethod
-    def sorted(cls, keys, slots, bins, counts, size, width):
-        """Store of entries whose (slot, bin) pairs are distinct, each slot's
-        in order but the slots in any order."""
-        slots = np.asarray(slots, dtype=np.int64)
-        order = np.argsort(slots, kind="stable")
-        return cls(keys, slots[order], np.asarray(bins)[order],
-                   np.asarray(counts)[order], size, width)
-
-    @classmethod
-    def tally(cls, keys, slots, bins, counts, size, width):
-        """Store of entries listed in the order they were seen: the counts
-        of a repeated (slot, bin) add up, and each slot lists its bins in
-        the order of their first entry."""
-        code = slots * len(keys) + bins
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        first = np.empty(len(code), bool)
-        first[:1] = True
-        np.not_equal(code[1:], code[:-1], out=first[1:])
-        start = np.flatnonzero(first)
-        code = code[start]
-        rank = np.lexsort((order[start], code // len(keys)))
-        return cls(keys, code[rank] // len(keys), code[rank] % len(keys),
-                   np.add.reduceat(counts[order], start)[rank], size, width)
-
-    @classmethod
-    def pooled(cls, stores):
-        """Count-wise sum of stores over one frame of slots, which equals
-        the total-weighted mixture of their pdfs; a slot lists its bins in
-        order of first appearance, earlier stores first, as Pdf.merge
-        does."""
-        index = {}
-        bins = []
-        for st in stores:
-            remap = np.array([index.setdefault(k, len(index))
-                              for k in st.keys])
-            bins.append(remap[st.bin])
-        return cls.tally(list(index),
-                         np.concatenate([st.slot for st in stores]),
-                         np.concatenate(bins),
-                         np.concatenate([st.count for st in stores]),
-                         len(stores[0].total), stores[0].width)
-
-    def seated(self, rows, size, fill):
-        """The store with slot s moved to rows[s] inside a frame of `size`
-        slots; each slot no row lands on holds `fill` samples in the null
-        bin (rows must be distinct)."""
-        slots, bins, counts = rows[self.slot], self.bin, self.count
-        if fill:
-            free = np.ones(size, bool)
-            free[rows] = False
-            new = np.flatnonzero(free)
-            slots = np.concatenate([slots, new])
-            bins = np.concatenate([bins, np.zeros(len(new), np.int64)])
-            counts = np.concatenate([counts, np.full(len(new), fill)])
-        return BinStore.sorted(self.keys, slots, bins, counts, size,
-                               self.width)
-
-    def bounds(self):
-        """Where each slot's entries start, and where the last one ends."""
-        return np.searchsorted(self.slot,
-                               np.arange(len(self.total) + 1)).tolist()
-
-    def probs(self):
-        """Probability of every entry: its count over its slot's total."""
-        return self.count / self.total[self.slot]
-
-    def flags(self):
-        """Per slot: Pr(PHI) = 1, and Pr(PHI) = 0, from its null count."""
-        nulls = np.zeros(len(self.total), np.int64)
-        at = self.bin == 0
-        nulls[self.slot[at]] = self.count[at]
-        return nulls == self.total, (nulls == 0) & (self.total > 0)
-
-    def entropies(self):
-        """Shannon entropy of every slot's pdf in bits, each summed over
-        its bins in their order, as Pdf.entropy does."""
-        terms = [p * math.log2(p) for p in self.probs().tolist()]
-        return 0.0 - np.bincount(self.slot, weights=terms,
-                                 minlength=len(self.total))
-
-    def pdfs(self):
-        """A Pdf per slot, built on demand; it is a copy, and writing it
-        leaves the store as it is."""
-        keys = [self.keys[b] for b in self.bin.tolist()]
-        counts = self.count.tolist()
-        bounds = self.bounds()
-        return [Pdf(dict(zip(keys[a:e], counts[a:e])), t, self.width)
-                for a, e, t in zip(bounds, bounds[1:], self.total.tolist())]
-
-
-@functools.lru_cache(maxsize=64)
-def _pair_ends(n):
-    """Read-only source and target slots of the order-n arc slots, in
-    arc_index order."""
-    ends = np.array(slot_pairs(n), dtype=np.int64).reshape(-1, 2).T.copy()
-    ends.setflags(write=False)
-    return ends
-
-
-def _slot_flags(vbins, abins):
-    """Value-based nullness and strictness of every vertex slot and of every
-    arc slot, the latter in arc_index order, as bool arrays.  An arc slot is
-    unconditionally null when its pdf or either endpoint is, and strict when
-    its pdf and both endpoints are."""
-    vnull, vstrict = vbins.flags()
-    src, dst = _pair_ends(len(vnull))
-    anull, astrict = abins.flags()
-    return (vnull, vstrict, anull | vnull[src] | vnull[dst],
-            astrict & vstrict[src] & vstrict[dst])
-
-
-class Fdg:
-    """Function-described graph.
-
-    Its pdfs live in two count stores (BinStore): vbins holds vertex slot
-    i's pdf as row i, abins the pdf of arc slot (i, j), conditional on both
-    endpoints being non-null, as row arc_index(i, j).  vertex_pdfs and
-    arc_pdfs are Pdf views of those rows, a list and a dict over every
-    ordered pair, built on first access and kept (_pdfs): no code of the
-    package reads them where time matters, and writing them leaves the
-    stores as they are.  u[(i, j)], the AGs in which both
-    endpoints of a slot were present (the denominator of its arc pdf), is
-    the row's total.  Aw/Ow/Ew are n-by-n Boolean antagonism, occurrence
-    and existence matrices over vertex slots; Ae/Oe/Ee their arc-slot
-    counterparts indexed by arc_index.  z counts the AGs the FDG was
-    synthesised from.  bin_width is the one width all pdfs bin at, kept by
-    the stores, so an FDG of order 0 keeps it too.
-
-    Fdg(vertex_pdfs, arc_pdfs, relations, z, u, bin_width) takes the pdfs
-    as a list of Pdf and a dict over the ordered pairs, with u a dict and
-    bin_width, left out, that of the pdfs or 1.0 when there are none; or as
-    two stores, with u None and the stores' width.
-
-    The value-based flags are fixed at construction (_slot_flags): vnull
-    and vstrict per vertex slot, anull and astrict per arc slot in
-    arc_index order, as read-only bool arrays, which vertex_null, arc_null
-    and the other flag methods look up.  Nothing writes an FDG's stores
-    after it is built (a grown prototype is a new Fdg), so the flags stay
-    true.
-
-    _costs is an FDG's one cache: the AG-independent part of its cost
-    tables (matching._fdg_costs) under the last K1, K2 and K_pr it was
-    matched with, as (key, read-only parts), or None.  It is filled lazily,
-    by the first match, so an FDG that is never matched pays nothing for
-    it, and it stays valid for the same reason the flags do.
-    """
-
-    __slots__ = ("vbins", "abins", "Aw", "Ow", "Ew", "Ae", "Oe", "Ee",
-                 "z", "vnull", "vstrict", "anull", "astrict", "_pdfs",
-                 "_costs")
-
-    def __init__(self, vertex_pdfs, arc_pdfs, relations, z, u, bin_width=None):
-        if isinstance(vertex_pdfs, BinStore):
-            self.vbins, self.abins = vertex_pdfs, arc_pdfs
-        else:
-            vertex_pdfs = list(vertex_pdfs)
-            if bin_width is None:
-                bin_width = vertex_pdfs[0].bin_width if vertex_pdfs else 1.0
-            bin_width = checked_bin_width(bin_width)
-            pairs = slot_pairs(len(vertex_pdfs))
-            missing = set(pairs).difference(arc_pdfs)
-            if missing:
-                raise ValueError("missing arc pdf for slot (%d, %d)"
-                                 % min(missing))
-            self.vbins = BinStore.of_pdfs(vertex_pdfs, bin_width)
-            self.abins = BinStore.of_pdfs([arc_pdfs[ij] for ij in pairs],
-                                          bin_width)
-        self.Aw = np.asarray(relations["Aw"], dtype=bool)
-        self.Ow = np.asarray(relations["Ow"], dtype=bool)
-        self.Ew = np.asarray(relations["Ew"], dtype=bool)
-        self.Ae = np.asarray(relations["Ae"], dtype=bool)
-        self.Oe = np.asarray(relations["Oe"], dtype=bool)
-        self.Ee = np.asarray(relations["Ee"], dtype=bool)
-        self.z = int(z)
-        self._check(u, bin_width)
-        flags = _slot_flags(self.vbins, self.abins)
-        for flag in flags:
-            flag.setflags(write=False)
-        self.vnull, self.vstrict, self.anull, self.astrict = flags
-        self._pdfs = self._costs = None
-
-    def _check(self, u, bin_width):
-        n = self.order
-        m = n * (n - 1)
-        if self.Aw.shape != (n, n) or self.Ow.shape != (n, n) or self.Ew.shape != (n, n):
-            raise ValueError("vertex relation matrices must be %d x %d" % (n, n))
-        if self.Ae.shape != (m, m) or self.Oe.shape != (m, m) or self.Ee.shape != (m, m):
-            raise ValueError("arc relation matrices must be %d x %d" % (m, m))
-        if len(self.abins.total) != m:
-            raise ValueError("%d arc pdfs for order %d"
-                             % (len(self.abins.total), n))
-        for width in (self.abins.width, bin_width):
-            if width is not None and width != self.bin_width:
-                raise ValueError("pdf bin width %r differs from the FDG's %r"
-                                 % (width, self.bin_width))
-        if self.z < 0:
-            raise ValueError("z must be non-negative, got %d" % self.z)
-        if u is not None:
-            totals = self.abins.total.tolist()
-            for ij, total in zip(slot_pairs(n), totals):
-                if total != u.get(ij, 0):
-                    raise ValueError("arc pdf total %d disagrees with u=%d at %s"
-                                     % (total, u.get(ij, 0), (ij,)))
-        # the matrices are bool, so their bytes compare as their entries do
-        for name, mat in (("Aw", self.Aw), ("Ew", self.Ew),
-                          ("Ae", self.Ae), ("Ee", self.Ee)):
-            if mat.tobytes() != mat.T.tobytes():
-                raise ValueError("%s must be symmetric" % name)
-        for name, mat in (("Ow", self.Ow), ("Oe", self.Oe)):
-            if not mat.diagonal().all():
-                raise ValueError("%s must be reflexive" % name)
-
-    @property
-    def order(self):
         return len(self.vbins.total)
 
     @property

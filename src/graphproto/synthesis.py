@@ -8,11 +8,10 @@ from FDGs seats each input in the common frame without building an Fdg
 (core._seat, a re-indexing of the stores' rows) and combines them: the
 stores add up count-wise (which weights each input by its own sample size),
 relations are intersected, and the sample counters add up.  Only the result
-is an Fdg; it
-fixes its null and strict flags at construction and no pdf is written after,
-so growing a prototype builds a new one.  Because all of this is integer
-arithmetic, building an FDG from z graphs in one pass and growing it one
-graph at a time produce identical results.
+is an Fdg; it fixes its null and strict flags at construction and no store
+is written after, so growing a prototype builds a new one.  Because all of
+this is integer arithmetic, building an FDG from z graphs in one pass and
+growing it one graph at a time produce identical results.
 """
 
 import functools
