@@ -33,6 +33,7 @@ labelling, explored.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -171,6 +172,13 @@ def write_ag(g, path):
         fh.write("\n".join(lines) + "\n")
 
 
+@functools.lru_cache(maxsize=64)
+def _heads(m):
+    """The head lines of an order-m file's vertex and arc sections."""
+    return (tuple("vertex %d" % (i + 1) for i in range(m)),
+            tuple("arc %d %d" % (i + 1, j + 1) for i, j in slot_pairs(m)))
+
+
 def _pdf_sections(bins, heads, word):
     """The lines of a store's pdf sections: each slot's head line, its
     `word <total>` line and a `bin probability` line per bin, bins sorted
@@ -277,12 +285,71 @@ def _read_pdfs(cur, read_head, m, count, word, width):
         slots += [s] * len(section)
         bins += section
         counts += values
+    return _store(keys, slots, bins, counts, count, width)
+
+
+def _store(keys, slots, bins, counts, size, width):
     if 0 in counts:
         # a bin written with probability 0 holds no samples
         keep = [k for k, c in enumerate(counts) if c]
         slots, bins, counts = ([a[k] for k in keep]
                                for a in (slots, bins, counts))
-    return BinStore.sorted(list(keys), slots, bins, counts, count, width)
+    return BinStore.sorted(list(keys), slots, bins, counts, size, width)
+
+
+def _written_pdfs(cur, heads, word, stop, width):
+    """BinStore of pdf sections laid out as _pdf_sections writes them, or
+    None.  The sections must come one per head line, in order, each with a
+    `word <total>` line and its bin lines up to the next head line (stop,
+    or the end of the file when stop is None, after the last), with no
+    blank line; their entries are then decoded all at once.  None, with
+    cur left as it was, whenever the lines are laid out any other way or
+    hold anything _read_pdfs would refuse, which then reads them."""
+    lines, i = cur.lines, cur.pos
+    word_ = word + " "
+    totals, sizes, ents = [], [], []
+    try:
+        for s, head in enumerate(heads):
+            count = lines[i + 1]
+            nxt = heads[s + 1] if s + 1 < len(heads) else stop
+            j = len(lines) if nxt is None else lines.index(nxt, i + 2)
+            if (lines[i] != head or not count.startswith(word_)
+                    or not count[len(word_):].isdecimal()):
+                return None
+            totals.append(int(count[len(word_):]))
+            sizes.append(j - i - 2)
+            ents += lines[i + 2:j]
+            i = j
+    except (IndexError, ValueError):
+        return None
+    fields = [e.split() for e in ents]
+    if any(len(f) != 2 or f[0] in _KEYWORDS for f in fields):
+        return None
+    tokens, keys = {"#": 0}, {None: 0}
+    toks = [f[0] for f in fields]
+    for tok in dict.fromkeys(toks):
+        if tok not in tokens:
+            try:
+                key = _components(tok)
+            except ValueError:
+                return None
+            tokens[tok] = keys.setdefault(key, len(keys))
+    bins = [tokens[t] for t in toks]
+    slots = [s for s, k in enumerate(sizes) for _ in range(k)]
+    try:
+        cs = [float(f[1]) * totals[s] for f, s in zip(fields, slots)]
+    except ValueError:
+        return None
+    if (not all(map(math.isfinite, cs)) or len(set(zip(slots, bins))) < len(bins)
+            or max(totals, default=0) >= 1 << 53):
+        return None
+    counts = list(map(round, cs))
+    ends = list(itertools.accumulate(sizes, initial=0))
+    if min(counts, default=0) < 0 or any(
+            sum(counts[a:e]) != t for a, e, t in zip(ends, ends[1:], totals)):
+        return None
+    cur.pos = i
+    return _store(keys, slots, bins, counts, len(heads), width)
 
 
 def _expect_kv(cur, keyword):
@@ -301,19 +368,27 @@ def _int_kv(cur, keyword):
 
 
 def _read_matrix(cur, name, rows, cols):
-    """The named block of 0/1 rows, decoded in one step (see _matrix_rows)."""
+    """The named block of 0/1 rows, decoded in one step (see _matrix_rows).
+    A block of `rows` lines of `cols` digits each is checked whole; any
+    other is read row by row, to the first bad row."""
     head = cur.next_line()
     if head != name:
         cur.error("expected relation %r, found %r" % (name, head))
-    lines = []
-    for _ in range(rows):
-        line = cur.next_line()
-        # strip leaves the first character that is not 0 or 1 in place
-        if len(line) != cols or line.strip("01"):
-            cur.error("bad 0/1 row %r" % line)
-        lines.append(line)
-    return np.frombuffer("".join(lines).encode(), np.uint8).reshape(
-        rows, cols) == ord("1")
+    lines = cur.lines[cur.pos:cur.pos + rows]
+    data = "".join(lines).encode()
+    if (len(lines) == rows and set(map(len, lines)) <= {cols}
+            and not data.translate(None, b"01")):
+        cur.pos += rows
+    else:
+        lines = []
+        for _ in range(rows):
+            line = cur.next_line()
+            # strip leaves the first character that is not 0 or 1 in place
+            if len(line) != cols or line.strip("01"):
+                cur.error("bad 0/1 row %r" % line)
+            lines.append(line)
+        data = "".join(lines).encode()
+    return np.frombuffer(data, np.uint8).reshape(rows, cols) == ord("1")
 
 
 def _read_fdg_body(cur, with_relations):
@@ -329,8 +404,19 @@ def _read_fdg_body(cur, with_relations):
     except ValueError:
         cur.error("bad bin_width %r (want a positive finite number)" % raw)
 
-    vbins = _read_pdfs(cur, _vertex_head, m, m, "total", bin_width)
-    abins = _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width)
+    # every section takes two lines or more, so the sections of an order
+    # the file cannot hold are left to the line-by-line reader, which stops
+    # at the end of the file
+    written = 2 * m * m <= len(cur.lines)
+    if written:
+        vheads, aheads = _heads(m)
+        stop = "relations" if with_relations else None
+    vbins = (written and _written_pdfs(cur, vheads, "total",
+                                       aheads[0] if aheads else stop,
+                                       bin_width)
+             or _read_pdfs(cur, _vertex_head, m, m, "total", bin_width))
+    abins = (written and _written_pdfs(cur, aheads, "u", stop, bin_width)
+             or _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width))
 
     big = m * (m - 1)
     if with_relations:
@@ -364,10 +450,9 @@ def _read_fdg_body(cur, with_relations):
 def _fdg_lines(f, header):
     m = f.order
     lines = [header, "order %d" % m, "z %d" % f.z, "bin_width %r" % f.bin_width]
-    lines += _pdf_sections(f.vbins, ["vertex %d" % (i + 1) for i in range(m)],
-                           "total %d")
-    lines += _pdf_sections(f.abins, ["arc %d %d" % (i + 1, j + 1)
-                                     for i, j in slot_pairs(m)], "u %d")
+    vheads, aheads = _heads(m)
+    lines += _pdf_sections(f.vbins, vheads, "total %d")
+    lines += _pdf_sections(f.abins, aheads, "u %d")
     if header == "fdg":
         lines.append("relations")
         for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):

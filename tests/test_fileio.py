@@ -504,3 +504,15 @@ def test_a_pdf_of_bins_at_probability_zero_is_empty(tmp_path):
     p.write_text(p.read_text().replace("u 2\n", "u 0\n", 1))
     f = read_fdg(str(p))
     assert f.arc_pdfs[(0, 1)].total == 0 and not f.arc_pdfs[(0, 1)].counts
+
+
+@pytest.mark.parametrize("order", ["1000000", "99999999999999999999"])
+def test_an_order_the_file_cannot_hold_ends_at_its_last_line(tmp_path,
+                                                            order):
+    p = tmp_path / "f.fdg"
+    write_fdg(_sample_fdg(), p)
+    lines = p.read_text().splitlines()
+    p.write_text(p.read_text().replace("order 3", "order " + order, 1))
+    with pytest.raises(ParseError) as err:
+        read_fdg(str(p))
+    assert err.value.lineno <= len(lines)
