@@ -14,12 +14,15 @@ section per slot and one `arc i j` section per ordered slot pair, each
 listing `bin probability` pairs (bins are comma-separated components, `#`
 for the null bin, sorted by that text with `#` first; the probability is the
 %r of count/total); vertex sections carry their sample total, arc sections
-their denominator u.  Both directions work on the FDG's count stores: the
-writer encodes each store's arrays, and the reader decodes all sections in
-one pass over the lines, a count being probability times total, rounded,
-with no Pdf built.  A probability that is not finite is a ParseError.  The
-bin_width line holds the FDG's bin width at every order, 0 included.  A
-final `relations` section gives the six matrices as 0/1 row strings.  The
+their denominator u.  Both directions work on the FDG's count stores and
+build no Pdf: the writer encodes each store's arrays; the reader takes the
+sections of a kind whole when they are laid out as written (and a relation
+block whole when it is all 0/1 rows of the right length), and otherwise
+line by line, in one pass, so a fault is reported at its line.  A count is
+probability times total, rounded; a probability that is not finite is a
+ParseError.  The bin_width line holds the FDG's bin width at every order, 0
+included.  A final `relations` section gives the six matrices as 0/1 row
+strings.  The
 FORG format is the same with a `forg` header and no relations section; a
 read FORG gets all-false antagonisms and existences and reflexive
 occurrences.  Bins and string attribute components must not contain commas,
@@ -289,8 +292,9 @@ def _read_pdfs(cur, read_head, m, count, word, width):
 
 
 def _store(keys, slots, bins, counts, size, width):
+    """BinStore of decoded entries; a bin written with probability 0 holds
+    no samples and is left out."""
     if 0 in counts:
-        # a bin written with probability 0 holds no samples
         keep = [k for k, c in enumerate(counts) if c]
         slots, bins, counts = ([a[k] for k in keep]
                                for a in (slots, bins, counts))
@@ -340,8 +344,8 @@ def _written_pdfs(cur, heads, word, stop, width):
         cs = [float(f[1]) * totals[s] for f, s in zip(fields, slots)]
     except ValueError:
         return None
-    if (not all(map(math.isfinite, cs)) or len(set(zip(slots, bins))) < len(bins)
-            or max(totals, default=0) >= 1 << 53):
+    if (not all(map(math.isfinite, cs)) or max(totals, default=0) >= 1 << 53
+            or len(set(zip(slots, bins))) < len(bins)):
         return None
     counts = list(map(round, cs))
     ends = list(itertools.accumulate(sizes, initial=0))

@@ -25,7 +25,8 @@ from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 def forg_entropy(f):
     """Sum of vertex entropies and conditional arc entropies, in bits: a
     row reduction of each count store (BinStore.entropies)."""
-    return sum(f.vbins.entropies().tolist()) + sum(f.abins.entropies().tolist())
+    return (sum(f.vbins.entropies().tolist())
+            + sum(f.abins.entropies().tolist()))
 
 
 def forg_synthesize(f1, f2, vertex_map):
