@@ -772,8 +772,11 @@ def _seat(f, vertex_map, k):
     if any(not (0 <= t < k) for t in vmap):
         raise ValueError("vertex map target outside order %d" % k)
     if k == n and vmap == list(range(n)):
-        # nothing moves: f's own stores and relations, which nothing writes
-        return f.vbins, f.abins, f.relations(), f.z, None
+        # nothing moves: f's own stores, which nothing writes, and copies
+        # of its relations, which a caller may
+        return (f.vbins, f.abins,
+                {name: mat.copy() for name, mat in f.relations().items()},
+                f.z, None)
     rows = np.array(vmap, dtype=np.int64)
     src, dst = rows[_pair_ends(n)]
     # arc_index of (src, dst) in the order-k frame

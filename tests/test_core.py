@@ -557,3 +557,11 @@ def test_negative_z_is_refused():
     _, _, f = _fixture()
     with pytest.raises(ValueError, match="z must be non-negative"):
         Fdg(f.vertex_pdfs, f.arc_pdfs, f.relations(), -1, f.u)
+
+
+def test_extending_to_the_same_order_copies_the_relations():
+    _, _, f = _fixture()
+    e = extend_fdg(f, f.order)
+    e.Ow[0, 1] = not e.Ow[0, 1]
+    assert e.Ow[0, 1] != f.Ow[0, 1]
+    assert e.vertex_pdfs == f.vertex_pdfs and e.u == f.u
