@@ -406,6 +406,10 @@ def slot_pairs(n):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+# counts, totals and z are held as int64
+COUNT_LIMIT = 1 << 63
+
+
 class BinStore:
     """The pdfs of one kind of FDG slot as count arrays: the vertex slots,
     or the arc slots in arc_index order.
@@ -417,7 +421,8 @@ class BinStore:
     pooling and file reading all keep.  total[s] is the sum of slot s's
     counts; a slot with total 0 is the degenerate pdf that puts all mass
     on the null bin.  width is the bin width of every pdf.  Counts and
-    totals stay below 2**53.  Nothing writes a store after it is built.
+    totals are int64, so a total stays below COUNT_LIMIT.  Nothing writes
+    a store after it is built.
     """
 
     __slots__ = ("keys", "slot", "bin", "count", "total", "width")
@@ -427,8 +432,8 @@ class BinStore:
         self.slot = np.asarray(slot, dtype=np.int64)
         self.bin = np.asarray(bin, dtype=np.int64)
         self.count = np.asarray(count, dtype=np.int64)
-        self.total = np.bincount(self.slot, weights=self.count,
-                                 minlength=size).astype(np.int64)
+        self.total = np.zeros(size, np.int64)
+        np.add.at(self.total, self.slot, self.count)
         self.width = width
 
     @classmethod
@@ -441,6 +446,8 @@ class BinStore:
             if p.bin_width != width:
                 raise ValueError("pdf bin width %r differs from the FDG's %r"
                                  % (p.bin_width, width))
+            if p.total >= COUNT_LIMIT:
+                raise ValueError("pdf total %d too large" % p.total)
             for k, c in p.counts.items():
                 slots.append(s)
                 bins.append(index.setdefault(k, len(index)))
@@ -479,6 +486,8 @@ class BinStore:
         the total-weighted mixture of their pdfs; a slot lists its bins in
         order of first appearance, earlier stores first, as Pdf.merge
         does."""
+        if sum(int(st.total.max(initial=0)) for st in stores) >= COUNT_LIMIT:
+            raise ValueError("pooled pdf total too large")
         index = {}
         bins = []
         for st in stores:
@@ -512,8 +521,11 @@ class BinStore:
                                np.arange(len(self.total) + 1)).tolist()
 
     def probs(self):
-        """Probability of every entry: its count over its slot's total."""
-        return self.count / self.total[self.slot]
+        """Probability of every entry, a list: its count over its slot's
+        total, divided as Python ints, as Pdf does, which rounds once
+        however large they are."""
+        return [c / t for c, t in zip(self.count.tolist(),
+                                      self.total[self.slot].tolist())]
 
     def flags(self):
         """Per slot: Pr(PHI) = 1, and Pr(PHI) = 0, from its null count."""
@@ -525,7 +537,7 @@ class BinStore:
     def entropies(self):
         """Shannon entropy of every slot's pdf in bits, each summed over
         its bins in their order, as Pdf.entropy does."""
-        terms = [p * math.log2(p) for p in self.probs().tolist()]
+        terms = [p * math.log2(p) for p in self.probs()]
         return 0.0 - np.bincount(self.slot, weights=terms,
                                  minlength=len(self.total))
 
@@ -638,6 +650,8 @@ class Fdg:
             raise ValueError("arc relation matrices must be %d x %d" % (m, m))
         if self.z < 0:
             raise ValueError("z must be non-negative, got %d" % self.z)
+        if self.z >= COUNT_LIMIT:
+            raise ValueError("z %d too large" % self.z)
         # the matrices are bool, so their bytes compare as their entries do
         for name, mat in (("Aw", self.Aw), ("Ew", self.Ew),
                           ("Ae", self.Ae), ("Ee", self.Ee)):
@@ -771,12 +785,6 @@ def _seat(f, vertex_map, k):
         raise ValueError("vertex map must place each old slot once")
     if any(not (0 <= t < k) for t in vmap):
         raise ValueError("vertex map target outside order %d" % k)
-    if k == n and vmap == list(range(n)):
-        # nothing moves: f's own stores, which nothing writes, and copies
-        # of its relations, which a caller may
-        return (f.vbins, f.abins,
-                {name: mat.copy() for name, mat in f.relations().items()},
-                f.z, None)
     rows = np.array(vmap, dtype=np.int64)
     src, dst = rows[_pair_ends(n)]
     # arc_index of (src, dst) in the order-k frame

@@ -15,15 +15,13 @@ listing `bin probability` pairs (bins are comma-separated components, `#`
 for the null bin, sorted by that text with `#` first; the probability is the
 %r of count/total); vertex sections carry their sample total, arc sections
 their denominator u.  Both directions work on the FDG's count stores and
-build no Pdf: the writer encodes each store's arrays; the reader takes the
-sections of a kind whole when they are laid out as written (and a relation
-block whole when it is all 0/1 rows of the right length), and otherwise
-line by line, in one pass, so a fault is reported at its line.  A count is
-probability times total, rounded; a probability that is not finite is a
-ParseError.  The bin_width line holds the FDG's bin width at every order, 0
-included.  A final `relations` section gives the six matrices as 0/1 row
-strings.  The
-FORG format is the same with a `forg` header and no relations section; a
+build no Pdf: the writer encodes each store's arrays, and the reader
+decodes the sections of a kind in one pass over their lines, a fault being
+a ParseError at its line.  A count is probability times total, rounded; a
+probability that is not finite is a ParseError, and so is a total the
+store's 64-bit counts cannot hold.  The bin_width line holds the FDG's bin
+width at every order, 0 included.  A final `relations` section gives the
+six matrices as 0/1 row strings.  The FORG format is the same with a `forg` header and no relations section; a
 read FORG gets all-false antagonisms and existences and reflexive
 occurrences.  Bins and string attribute components must not contain commas,
 whitespace or `#`, and a bin must not collide with the section keywords.
@@ -36,13 +34,13 @@ labelling, explored.
 """
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
-from .core import (PHI, AttributedGraph, BinStore, Fdg, arc_index, attr,
-                   checked_bin_width, slot_pairs, vertex_list)
+from .core import (COUNT_LIMIT, PHI, AttributedGraph, BinStore, Fdg,
+                   arc_index, attr, checked_bin_width, slot_pairs,
+                   vertex_list)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
 
@@ -192,9 +190,9 @@ def _pdf_sections(bins, heads, word):
     rank = np.zeros(len(tokens), np.int64)
     rank[sorted(range(1, len(tokens)), key=tokens.__getitem__)] = \
         np.arange(1, len(tokens))
-    order = np.lexsort((rank[bins.bin], bins.slot))
-    entries = [tokens[b] + " " + repr(p) for b, p in zip(
-        bins.bin[order].tolist(), bins.probs()[order].tolist())]
+    order = np.lexsort((rank[bins.bin], bins.slot)).tolist()
+    bin_, probs = bins.bin.tolist(), bins.probs()
+    entries = [tokens[bin_[e]] + " " + repr(probs[e]) for e in order]
     bounds = bins.bounds()
     lines = []
     for head, total, a, e in zip(heads, bins.total.tolist(), bounds,
@@ -283,7 +281,7 @@ def _read_pdfs(cur, read_head, m, count, word, width):
         if sum(values) != total:
             raise ParseError(cur.path, at, "pdf counts sum to %d, expected "
                              "total %d" % (sum(values), total))
-        if total >= 1 << 53:
+        if total >= COUNT_LIMIT:
             raise ParseError(cur.path, at, "total %d too large" % total)
         slots += [s] * len(section)
         bins += section
@@ -299,61 +297,6 @@ def _store(keys, slots, bins, counts, size, width):
         slots, bins, counts = ([a[k] for k in keep]
                                for a in (slots, bins, counts))
     return BinStore.sorted(list(keys), slots, bins, counts, size, width)
-
-
-def _written_pdfs(cur, heads, word, stop, width):
-    """BinStore of pdf sections laid out as _pdf_sections writes them, or
-    None.  The sections must come one per head line, in order, each with a
-    `word <total>` line and its bin lines up to the next head line (stop,
-    or the end of the file when stop is None, after the last), with no
-    blank line; their entries are then decoded all at once.  None, with
-    cur left as it was, whenever the lines are laid out any other way or
-    hold anything _read_pdfs would refuse, which then reads them."""
-    lines, i = cur.lines, cur.pos
-    word_ = word + " "
-    totals, sizes, ents = [], [], []
-    try:
-        for s, head in enumerate(heads):
-            count = lines[i + 1]
-            nxt = heads[s + 1] if s + 1 < len(heads) else stop
-            j = len(lines) if nxt is None else lines.index(nxt, i + 2)
-            if (lines[i] != head or not count.startswith(word_)
-                    or not count[len(word_):].isdecimal()):
-                return None
-            totals.append(int(count[len(word_):]))
-            sizes.append(j - i - 2)
-            ents += lines[i + 2:j]
-            i = j
-    except (IndexError, ValueError):
-        return None
-    fields = [e.split() for e in ents]
-    if any(len(f) != 2 or f[0] in _KEYWORDS for f in fields):
-        return None
-    tokens, keys = {"#": 0}, {None: 0}
-    toks = [f[0] for f in fields]
-    for tok in dict.fromkeys(toks):
-        if tok not in tokens:
-            try:
-                key = _components(tok)
-            except ValueError:
-                return None
-            tokens[tok] = keys.setdefault(key, len(keys))
-    bins = [tokens[t] for t in toks]
-    slots = [s for s, k in enumerate(sizes) for _ in range(k)]
-    try:
-        cs = [float(f[1]) * totals[s] for f, s in zip(fields, slots)]
-    except ValueError:
-        return None
-    if (not all(map(math.isfinite, cs)) or max(totals, default=0) >= 1 << 53
-            or len(set(zip(slots, bins))) < len(bins)):
-        return None
-    counts = list(map(round, cs))
-    ends = list(itertools.accumulate(sizes, initial=0))
-    if min(counts, default=0) < 0 or any(
-            sum(counts[a:e]) != t for a, e, t in zip(ends, ends[1:], totals)):
-        return None
-    cur.pos = i
-    return _store(keys, slots, bins, counts, len(heads), width)
 
 
 def _expect_kv(cur, keyword):
@@ -372,27 +315,19 @@ def _int_kv(cur, keyword):
 
 
 def _read_matrix(cur, name, rows, cols):
-    """The named block of 0/1 rows, decoded in one step (see _matrix_rows).
-    A block of `rows` lines of `cols` digits each is checked whole; any
-    other is read row by row, to the first bad row."""
+    """The named block of 0/1 rows, decoded in one step (see _matrix_rows)."""
     head = cur.next_line()
     if head != name:
         cur.error("expected relation %r, found %r" % (name, head))
-    lines = cur.lines[cur.pos:cur.pos + rows]
-    data = "".join(lines).encode()
-    if (len(lines) == rows and set(map(len, lines)) <= {cols}
-            and not data.translate(None, b"01")):
-        cur.pos += rows
-    else:
-        lines = []
-        for _ in range(rows):
-            line = cur.next_line()
-            # strip leaves the first character that is not 0 or 1 in place
-            if len(line) != cols or line.strip("01"):
-                cur.error("bad 0/1 row %r" % line)
-            lines.append(line)
-        data = "".join(lines).encode()
-    return np.frombuffer(data, np.uint8).reshape(rows, cols) == ord("1")
+    lines = []
+    for _ in range(rows):
+        line = cur.next_line()
+        # strip leaves the first character that is not 0 or 1 in place
+        if len(line) != cols or line.strip("01"):
+            cur.error("bad 0/1 row %r" % line)
+        lines.append(line)
+    return np.frombuffer("".join(lines).encode(), np.uint8).reshape(
+        rows, cols) == ord("1")
 
 
 def _read_fdg_body(cur, with_relations):
@@ -402,25 +337,16 @@ def _read_fdg_body(cur, with_relations):
     z = _int_kv(cur, "z")
     if z < 0:
         cur.error("negative z")
+    if z >= COUNT_LIMIT:
+        cur.error("z %d too large" % z)
     raw = _expect_kv(cur, "bin_width")
     try:
         bin_width = checked_bin_width(raw)
     except ValueError:
         cur.error("bad bin_width %r (want a positive finite number)" % raw)
 
-    # every section takes two lines or more, so the sections of an order
-    # the file cannot hold are left to the line-by-line reader, which stops
-    # at the end of the file
-    written = 2 * m * m <= len(cur.lines)
-    if written:
-        vheads, aheads = _heads(m)
-        stop = "relations" if with_relations else None
-    vbins = (written and _written_pdfs(cur, vheads, "total",
-                                       aheads[0] if aheads else stop,
-                                       bin_width)
-             or _read_pdfs(cur, _vertex_head, m, m, "total", bin_width))
-    abins = (written and _written_pdfs(cur, aheads, "u", stop, bin_width)
-             or _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width))
+    vbins = _read_pdfs(cur, _vertex_head, m, m, "total", bin_width)
+    abins = _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width)
 
     big = m * (m - 1)
     if with_relations:

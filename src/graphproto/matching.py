@@ -81,15 +81,14 @@ def _costs_by_bin(bins, positions, k, k_pr):
     -1 to leave the slot out; a slot with total 0 holds only the null bin,
     at probability 1."""
     pos = positions.tolist()
-    log_k = math.log(k_pr)
     by_bin = {}
     empty = [(s, 0, 1.0) for s in np.flatnonzero(bins.total == 0).tolist()]
     for s, b, pr in itertools.chain(empty, zip(
-            bins.slot.tolist(), bins.bin.tolist(), bins.probs().tolist())):
+            bins.slot.tolist(), bins.bin.tolist(), bins.probs())):
         if pos[s] >= 0:
             hit = by_bin.setdefault(b, ([], []))
             hit[0].append(pos[s])
-            hit[1].append(k if pr < k_pr else k * (math.log(pr) / log_k))
+            hit[1].append(k * _trunc(pr, k_pr))
     flat, costs, spans = [], [], {}
     for b, (ps, cs) in by_bin.items():
         spans[bins.keys[b]] = slice(len(flat), len(flat) + len(ps))

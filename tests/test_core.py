@@ -565,3 +565,30 @@ def test_extending_to_the_same_order_copies_the_relations():
     e.Ow[0, 1] = not e.Ow[0, 1]
     assert e.Ow[0, 1] != f.Ow[0, 1]
     assert e.vertex_pdfs == f.vertex_pdfs and e.u == f.u
+
+
+def _one_slot(counts, total, z):
+    rel = {name: np.eye(1, dtype=bool) if name[0] == "O" else
+           np.zeros((1, 1), bool) for name in ("Aw", "Ow", "Ew")}
+    rel.update({name: np.zeros((0, 0), bool) for name in ("Ae", "Oe", "Ee")})
+    return Fdg([Pdf(counts, total)], {}, rel, z, {})
+
+
+def test_totals_past_two_to_the_53_stay_exact():
+    big = 2 ** 53 + 1
+    f = _one_slot({(1,): big}, big, big)
+    assert f.vertex_pdfs == [Pdf({(1,): big}, big)]
+    e = extend_fdg(f, 2)
+    assert e.vertex_pdfs[1] == null_pdf(big, 1.0)
+    merged = forg_synthesize(f, f, [0])
+    assert merged.vertex_pdfs == [Pdf({(1,): 2 * big}, 2 * big)]
+
+
+def test_counts_past_64_bits_are_refused():
+    with pytest.raises(ValueError, match="total .* too large"):
+        _one_slot({(1,): 2 ** 63}, 2 ** 63, 1)
+    with pytest.raises(ValueError, match="z .* too large"):
+        _one_slot({(1,): 1}, 1, 2 ** 63)
+    half = _one_slot({(1,): 2 ** 62}, 2 ** 62, 1)
+    with pytest.raises(ValueError, match="too large"):
+        forg_synthesize(half, half, [0])

@@ -516,3 +516,29 @@ def test_an_order_the_file_cannot_hold_ends_at_its_last_line(tmp_path,
     with pytest.raises(ParseError) as err:
         read_fdg(str(p))
     assert err.value.lineno <= len(lines)
+
+
+def test_probabilities_past_two_to_the_53_are_written_exactly(tmp_path):
+    big = 2 ** 53 + 1
+    rel = {name: [[name[0] == "O"]] for name in ("Aw", "Ow", "Ew")}
+    rel.update({name: np.zeros((0, 0), bool) for name in ("Ae", "Oe", "Ee")})
+    f = Fdg([Pdf({(1,): big, (2,): 2}, big + 2)], {}, rel, big + 2, {})
+    p = tmp_path / "f.fdg"
+    write_fdg(f, p)
+    assert "1 %r\n" % (big / (big + 2)) in p.read_text()
+
+
+@pytest.mark.parametrize("line, value", [("total 2", "total %d"),
+                                         ("z 2", "z %d")])
+def test_a_count_past_64_bits_is_a_parse_error_at_its_line(tmp_path, line,
+                                                          value):
+    p = tmp_path / "f.fdg"
+    write_fdg(_sample_fdg(), p)
+    lines = p.read_text().splitlines()
+    k = lines.index(line)
+    # the first total's one bin is at probability 1.0
+    lines[k] = value % 2 ** 63
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="too large") as err:
+        read_fdg(str(p))
+    assert err.value.lineno == k + 1
