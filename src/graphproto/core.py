@@ -601,11 +601,12 @@ class Fdg:
     after it is built (a grown prototype is a new Fdg), so the flags stay
     true.
 
-    _costs is an FDG's one cache: the AG-independent part of its cost
-    tables (matching._fdg_costs) under the last K1, K2 and K_pr it was
-    matched with, as (key, read-only parts), or None.  It is filled lazily,
+    _costs is an FDG's one cache: every part of its cost tables that no AG
+    enters (matching._fdg_costs), under the last K1, K2 and K_pr it was
+    matched with, as (key, arrays, lists), or None.  It is filled lazily,
     by the first match, so an FDG that is never matched pays nothing for
-    it, and it stays valid for the same reason the flags do.
+    it.  It stays valid for the reason the flags do, and because the first
+    fill makes the six relation arrays read-only.
     """
 
     __slots__ = _RELATIONS + ("vbins", "abins", "z", "vnull", "vstrict",
@@ -730,11 +731,7 @@ def unconditional_arc_prob(f, arc, value):
 
 def co_occurrence(f):
     """Mutual-occurrence matrices: C(x, y) = O(x, y) and O(y, x)."""
-    return self_and_transpose(f.Ow), self_and_transpose(f.Oe)
-
-
-def self_and_transpose(mat):
-    return np.logical_and(mat, mat.T)
+    return f.Ow & f.Ow.T, f.Oe & f.Oe.T
 
 
 def _extended_relations(old_A, old_O, old_E, old_idx, null, strict, size):
@@ -792,13 +789,11 @@ def _seat(f, vertex_map, k):
     vbins = f.vbins.seated(rows, k, f.z)
     abins = f.abins.seated(aidx, k * (k - 1), 0)
     vnull, vstrict, anull, astrict = _slot_flags(vbins, abins)
-    Aw, Ow, Ew = _extended_relations(f.Aw, f.Ow, f.Ew, rows, vnull, vstrict,
-                                     k)
-    Ae, Oe, Ee = _extended_relations(f.Ae, f.Oe, f.Ee, aidx, anull, astrict,
-                                     k * (k - 1))
-    return (vbins, abins,
-            {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
-            f.z, None)
+    relations = (
+        _extended_relations(f.Aw, f.Ow, f.Ew, rows, vnull, vstrict, k)
+        + _extended_relations(f.Ae, f.Oe, f.Ee, aidx, anull, astrict,
+                              k * (k - 1)))
+    return vbins, abins, dict(zip(_RELATIONS, relations)), f.z, None
 
 
 def remap_fdg(f, vertex_map, k):
@@ -871,26 +866,13 @@ def verify_identities(f, sample, labellings=None):
                 b = g.arcs.get((inv[si], inv[sj]))
                 ap[g_i, k] = b is not None and not b.is_null
 
-    report = []
-
     def recompute(pres):
-        cols = pres.shape[1]
-        A = np.ones((cols, cols), dtype=bool)
-        O = np.ones((cols, cols), dtype=bool)
-        E = np.ones((cols, cols), dtype=bool)
-        for x in range(cols):
-            for y in range(cols):
-                for g_i in range(pres.shape[0]):
-                    if pres[g_i, x] and pres[g_i, y]:
-                        A[x, y] = False
-                    if pres[g_i, x] and not pres[g_i, y]:
-                        O[x, y] = False
-                    if not pres[g_i, x] and not pres[g_i, y]:
-                        E[x, y] = False
-        return A, O, E
+        # apart from synthesis: no sample has both, the first alone, neither
+        p = pres.astype(np.int64)
+        return p.T @ p == 0, p.T @ (1 - p) == 0, (1 - p).T @ (1 - p) == 0
 
-    for name, expected in zip(("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"),
-                              recompute(vp) + recompute(ap)):
+    report = []
+    for name, expected in zip(_RELATIONS, recompute(vp) + recompute(ap)):
         stored = getattr(f, name)
         for x, y in zip(*np.nonzero(stored != expected)):
             report.append("%s[%d, %d]: stored %d, sample says %d"

@@ -10,7 +10,8 @@ the pair's one set of cost tables (matching._CostTables).  The masks:
     threshold tau.  With tau = 1 and unit weights nothing is forbidden, so
     the search stays exact.  forbid_matrix reads the item costs from the
     tables and runs the alignment DP only where a vectorised lower bound
-    (_star_bound) does not already decide the pair; the public
+    (_star_bound) does not already decide the pair, and the slots' stars
+    come from the FDG's cache with the tables; the public
     expanded_vertex_distance scores its items by vertex_cost and arc_cost
     and runs the same DP, with bit-identical results.
   * "relax-v" and "relax-ev", probabilistic relaxation, iterate a
@@ -178,24 +179,29 @@ def _expanded_distances(g, t, limit=None):
     the limit gives the same answer as the exact distances.  Without a
     limit every entry is exact."""
     n, m = t.n, t.m
-    vc, del_v, ins = t.vc_list, t.del_v_list, t.w.K1 + t.w.K2
-    # the FDG star of slot j: its existable outgoing arc slots, ascending
-    stars = [np.flatnonzero(row).tolist() for row in t.ex]
+    vc, ins, stars, star_del = t.vc_list, t.w.K1 + t.w.K2, t.stars, t.star_del
+    # vc_ex[x] and the rates of an AG arc list the existable slot pairs in
+    # row-major order, so stars[j] slices out the items of slot j's star
+    vc_ex = t.vc[:, t.ex_r].tolist()
     if limit is None:
         dist = np.empty((n, m))
         run = np.ones((n, m), bool)
     else:
         dist = _star_bound(t)
         run = dist <= limit + _EPS
+    # each AG vertex's targets in cyclic order, as g.out_targets gives them
+    targets = [[] for _ in range(n)]
+    for i, x in t.pn_pairs:
+        targets[i].append(x)
+    targets = [(g.arc_order or {}).get(i, ts) for i, ts in enumerate(targets)]
     for i in range(n):
-        targets = g.out_targets(i)
-        rates = [t.ce_pn_list[(i, x)] for x in targets]
+        rates = [t.ce_pn_list[(i, x)] for x in targets[i]]
+        items = [vc_ex[x] for x in targets[i]]
         for j in np.flatnonzero(run[i]).tolist():
             star = stars[j]
-            dist[i, j] = _align(
-                vc[i][j], ins, [del_v[r] for r in star],
-                [[vc[x][r] for r in star] for x in targets],
-                [[rate[j][r] for r in star] for rate in rates])
+            dist[i, j] = _align(vc[i][j], ins, star_del[j],
+                                [row[star] for row in items],
+                                [rate[star] for rate in rates])
     return dist, 1 + t.pn.sum(axis=1), 1 + t.ex.sum(axis=1)
 
 

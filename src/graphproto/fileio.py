@@ -38,8 +38,8 @@ import math
 
 import numpy as np
 
-from .core import (COUNT_LIMIT, PHI, AttributedGraph, BinStore, Fdg,
-                   arc_index, attr, checked_bin_width, slot_pairs,
+from .core import (_RELATIONS, COUNT_LIMIT, PHI, AttributedGraph, BinStore,
+                   Fdg, arc_index, attr, checked_bin_width, slot_pairs,
                    vertex_list)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
@@ -233,8 +233,9 @@ def _read_pdfs(cur, read_head, m, count, word, width):
     pass over their lines: a head line, whose slot read_head(cur, m, seen)
     reads, a `word <total>` line and the `bin probability` lines up to the
     next keyword line.  A count is probability times total, rounded.  The
-    first fault is a ParseError at its line; a pdf whose counts do not fit
-    its total is one at its `word` line."""
+    first fault is a ParseError at its line, a count below 0 or above the
+    total included; a pdf whose counts do not sum to its total is one at
+    its `word` line."""
     lines = cur.lines
     # the bins, interned by token and by value
     tokens, keys = {"#": 0}, {None: 0}
@@ -273,11 +274,10 @@ def _read_pdfs(cur, read_head, m, count, word, width):
                 cur.error("bad probability %r" % ptok)
             if not math.isfinite(c):
                 cur.error("bad probability %r" % ptok)
-            section[b] = round(c)
+            c = section[b] = round(c)
+            if not 0 <= c <= total:
+                cur.error("pdf count %d outside 0..%d" % (c, total))
         values = section.values()
-        if min(values, default=0) < 0:
-            raise ParseError(cur.path, at,
-                             "pdf counts must be non-negative integers")
         if sum(values) != total:
             raise ParseError(cur.path, at, "pdf counts sum to %d, expected "
                              "total %d" % (sum(values), total))
@@ -330,7 +330,11 @@ def _read_matrix(cur, name, rows, cols):
         rows, cols) == ord("1")
 
 
-def _read_fdg_body(cur, with_relations):
+def _read_fdg_file(path, header):
+    cur = _Cursor(path)
+    head = cur.next_line()
+    if head != header:
+        cur.error("expected %r header, found %r" % (header, head))
     m = _int_kv(cur, "order")
     if m < 0:
         cur.error("negative order")
@@ -348,28 +352,18 @@ def _read_fdg_body(cur, with_relations):
     vbins = _read_pdfs(cur, _vertex_head, m, m, "total", bin_width)
     abins = _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width)
 
-    big = m * (m - 1)
-    if with_relations:
+    sizes = [m] * 3 + [m * (m - 1)] * 3
+    if header == "fdg":
         head = cur.next_line()
         if head != "relations":
             cur.error("expected 'relations', found %r" % head)
-        relations = {
-            "Aw": _read_matrix(cur, "Aw", m, m),
-            "Ow": _read_matrix(cur, "Ow", m, m),
-            "Ew": _read_matrix(cur, "Ew", m, m),
-            "Ae": _read_matrix(cur, "Ae", big, big),
-            "Oe": _read_matrix(cur, "Oe", big, big),
-            "Ee": _read_matrix(cur, "Ee", big, big),
-        }
+        relations = {name: _read_matrix(cur, name, size, size)
+                     for name, size in zip(_RELATIONS, sizes)}
     else:
-        relations = {
-            "Aw": np.zeros((m, m), bool),
-            "Ow": np.eye(m, dtype=bool),
-            "Ew": np.zeros((m, m), bool),
-            "Ae": np.zeros((big, big), bool),
-            "Oe": np.eye(big, dtype=bool),
-            "Ee": np.zeros((big, big), bool),
-        }
+        # the neutral relations: only occurrence holds, on the diagonal
+        relations = {name: np.eye(size, dtype=bool) if name[0] == "O"
+                     else np.zeros((size, size), bool)
+                     for name, size in zip(_RELATIONS, sizes)}
     cur.expect_done()
     try:
         return Fdg(vbins, abins, relations, z, None)
@@ -385,7 +379,7 @@ def _fdg_lines(f, header):
     lines += _pdf_sections(f.abins, aheads, "u %d")
     if header == "fdg":
         lines.append("relations")
-        for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):
+        for name in _RELATIONS:
             lines.append(name)
             lines.extend(_matrix_rows(getattr(f, name)))
     return lines
@@ -400,11 +394,7 @@ def _matrix_rows(mat):
 
 
 def read_fdg(path):
-    cur = _Cursor(path)
-    head = cur.next_line()
-    if head != "fdg":
-        cur.error("expected 'fdg' header, found %r" % head)
-    return _read_fdg_body(cur, with_relations=True)
+    return _read_fdg_file(path, "fdg")
 
 
 def write_fdg(f, path):
@@ -414,11 +404,7 @@ def write_fdg(f, path):
 
 def read_forg(path):
     """A FORG file carries no relations; the result gets the neutral ones."""
-    cur = _Cursor(path)
-    head = cur.next_line()
-    if head != "forg":
-        cur.error("expected 'forg' header, found %r" % head)
-    return _read_fdg_body(cur, with_relations=False)
+    return _read_fdg_file(path, "forg")
 
 
 def write_forg(f, path):

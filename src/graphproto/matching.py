@@ -38,13 +38,14 @@ tables are built.  exhaustive_oracle grinds through the whole labelling
 space and is kept around as an independent check.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .core import CostWeights, Labelling, _pair_ends, vertex_list
+from .core import _RELATIONS, CostWeights, Labelling, _pair_ends, vertex_list
 from .search import MatchResult, _map_search, _planar_ok, _planar_vet
 
 
@@ -106,16 +107,55 @@ def _put_by_bin(row, key, by_bin):
         row[positions[span]] = costs[span]
 
 
+@functools.lru_cache(maxsize=16)
+def _instance_mask(n):
+    """Read-only (3, n, n) mask of the pairs (a, b) that can be instances
+    of A, O and E over n elements: a < b for A and E, a != b for O."""
+    mask = np.ones((3, n, n), bool)
+    mask[0] = mask[2] = np.triu(mask[0], 1)
+    np.fill_diagonal(mask[1], False)
+    mask.setflags(write=False)
+    return mask
+
+
+def _relation_pairs(f):
+    """The relation instances a labelling can violate: a read-only (3, k)
+    int array of columns (a, b, kind), kind 0..5 for Aw .. Ee, violated when
+    x[a] and x[b] are set, x = [v, ~v, e, ~e] (_violations).  An exempt
+    element (null vertex slot, arc slot not existable) leaves every A and E
+    pair it is in and the O pairs it is first in; A and E list a pair once."""
+    m, cols = f.order, []
+    big = m * (m - 1)
+    for level, ok in enumerate((~f.vnull, ~f.anull)):
+        n = len(ok)
+        keep = np.array([getattr(f, name) for name in
+                         _RELATIONS[3 * level:3 * level + 3]])
+        keep &= _instance_mask(n)
+        keep &= ok[:, None]
+        keep[::2] &= ok
+        q, b = np.divmod(np.flatnonzero(keep), n)
+        kind, a = np.divmod(q, n)
+        cols.append((a, b, kind + 3 * level))
+    pairs = np.concatenate(cols, axis=1)
+    # where x holds the first and the second element of each kind
+    pairs[:2] += np.array([[0, 0, m, 2 * m, 2 * m, 2 * m + big],
+                           [0, m, m, 2 * m, 2 * m + big, 2 * m + big]]
+                          )[:, pairs[2]]
+    pairs.setflags(write=False)
+    return pairs
+
+
 def _fdg_costs(f, w):
     """The part of the (AG, f, w) cost tables that no AG enters, for
-    _CostTables: the vertex and arc _costs_by_bin maps (an arc slot with a
-    null endpoint left out), del_v, ce_absent, sidx and ex, all read-only.
-
-    It depends on f and on w's K1, K2 and K_pr only, so it is kept on f
-    (Fdg._costs) under those three and rebuilt when they change."""
+    _CostTables, as (arrays, lists): the vertex and arc _costs_by_bin maps
+    (an arc slot with a null endpoint left out), del_v, ce_absent, sidx,
+    ex, ex_r, arc_base and rel, all read-only, and stars, star_del and
+    ex_pos.  It depends on f and on w's K1, K2 and K_pr only, so it is kept
+    on f (Fdg._costs) under those three and rebuilt when they change; the
+    fill makes f's relation arrays read-only, so rel cannot go stale."""
     key = (w.K1, w.K2, w.K_pr)
     if f._costs is not None and f._costs[0] == key:
-        return f._costs[1]
+        return f._costs[1:]
     m, k_pr = f.order, w.K_pr
     by_vbin = _costs_by_bin(f.vbins, np.arange(m), w.K1, k_pr)
     del_v = np.full(m, w.K1)
@@ -134,11 +174,18 @@ def _fdg_costs(f, w):
     sidx = np.full((m, m), -1, dtype=int)
     sidx[src, dst] = np.arange(len(src))
     ex = np.append(~f.anull, False)[sidx]
-    parts = (by_vbin, by_abin, del_v, ce_absent, sidx, ex)
-    for a in by_vbin[:2] + by_abin[:2] + parts[2:]:
+    ex_q, ex_r = np.divmod(np.flatnonzero(ex), m)
+    arrays = (by_vbin, by_abin, del_v, ce_absent, sidx, ex, ex_r,
+              ce_absent + ce_absent.T, _relation_pairs(f))
+    for a in (*by_vbin[:2], *by_abin[:2], *arrays[2:],
+              *f.relations().values()):
         a.setflags(write=False)
-    f._costs = (key, parts)
-    return parts
+    ends = np.searchsorted(ex_q, np.arange(m + 1)).tolist()
+    stars = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    del_ex = del_v[ex_r].tolist()
+    ex_pos = np.where(ex, np.cumsum(ex).reshape(m, m) - 1, -1).tolist()
+    f._costs = (key, arrays, (stars, [del_ex[s] for s in stars], ex_pos))
+    return f._costs[1:]
 
 
 class _CostTables:
@@ -147,35 +194,34 @@ class _CostTables:
     First order: vc[i, q] is the vertex cost of AG vertex i on slot q
     (column m is the null target), del_v[q] the cost of leaving slot q
     empty, ce_absent[q, r] the rate of slot pair (q, r) when no AG arc lands
-    on it and ce[i, j] the rate matrix of the ordered AG pair (i, j).  The
-    *_list mirrors of vc, del_v, ce_absent and ce (the last for present AG
-    arcs only) are read per leaf, where plain-list indexing beats numpy's
-    per-call dispatch on matrices this small.
+    on it and ce[i, j] the rate matrix of the ordered AG pair (i, j).
+    ce_ex[a] holds the rates of the a-th present AG arc (in pn_pairs order)
+    on the existable slot pairs, in row-major order; on any other pair an
+    AG arc costs K2.  The *_list mirrors of vc, del_v, ce_absent and ce_ex
+    are read per leaf, where plain-list indexing beats numpy's per-call
+    dispatch on matrices this small.
 
     The first-order tables are built by bin lookup: each AG attribute is
     binned once, every entry starts at one unit (K1 or K2), the cost of a
     bin the slot's pdf has never seen, and the slots whose pdf holds the
-    AG's bin are overwritten, by fancy indexing, from a bin -> (slots,
-    costs) map (_costs_by_bin).  Entries are bit-identical to vertex_cost
-    and arc_cost times K.  The expanded-vertex filter
-    (efficient.forbid_matrix) reads these tables too, so each (attribute,
-    pdf) pair is scored once.
+    AG's bin are overwritten from a bin -> (slots, costs) map
+    (_costs_by_bin), bit-identical to vertex_cost and arc_cost times K.
+    The expanded-vertex filter reads these tables too.
 
     ex[q, r] is True where the slot pair (q, r) is an existable arc slot
-    (never on the diagonal).  seed caches the unrestricted _greedy_cost.
+    (never on the diagonal); ex_r holds the second slot of each existable
+    pair in row-major order, ex_pos[q][r] the pair's place among them (or
+    -1), stars[q] the slice of them that is slot q's star and star_del[q]
+    the del_v of its slots.  arc_base is ce_absent + ce_absent.T.  seed
+    caches the unrestricted _greedy_cost.
 
-    The by-bin maps, del_v, ce_absent, sidx and ex come from the FDG's
-    cache (_fdg_costs): the first build under the pair's K1, K2 and K_pr
-    fills it, and every later one shares it, read-only.  Only the AG's
-    side (binning its attributes and filling vc and ce from the maps) and
-    the relation masks below are built per pair.
+    Second order: rel holds the relation instances a labelling can
+    violate (_relation_pairs), the only form the relations are kept in;
+    it is far smaller than dense m(m-1) x m(m-1) arc masks.
 
-    Second order: Aw, Ow, Ew (over vertex slots) and Ae, Oe, Ee (over arc
-    slots, indexed by arc_index) are the FDG's relations as float32 0/1
-    matrices, with the diagonal and the pairs an exempt element takes part
-    in cleared.  They are the only form the relations are kept in: counts
-    are vector-matrix-vector products, and A and E are symmetric, so they
-    count each unordered pair twice.
+    All but vc, ce and their mirrors come from the FDG's cache
+    (_fdg_costs), filled by the first build under the pair's K1, K2 and
+    K_pr and shared, read-only, by every later one.
     """
 
     def __init__(self, g, f, w):
@@ -183,9 +229,9 @@ class _CostTables:
         self.n, self.m = n, m
         self.w = w
         width = f.bin_width
-        self.fnull, self.existable = f.vnull, ~f.anull
-        (by_vbin, by_abin, self.del_v, self.ce_absent, self.sidx,
-         self.ex) = _fdg_costs(f, w)
+        ((by_vbin, by_abin, self.del_v, self.ce_absent, self.sidx, self.ex,
+          self.ex_r, self.arc_base, self.rel),
+         (self.stars, self.star_del, self.ex_pos)) = _fdg_costs(f, w)
 
         self.vc = np.full((n, m + 1), w.K1)
         for row, a in zip(self.vc, g.vertices):
@@ -204,45 +250,29 @@ class _CostTables:
             mat.fill(w.K2)
             _put_by_bin(mat.reshape(-1), b.binned(width), by_abin)
 
-        # null vertex slots and non-existable arc slots are exempt: A and E
-        # drop every pair one takes part in, O the pairs it is the source of
-        def effective(rel, ok, symmetric):
-            keep = rel & ok[:, None]
-            if symmetric:
-                keep &= ok[None, :]
-            np.fill_diagonal(keep, False)
-            return keep.astype(np.float32)
-
-        ok_v, ok_e = ~self.fnull, self.existable
-        self.Aw = effective(f.Aw, ok_v, True)
-        self.Ow = effective(f.Ow, ok_v, False)
-        self.Ew = effective(f.Ew, ok_v, True)
-        self.Ae = effective(f.Ae, ok_e, True)
-        self.Oe = effective(f.Oe, ok_e, False)
-        self.Ee = effective(f.Ee, ok_e, True)
-
-        self.pn_pairs = [(int(i), int(j)) for (i, j) in zip(*np.nonzero(self.pn))]
+        # np.nonzero and a boolean index both run in row-major order
+        self.pn_pairs = list(zip(*(a.tolist() for a in np.nonzero(self.pn))))
         self.vc_list = self.vc.tolist()
         self.del_v_list = self.del_v.tolist()
         self.ce_absent_list = self.ce_absent.tolist()
-        self.ce_pn_list = {(i, j): self.ce[i, j].tolist()
-                           for (i, j) in self.pn_pairs}
+        self.ce_ex = self.ce[self.pn][:, self.ex]
+        self.ce_pn_list = dict(zip(self.pn_pairs, self.ce_ex.tolist()))
         self.seed = None
 
 
 def _realized(t, vmap):
-    """Realized vertex slots and arc slots as float32 0/1 vectors, plus the
+    """Realized vertex slots and arc slots as bool vectors, plus the
     inverse map from slot to AG vertex."""
-    v = np.zeros(t.m, np.float32)
+    v = np.zeros(t.m, bool)
     inv = [None] * t.m
     for i, q in enumerate(vmap):
         if q is not None:
             v[q] = 1
             inv[q] = i
-    e = np.zeros(len(t.existable), np.float32)
+    e = np.zeros(t.m * (t.m - 1), bool)
     for (i, j) in t.pn_pairs:
         if vmap[i] is not None and vmap[j] is not None:
-            e[t.sidx[vmap[i], vmap[j]]] = 1
+            e[t.sidx[vmap[i], vmap[j]]] = True
     return v, e, inv
 
 
@@ -250,11 +280,10 @@ def _violations(w, t, v, e):
     """Whether any relation instance is violated, and the K3..K8-weighted
     sum of the violated ones: A and E counted over unordered pairs, O over
     ordered pairs, at both levels."""
-    av, ae = 1 - v, 1 - e
-    va, vo, ve = (int(v @ t.Aw @ v) // 2, int(v @ t.Ow @ av),
-                  int(av @ t.Ew @ av) // 2)
-    ea, eo, ee = (int(e @ t.Ae @ e) // 2, int(e @ t.Oe @ ae),
-                  int(ae @ t.Ee @ ae) // 2)
+    x = np.concatenate((v, ~v, e, ~e))
+    a, b, kind = t.rel
+    va, vo, ve, ea, eo, ee = np.bincount(kind[x[a] & x[b]],
+                                         minlength=6).tolist()
     return (any((va, vo, ve, ea, eo, ee)),
             w.K3 * va + w.K5 * vo + w.K7 * ve
             + w.K4 * ea + w.K6 * eo + w.K8 * ee)
@@ -296,7 +325,7 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
     # every matched ordered slot pair pays the absent-arc rate; present AG
     # arcs then swap in their own rate (ce_absent has a zero diagonal)
     matched = [q for q in range(m) if inv[q] is not None]
-    ca = t.ce_absent_list
+    ca, pos = t.ce_absent_list, t.ex_pos
     for q in matched:
         row = ca[q]
         for r in matched:
@@ -306,7 +335,8 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
         if q is None or r is None:
             cost += w.K2
         else:
-            cost += t.ce_pn_list[(i, j)][q][r] - ca[q][r]
+            k = pos[q][r]
+            cost += (w.K2 if k < 0 else t.ce_pn_list[(i, j)][k]) - ca[q][r]
 
     violated, second = _violations(w, t, v, e)
     if w.mode == "restricted":
@@ -350,9 +380,10 @@ def _arc_tables(t, rows):
     table.  With rows, a table holds only the rows its vertex p may take,
     and none is built for a vertex that may take no slot."""
     w = t.w
-    pair = np.where(t.Aw > 0, math.inf if w.mode == "restricted" else w.K3,
-                    0.0)
-    shared = (t.ce_absent + t.ce_absent.T + pair).tolist()
+    pair = np.zeros((t.m, t.m))
+    a, b = t.rel[:2, t.rel[2] == 0]
+    pair[a, b] = pair[b, a] = math.inf if w.mode == "restricted" else w.K3
+    shared = (t.arc_base + pair).tolist()
     arc = [[shared] * p for p in range(t.n)]
     P, S = np.nonzero(t.pn | t.pn.T)
     keep = P > S
@@ -381,7 +412,7 @@ def _bnb_tables(t, rows=None):
     w, m = t.w, t.m
     # an AG arc on a slot pair that is not existable costs K2, so K2 also
     # caps every arc's floor
-    floors = t.ce[np.nonzero(t.pn)][:, t.ex].min(axis=1, initial=w.K2)
+    floors = t.ce_ex.min(axis=1, initial=w.K2)
     qs, rs = np.nonzero(t.ex)
     return (t.vc_list, [row[m] for row in t.vc_list], t.del_v_list,
             lambda: _arc_tables(t, rows), dict.fromkeys(t.pn_pairs, w.K2),
@@ -394,8 +425,9 @@ def _arc_antagonism_vet(t):
     antagonistic to another realized one.  Occurrence and existence depend
     on what ends up deleted, so they wait for the leaf."""
     foes = {}
-    for a, b in zip(*np.nonzero(t.Ae)):
-        foes.setdefault(int(a), set()).add(int(b))
+    for a, b in (t.rel[:2, t.rel[2] == 3] - 2 * t.m).T.tolist():
+        foes.setdefault(a, set()).add(b)
+        foes.setdefault(b, set()).add(a)
     sidx = t.sidx.tolist()
     # by_last[p]: the AG arcs whose later endpoint is p
     by_last = [[] for _ in range(t.n)]
@@ -458,7 +490,8 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
     vets = []
     if w.planar:
         vets.append(_planar_vet(g))
-    if w.mode == "restricted" and not disable_pruning and t.Ae.any():
+    # kind 3 is arc antagonism (_relation_pairs)
+    if w.mode == "restricted" and not disable_pruning and 3 in t.rel[2]:
         vets.append(_arc_antagonism_vet(t))
 
     def both(vmap, p):

@@ -62,3 +62,18 @@ def bin_maps(monkeypatch):
 
     monkeypatch.setattr(matching, "_costs_by_bin", counting)
     return calls
+
+
+@pytest.fixture
+def relation_builds(monkeypatch):
+    """A list that gains one entry per _relation_pairs call: one per FDG
+    whose relation instances are worked out."""
+    calls = []
+    relation_pairs = matching._relation_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return relation_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_relation_pairs", counting)
+    return calls

@@ -14,6 +14,9 @@
   tables built on a fresh copy of the FDG, and the cache is read-only
 * classifying twice against the same prototypes scores each prototype's
   pdfs once, and weights the cache does not depend on leave it alone
+* the relation instances cached for an order-14 prototype, synthesised as
+  the benchmark's are, and the whole cache stay within budgets far below
+  one dense arc matrix
 
 Inputs mix string and numeric components, bin widths 0.5, 1 and 3, K_pr
 1e-4 and 0.05, null vertex slots, arc pdfs with total 0 between present
@@ -29,10 +32,14 @@ from graphproto import (
     CommonLabelling,
     CostWeights,
     Fdg,
+    GeneratorConfig,
     arc_cost,
     attr,
+    compact_ag,
     extend_fdg,
     fdg_classify,
+    generate_models,
+    perturb,
     synth_from_labelled_ags,
     vertex_cost,
 )
@@ -271,3 +278,24 @@ def test_each_prototype_is_scored_once(bin_maps):
     assert len(bin_maps) == 6
     fdg_classify(tests[0], models, w.replace(K1=2.0))
     assert len(bin_maps) == 12
+
+
+def test_relation_instances_stay_within_their_memory_budget():
+    # one dense float32 arc relation matrix of an order-14 FDG takes
+    # 182 * 182 * 4 = 132,496 bytes; the cached relation instances of all
+    # six relations stay under a fifth of it, and every array the cache
+    # holds under half of it
+    model = generate_models(GeneratorConfig(nFDG=1, nv=14, ne=42,
+                                            seed=0))[0]
+    ags = [perturb(model, "delete_distort", r, nd=2, nl=1)
+           for r in range(10)]
+    f = synth_from_labelled_ags(
+        ags, CommonLabelling.identity([g.order for g in ags]))
+    t = _CostTables(compact_ag(ags[0]), f, CostWeights())
+    assert f.order == 14 and t.rel.shape[0] == 3
+    # the arc relation matrices are dense before exempt slots are dropped
+    assert f.Ae.sum() > 30000
+    assert t.rel.nbytes <= 24 * 1024
+    arrays = f._costs[1]
+    cached = [a for p in arrays[:2] for a in p[:2]] + list(arrays[2:])
+    assert sum(a.nbytes for a in cached) <= 64 * 1024

@@ -21,6 +21,9 @@
 * the first bad relation row (a character other than 0 or 1, non-ASCII
   ones included, or the wrong length) is a ParseError at its own line, also
   when later rows are bad or the file ends after it
+* a pdf count below 0 or above its section's total is a ParseError at its
+  bin's line, and counts that do not sum to the total one at the total's
+  line
 """
 
 import math
@@ -542,3 +545,27 @@ def test_a_count_past_64_bits_is_a_parse_error_at_its_line(tmp_path, line,
     with pytest.raises(ParseError, match="too large") as err:
         read_fdg(str(p))
     assert err.value.lineno == k + 1
+
+
+@pytest.mark.parametrize("bins, lineno, message", [
+    (("2 -0.5", "4 0.5"), 10, "pdf count -1 outside 0..2"),
+    (("2 1.5", "4 0.5"), 10, "pdf count 3 outside 0..2"),
+    (("2 -0.5", "4 1.5"), 10, "pdf count -1 outside 0..2"),
+    (("2 0.5", "4 1.5"), 11, "pdf count 3 outside 0..2"),
+    (("2 1.0", "4 0.5"), 9, "pdf counts sum to 3, expected total 2")])
+def test_a_count_outside_its_total_is_a_parse_error_at_its_line(
+        tmp_path, bins, lineno, message):
+    # vertex 2's section: `vertex 2` at line 8, `total 2` at 9, then the
+    # bins `2 0.5` and `4 0.5` at 10 and 11; a count that no total admits
+    # is reported at its own line, a sum that misses the total at the
+    # total's line
+    p = tmp_path / "f.fdg"
+    write_fdg(_sample_fdg(), p)
+    lines = p.read_text().splitlines()
+    assert lines[7:11] == ["vertex 2", "total 2", "2 0.5", "4 0.5"]
+    lines[9:11] = bins
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_fdg(str(p))
+    assert err.value.lineno == lineno
+    assert str(err.value) == "%s:%d: %s" % (p, lineno, message)

@@ -22,6 +22,10 @@ Covers:
     never below the exhaustive optimum
   * second_order_cost, one weight at a time, against violations counted
     pair by pair from the FDG's relation matrices
+  * an FDG matched against many AGs under two cache keys: the relation
+    instances it caches count as the matrices do, restricted bnb equals the
+    oracle, the instances are worked out once per key, and the relation
+    matrices of a matched FDG can no longer be written
 """
 
 import itertools
@@ -32,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphproto.core import (
+    _RELATIONS,
     PHI,
     AttributedGraph,
     CostWeights,
@@ -39,12 +44,15 @@ from graphproto.core import (
     Pdf,
     arc_index,
     attr,
+    extend_fdg,
+    slot_pairs,
 )
 from graphproto.matching import (
     MatchResult,
     _bnb_tables,
     _CostTables,
     _greedy_cost,
+    _relation_pairs,
     _trunc,
     arc_cost,
     bnb_distance,
@@ -454,6 +462,69 @@ def test_second_order_cost_counts_violations_pair_by_pair(k, name):
         assert second_order_cost(g, f, vmap, w) == want
         violated += want > 0
     assert violated >= 5
+
+
+def _related_fdg(rng):
+    """An FDG with a null slot, an arc slot between two present slots that
+    is not existable, and instances of all six relations that a labelling
+    can break."""
+    for _ in range(500):
+        n = int(rng.integers(3, 5))
+        ags = [_random_ag(rng, max_order=n) for _ in range(rng.integers(2, 6))]
+        maps = [list(rng.permutation(n))[:a.order] for a in ags]
+        f = extend_fdg(synth_from_labelled_ags(ags, CommonLabelling(maps, n)),
+                       n + 1)
+        present = [not (f.vertex_null(q) or f.vertex_null(r))
+                   for q in range(f.order) for r in range(f.order) if q != r]
+        if (set(_relation_pairs(f)[2].tolist()) == set(range(6))
+                and (f.anull & present).any()):
+            return f
+    raise AssertionError("no FDG with every relation found")
+
+
+def _antagonistic_arcs(f):
+    """An AG and a labelling of it into f that realize the first pair of
+    antagonistic arc slots an instance names."""
+    rel = _relation_pairs(f)
+    ends = [slot_pairs(f.order)[s]
+            for s in rel[:2, rel[2] == 3][:, 0] - 2 * f.order]
+    slots = sorted({q for pair in ends for q in pair})
+    arcs = {(slots.index(q), slots.index(r)): attr(0) for q, r in ends}
+    return AttributedGraph([attr(0)] * len(slots), arcs), slots
+
+
+def test_warm_relation_instances_count_as_the_matrices_do(relation_builds):
+    rng = np.random.default_rng(707)
+    f = _related_fdg(rng)
+    assert f.vnull.any()
+    names = ("K3", "K5", "K7", "K4", "K6", "K8")
+    broken = [0] * 6
+    # K1 alone moves the cache key, so the second pass refills the cache
+    for key, k1 in enumerate((1.0, 0.7)):
+        for t in range(20):
+            g = _random_ag(rng, max_order=4)
+            slots = rng.permutation(f.order)
+            vmap = [int(slots[i]) if rng.random() > 0.2 else None
+                    for i in range(g.order)]
+            if t == 0:
+                # random labellings seldom realize two antagonistic arc
+                # slots, so the first AG is built to
+                g, vmap = _antagonistic_arcs(f)
+            want = _pairwise_violations(g, f, vmap)
+            for k, name in enumerate(names):
+                w = CostWeights(K1=k1, **{kk: float(kk == name)
+                                          for kk in names})
+                assert second_order_cost(g, f, vmap, w) == want[k]
+                broken[k] += want[k] > 0
+            w = CostWeights(K1=k1, mode="restricted")
+            got, oracle = bnb_distance(g, f, w), exhaustive_oracle(g, f, w)
+            assert (got.distance, got.valid) == (oracle.distance,
+                                                 oracle.valid)
+        assert len(relation_builds) == key + 1
+    assert min(broken) > 0, broken
+    for name in _RELATIONS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(f, name)[0, 0] = True
 
 
 def _labellings(n, m, rows=None):
