@@ -197,9 +197,9 @@ class _CostTables:
     on it and ce[i, j] the rate matrix of the ordered AG pair (i, j).
     ce_ex[a] holds the rates of the a-th present AG arc (in pn_pairs order)
     on the existable slot pairs, in row-major order; on any other pair an
-    AG arc costs K2.  The *_list mirrors of vc, del_v, ce_absent and ce_ex
-    are read per leaf, where plain-list indexing beats numpy's per-call
-    dispatch on matrices this small.
+    AG arc costs K2.  The list mirrors of vc, del_v, ce_absent and ce_ex
+    (ce_pn_list, by AG arc) are read per leaf, where plain-list indexing
+    beats numpy's per-call dispatch on matrices this small.
 
     The first-order tables are built by bin lookup: each AG attribute is
     binned once, every entry starts at one unit (K1 or K2), the cost of a
