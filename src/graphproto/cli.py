@@ -204,11 +204,7 @@ def cmd_cluster(args):
     return 0
 
 
-# the bench keys that take a comma-separated list, each with its type and
-# default, in the order the sweep nests them
-_SWEEPS = [("NR", int, 2), ("nd", int, 0), ("nl", int, 0),
-           ("sigma", float, 0.0), ("structural", int, 0), ("tau", float, 1.0),
-           ("tp", float, 0.0), ("method", str, "optimal")]
+_SWEEPABLE = ["NR", "nd", "nl", "sigma", "structural", "tau", "tp", "method"]
 
 
 def _sweep_values(cfg, key, conv, default):
@@ -226,7 +222,16 @@ def cmd_bench(args):
             "nv": int(cfg.get("nv", 5)), "ne": int(cfg.get("ne", 8))}
     noise = cfg.get("noise", "delete_distort")
     weights = _weights(args)
-    grid = [_sweep_values(cfg, *spec) for spec in _SWEEPS]
+    grid = [
+        _sweep_values(cfg, "NR", int, 2),
+        _sweep_values(cfg, "nd", int, 0),
+        _sweep_values(cfg, "nl", int, 0),
+        _sweep_values(cfg, "sigma", float, 0.0),
+        _sweep_values(cfg, "structural", int, 0),
+        _sweep_values(cfg, "tau", float, 1.0),
+        _sweep_values(cfg, "tp", float, 0.0),
+        _sweep_values(cfg, "method", str, "optimal"),
+    ]
     rows = []
     for NR, nd, nl, sigma, structural, tau, tp, method in \
             itertools.product(*grid):

@@ -606,7 +606,8 @@ class Fdg:
     matched with, as (key, arrays, lists), or None.  It is filled lazily,
     by the first match, so an FDG that is never matched pays nothing for
     it.  It stays valid for the reason the flags do, and because the first
-    fill makes the six relation arrays read-only.
+    fill makes the six relation arrays read-only.  The FDG copies them at
+    construction, so that freezes its own arrays and not a caller's.
     """
 
     __slots__ = _RELATIONS + ("vbins", "abins", "z", "vnull", "vstrict",
@@ -633,7 +634,7 @@ class Fdg:
                     raise ValueError("arc pdf total %d disagrees with u=%d "
                                      "at %s" % (total, u.get(ij, 0), (ij,)))
         for name in _RELATIONS:
-            setattr(self, name, np.asarray(relations[name], dtype=bool))
+            setattr(self, name, np.array(relations[name], dtype=bool))
         self.z = int(z)
         self._check()
         flags = _slot_flags(self.vbins, self.abins)
@@ -731,7 +732,11 @@ def unconditional_arc_prob(f, arc, value):
 
 def co_occurrence(f):
     """Mutual-occurrence matrices: C(x, y) = O(x, y) and O(y, x)."""
-    return f.Ow & f.Ow.T, f.Oe & f.Oe.T
+    return self_and_transpose(f.Ow), self_and_transpose(f.Oe)
+
+
+def self_and_transpose(mat):
+    return np.logical_and(mat, mat.T)
 
 
 def _extended_relations(old_A, old_O, old_E, old_idx, null, strict, size):
@@ -789,11 +794,13 @@ def _seat(f, vertex_map, k):
     vbins = f.vbins.seated(rows, k, f.z)
     abins = f.abins.seated(aidx, k * (k - 1), 0)
     vnull, vstrict, anull, astrict = _slot_flags(vbins, abins)
-    relations = (
-        _extended_relations(f.Aw, f.Ow, f.Ew, rows, vnull, vstrict, k)
-        + _extended_relations(f.Ae, f.Oe, f.Ee, aidx, anull, astrict,
-                              k * (k - 1)))
-    return vbins, abins, dict(zip(_RELATIONS, relations)), f.z, None
+    Aw, Ow, Ew = _extended_relations(f.Aw, f.Ow, f.Ew, rows, vnull, vstrict,
+                                     k)
+    Ae, Oe, Ee = _extended_relations(f.Ae, f.Oe, f.Ee, aidx, anull, astrict,
+                                     k * (k - 1))
+    return (vbins, abins,
+            {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
+            f.z, None)
 
 
 def remap_fdg(f, vertex_map, k):
@@ -866,13 +873,26 @@ def verify_identities(f, sample, labellings=None):
                 b = g.arcs.get((inv[si], inv[sj]))
                 ap[g_i, k] = b is not None and not b.is_null
 
-    def recompute(pres):
-        # apart from synthesis: no sample has both, the first alone, neither
-        p = pres.astype(np.int64)
-        return p.T @ p == 0, p.T @ (1 - p) == 0, (1 - p).T @ (1 - p) == 0
-
     report = []
-    for name, expected in zip(_RELATIONS, recompute(vp) + recompute(ap)):
+
+    def recompute(pres):
+        cols = pres.shape[1]
+        A = np.ones((cols, cols), dtype=bool)
+        O = np.ones((cols, cols), dtype=bool)
+        E = np.ones((cols, cols), dtype=bool)
+        for x in range(cols):
+            for y in range(cols):
+                for g_i in range(pres.shape[0]):
+                    if pres[g_i, x] and pres[g_i, y]:
+                        A[x, y] = False
+                    if pres[g_i, x] and not pres[g_i, y]:
+                        O[x, y] = False
+                    if not pres[g_i, x] and not pres[g_i, y]:
+                        E[x, y] = False
+        return A, O, E
+
+    for name, expected in zip(("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"),
+                              recompute(vp) + recompute(ap)):
         stored = getattr(f, name)
         for x, y in zip(*np.nonzero(stored != expected)):
             report.append("%s[%d, %d]: stored %d, sample says %d"

@@ -38,8 +38,8 @@ import math
 
 import numpy as np
 
-from .core import (_RELATIONS, COUNT_LIMIT, PHI, AttributedGraph, BinStore,
-                   Fdg, arc_index, attr, checked_bin_width, slot_pairs,
+from .core import (COUNT_LIMIT, PHI, AttributedGraph, BinStore, Fdg,
+                   arc_index, attr, checked_bin_width, slot_pairs,
                    vertex_list)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
@@ -330,11 +330,7 @@ def _read_matrix(cur, name, rows, cols):
         rows, cols) == ord("1")
 
 
-def _read_fdg_file(path, header):
-    cur = _Cursor(path)
-    head = cur.next_line()
-    if head != header:
-        cur.error("expected %r header, found %r" % (header, head))
+def _read_fdg_body(cur, with_relations):
     m = _int_kv(cur, "order")
     if m < 0:
         cur.error("negative order")
@@ -352,18 +348,28 @@ def _read_fdg_file(path, header):
     vbins = _read_pdfs(cur, _vertex_head, m, m, "total", bin_width)
     abins = _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width)
 
-    sizes = [m] * 3 + [m * (m - 1)] * 3
-    if header == "fdg":
+    big = m * (m - 1)
+    if with_relations:
         head = cur.next_line()
         if head != "relations":
             cur.error("expected 'relations', found %r" % head)
-        relations = {name: _read_matrix(cur, name, size, size)
-                     for name, size in zip(_RELATIONS, sizes)}
+        relations = {
+            "Aw": _read_matrix(cur, "Aw", m, m),
+            "Ow": _read_matrix(cur, "Ow", m, m),
+            "Ew": _read_matrix(cur, "Ew", m, m),
+            "Ae": _read_matrix(cur, "Ae", big, big),
+            "Oe": _read_matrix(cur, "Oe", big, big),
+            "Ee": _read_matrix(cur, "Ee", big, big),
+        }
     else:
-        # the neutral relations: only occurrence holds, on the diagonal
-        relations = {name: np.eye(size, dtype=bool) if name[0] == "O"
-                     else np.zeros((size, size), bool)
-                     for name, size in zip(_RELATIONS, sizes)}
+        relations = {
+            "Aw": np.zeros((m, m), bool),
+            "Ow": np.eye(m, dtype=bool),
+            "Ew": np.zeros((m, m), bool),
+            "Ae": np.zeros((big, big), bool),
+            "Oe": np.eye(big, dtype=bool),
+            "Ee": np.zeros((big, big), bool),
+        }
     cur.expect_done()
     try:
         return Fdg(vbins, abins, relations, z, None)
@@ -379,7 +385,7 @@ def _fdg_lines(f, header):
     lines += _pdf_sections(f.abins, aheads, "u %d")
     if header == "fdg":
         lines.append("relations")
-        for name in _RELATIONS:
+        for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):
             lines.append(name)
             lines.extend(_matrix_rows(getattr(f, name)))
     return lines
@@ -394,7 +400,11 @@ def _matrix_rows(mat):
 
 
 def read_fdg(path):
-    return _read_fdg_file(path, "fdg")
+    cur = _Cursor(path)
+    head = cur.next_line()
+    if head != "fdg":
+        cur.error("expected 'fdg' header, found %r" % head)
+    return _read_fdg_body(cur, with_relations=True)
 
 
 def write_fdg(f, path):
@@ -404,7 +414,11 @@ def write_fdg(f, path):
 
 def read_forg(path):
     """A FORG file carries no relations; the result gets the neutral ones."""
-    return _read_fdg_file(path, "forg")
+    cur = _Cursor(path)
+    head = cur.next_line()
+    if head != "forg":
+        cur.error("expected 'forg' header, found %r" % head)
+    return _read_fdg_body(cur, with_relations=False)
 
 
 def write_forg(f, path):

@@ -38,7 +38,6 @@ tables are built.  exhaustive_oracle grinds through the whole labelling
 space and is kept around as an independent check.
 """
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -80,16 +79,20 @@ def _costs_by_bin(bins, positions, k, k_pr):
     positions and costs are flat arrays grouped by bin, and spans maps a
     bin to its slice of them.  positions[s] is slot s's flat position, or
     -1 to leave the slot out; a slot with total 0 holds only the null bin,
-    at probability 1."""
-    pos = positions.tolist()
+    at probability 1.  A probability is count over total, divided as
+    Python ints, as BinStore.probs does."""
+    pos, total = positions.tolist(), bins.total.tolist()
     by_bin = {}
-    empty = [(s, 0, 1.0) for s in np.flatnonzero(bins.total == 0).tolist()]
-    for s, b, pr in itertools.chain(empty, zip(
-            bins.slot.tolist(), bins.bin.tolist(), bins.probs())):
-        if pos[s] >= 0:
-            hit = by_bin.setdefault(b, ([], []))
-            hit[0].append(pos[s])
-            hit[1].append(k * _trunc(pr, k_pr))
+    for s, b, c in itertools.chain(
+            ((s, 0, 1) for s, t in enumerate(total) if t == 0),
+            zip(bins.slot.tolist(), bins.bin.tolist(), bins.count.tolist())):
+        p = pos[s]
+        if p >= 0:
+            hit = by_bin.get(b)
+            if hit is None:
+                hit = by_bin[b] = ([], [])
+            hit[0].append(p)
+            hit[1].append(k * _trunc(c / (total[s] or 1), k_pr))
     flat, costs, spans = [], [], {}
     for b, (ps, cs) in by_bin.items():
         spans[bins.keys[b]] = slice(len(flat), len(flat) + len(ps))
@@ -107,32 +110,25 @@ def _put_by_bin(row, key, by_bin):
         row[positions[span]] = costs[span]
 
 
-@functools.lru_cache(maxsize=16)
-def _instance_mask(n):
-    """Read-only (3, n, n) mask of the pairs (a, b) that can be instances
-    of A, O and E over n elements: a < b for A and E, a != b for O."""
-    mask = np.ones((3, n, n), bool)
-    mask[0] = mask[2] = np.triu(mask[0], 1)
-    np.fill_diagonal(mask[1], False)
-    mask.setflags(write=False)
-    return mask
-
-
 def _relation_pairs(f):
     """The relation instances a labelling can violate: a read-only (3, k)
     int array of columns (a, b, kind), kind 0..5 for Aw .. Ee, violated when
     x[a] and x[b] are set, x = [v, ~v, e, ~e] (_violations).  An exempt
     element (null vertex slot, arc slot not existable) leaves every A and E
-    pair it is in and the O pairs it is first in; A and E list a pair once."""
+    pair it is in and the O pairs it is first in; A and E list a pair once,
+    as a < b, and no relation pairs an element with itself."""
     m, cols = f.order, []
     big = m * (m - 1)
     for level, ok in enumerate((~f.vnull, ~f.anull)):
         n = len(ok)
         keep = np.array([getattr(f, name) for name in
                          _RELATIONS[3 * level:3 * level + 3]])
-        keep &= _instance_mask(n)
         keep &= ok[:, None]
-        keep[::2] &= ok
+        i = np.arange(n)
+        upper = i[:, None] < i
+        upper &= ok
+        keep[::2] &= upper
+        keep[1].flat[::n + 1] = False
         q, b = np.divmod(np.flatnonzero(keep), n)
         kind, a = np.divmod(q, n)
         cols.append((a, b, kind + 3 * level))
@@ -173,18 +169,27 @@ def _fdg_costs(f, w):
     _put_by_bin(ce_absent.reshape(-1), None, by_abin)
     sidx = np.full((m, m), -1, dtype=int)
     sidx[src, dst] = np.arange(len(src))
-    ex = np.append(~f.anull, False)[sidx]
-    ex_q, ex_r = np.divmod(np.flatnonzero(ex), m)
-    arrays = (by_vbin, by_abin, del_v, ce_absent, sidx, ex, ex_r,
-              ce_absent + ce_absent.T, _relation_pairs(f))
+    ex = np.zeros((m, m), bool)
+    ex[src, dst] = ~f.anull
+    # the existable slot pairs in row-major order: ex_r[k] is the second
+    # slot of the k-th, ex_pos[q][r] the place of (q, r) or -1
+    dl, ex_r, ex_pos, stars, star_del = del_v.tolist(), [], [], [], []
+    for row in ex.tolist():
+        start, pos = len(ex_r), [-1] * m
+        for r, on in enumerate(row):
+            if on:
+                pos[r] = len(ex_r)
+                ex_r.append(r)
+        ex_pos.append(pos)
+        stars.append(slice(start, len(ex_r)))
+        star_del.append([dl[r] for r in ex_r[start:]])
+    arrays = (by_vbin, by_abin, del_v, ce_absent, sidx, ex,
+              np.array(ex_r, dtype=int), ce_absent + ce_absent.T,
+              _relation_pairs(f))
     for a in (*by_vbin[:2], *by_abin[:2], *arrays[2:],
               *f.relations().values()):
         a.setflags(write=False)
-    ends = np.searchsorted(ex_q, np.arange(m + 1)).tolist()
-    stars = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    del_ex = del_v[ex_r].tolist()
-    ex_pos = np.where(ex, np.cumsum(ex).reshape(m, m) - 1, -1).tolist()
-    f._costs = (key, arrays, (stars, [del_ex[s] for s in stars], ex_pos))
+    f._costs = (key, arrays, (stars, star_del, ex_pos))
     return f._costs[1:]
 
 

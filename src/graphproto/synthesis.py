@@ -19,7 +19,6 @@ import functools
 import numpy as np
 
 from .core import (
-    _RELATIONS,
     BinStore,
     Fdg,
     _pair_ends,
@@ -116,8 +115,11 @@ def _sample_args(ags, labelling, bin_width):
                   np.ones(n * z, np.int64), n, bin_width)
     abins = store(list(aindex), slots, akey[samples, slots],
                   np.ones(len(slots), np.int64), len(src), bin_width)
+    Aw, Ow, Ew = _relations(vp)
+    Ae, Oe, Ee = _relations(ap)
     return (vbins, abins,
-            dict(zip(_RELATIONS, _relations(vp) + _relations(ap))), z, None)
+            {"Aw": Aw, "Ow": Ow, "Ew": Ew, "Ae": Ae, "Oe": Oe, "Ee": Ee},
+            z, None)
 
 
 def synth_from_labelled_fdgs(fdgs, labelling):

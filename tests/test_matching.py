@@ -26,6 +26,8 @@ Covers:
     instances it caches count as the matrices do, restricted bnb equals the
     oracle, the instances are worked out once per key, and the relation
     matrices of a matched FDG can no longer be written
+  * an FDG owns its relation matrices: matching it freezes its copies, and
+    the arrays it was built from stay writable and do not reach it
 """
 
 import itertools
@@ -40,6 +42,7 @@ from graphproto.core import (
     PHI,
     AttributedGraph,
     CostWeights,
+    Fdg,
     Labelling,
     Pdf,
     arc_index,
@@ -525,6 +528,24 @@ def test_warm_relation_instances_count_as_the_matrices_do(relation_builds):
     for name in _RELATIONS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(f, name)[0, 0] = True
+
+
+def test_matching_freezes_the_fdgs_relations_and_not_the_callers():
+    rng = np.random.default_rng(708)
+    f = _related_fdg(rng)
+    relations = {name: getattr(f, name).copy() for name in _RELATIONS}
+    g = Fdg(f.vbins, f.abins, relations, f.z, None)
+    ag, _ = _antagonistic_arcs(g)
+    before = bnb_distance(ag, g, CostWeights(K4=1.0))
+    for name in _RELATIONS:
+        assert not getattr(g, name).flags.writeable
+        mat = relations[name]
+        mat[0, 0] = not mat[0, 0]
+        assert getattr(g, name)[0, 0] != mat[0, 0]
+    # the flipped caller arrays leave the matched FDG as it was
+    again = bnb_distance(ag, g, CostWeights(K4=1.0))
+    assert (again.distance, again.labelling) == (before.distance,
+                                                 before.labelling)
 
 
 def _labellings(n, m, rows=None):
