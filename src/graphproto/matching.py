@@ -125,11 +125,11 @@ def _relation_pairs(f):
                          _RELATIONS[3 * level:3 * level + 3]])
         keep &= ok[:, None]
         i = np.arange(n)
-        upper = i[:, None] < i
+        upper = np.less.outer(i, i)
         upper &= ok
         keep[::2] &= upper
-        keep[1].flat[::n + 1] = False
-        q, b = np.divmod(np.flatnonzero(keep), n)
+        keep[1, i, i] = False
+        q, b = np.divmod(keep.ravel().nonzero()[0], n)
         kind, a = np.divmod(q, n)
         cols.append((a, b, kind + 3 * level))
     pairs = np.concatenate(cols, axis=1)
@@ -145,8 +145,8 @@ def _fdg_costs(f, w):
     """The part of the (AG, f, w) cost tables that no AG enters, for
     _CostTables, as (arrays, lists): the vertex and arc _costs_by_bin maps
     (an arc slot with a null endpoint left out), del_v, ce_absent, sidx,
-    ex, ex_r, arc_base and rel, all read-only, and stars, star_del and
-    ex_pos.  It depends on f and on w's K1, K2 and K_pr only, so it is kept
+    ex, ex_r, arc_base and rel, all read-only, and the list mirrors of
+    del_v and ce_absent, stars, star_del and ex_pos.  It depends on f and on w's K1, K2 and K_pr only, so it is kept
     on f (Fdg._costs) under those three and rebuilt when they change; the
     fill makes f's relation arrays read-only, so rel cannot go stale."""
     key = (w.K1, w.K2, w.K_pr)
@@ -189,7 +189,8 @@ def _fdg_costs(f, w):
     for a in (*by_vbin[:2], *by_abin[:2], *arrays[2:],
               *f.relations().values()):
         a.setflags(write=False)
-    f._costs = (key, arrays, (stars, star_del, ex_pos))
+    f._costs = (key, arrays,
+                (dl, ce_absent.tolist(), stars, star_del, ex_pos))
     return f._costs[1:]
 
 
@@ -236,7 +237,8 @@ class _CostTables:
         width = f.bin_width
         ((by_vbin, by_abin, self.del_v, self.ce_absent, self.sidx, self.ex,
           self.ex_r, self.arc_base, self.rel),
-         (self.stars, self.star_del, self.ex_pos)) = _fdg_costs(f, w)
+         (self.del_v_list, self.ce_absent_list, self.stars, self.star_del,
+          self.ex_pos)) = _fdg_costs(f, w)
 
         self.vc = np.full((n, m + 1), w.K1)
         for row, a in zip(self.vc, g.vertices):
@@ -258,8 +260,6 @@ class _CostTables:
         # np.nonzero and a boolean index both run in row-major order
         self.pn_pairs = list(zip(*(a.tolist() for a in np.nonzero(self.pn))))
         self.vc_list = self.vc.tolist()
-        self.del_v_list = self.del_v.tolist()
-        self.ce_absent_list = self.ce_absent.tolist()
         self.ce_ex = self.ce[self.pn][:, self.ex]
         self.ce_pn_list = dict(zip(self.pn_pairs, self.ce_ex.tolist()))
         self.seed = None
