@@ -146,9 +146,10 @@ def _fdg_costs(f, w):
     _CostTables, as (arrays, lists): the vertex and arc _costs_by_bin maps
     (an arc slot with a null endpoint left out), del_v, ce_absent, sidx,
     ex, ex_r, arc_base and rel, all read-only, and the list mirrors of
-    del_v and ce_absent, stars, star_del and ex_pos.  It depends on f and on w's K1, K2 and K_pr only, so it is kept
-    on f (Fdg._costs) under those three and rebuilt when they change; the
-    fill makes f's relation arrays read-only, so rel cannot go stale."""
+    del_v and ce_absent, stars, star_del and ex_pos.  It depends on f and
+    on w's K1, K2 and K_pr only, so it is kept on f (Fdg._costs) under
+    those three and rebuilt when they change; the fill makes f's relation
+    arrays read-only, so rel cannot go stale."""
     key = (w.K1, w.K2, w.K_pr)
     if f._costs is not None and f._costs[0] == key:
         return f._costs[1:]
