@@ -345,6 +345,17 @@ def vertex_list(labelling, order):
     return vmap
 
 
+def _slot_list(labelling, g, f):
+    """vertex_list of a labelling of g onto f, each slot None or one of
+    f's; a slot out of range raises ValueError."""
+    vmap = vertex_list(labelling, g.order)
+    for i, q in enumerate(vmap):
+        if q is not None and not 0 <= q < f.order:
+            raise ValueError("vertex %d: slot %r outside prototype order %d"
+                             % (i, q, f.order))
+    return vmap
+
+
 class CostWeights:
     """Weights and options of the AG-to-FDG distance.
 

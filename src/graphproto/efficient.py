@@ -10,8 +10,8 @@ the pair's one set of cost tables (matching._CostTables).  The masks:
     threshold tau.  With tau = 1 and unit weights nothing is forbidden, so
     the search stays exact.  forbid_matrix reads the item costs from the
     tables and runs the alignment DP only where a vectorised lower bound
-    (_star_bound) does not already decide the pair, and the slots' stars
-    come from the FDG's cache with the tables; the public
+    (_star_bound) does not already decide the pair, and it reads each
+    slot's star off the tables' existable slot pairs; the public
     expanded_vertex_distance scores its items by vertex_cost and arc_cost
     and runs the same DP, with bit-identical results.
   * "relax-v" and "relax-ev", probabilistic relaxation, iterate a
@@ -143,10 +143,10 @@ def _align(central, ins, delc, vsub, asub):
 def _star_bound(t):
     """Lower bound on every expanded-vertex distance, as an (n, m) array.
 
-    AG item x of vertex i matched to item r of slot j's star costs
-    vc[x, r] + ce[i, x][j, r]; every AG item is matched once or left over
-    (K1 + K2), every star item matched once or deleted (del_v[r]), and no
-    cost is negative.  So, whatever the rotation and the alignment, the
+    AG item x of vertex i matched to item r of slot j's star costs vc[x, r]
+    plus arc (i, x)'s rate on (j, r); every AG item is matched once or left
+    over (K1 + K2), every star item matched once or deleted (del_v[r]), and
+    no cost is negative.  So, whatever the rotation and the alignment, the
     distance less the centre cost vc[i, j] is at least the AG-side sum of
     each item's cheapest outcome, and at least the FDG-side sum of each
     star item's.  The bound is the centre plus the larger of the two."""
@@ -156,8 +156,7 @@ def _star_bound(t):
     if t.pn_pairs:
         src, dst = np.array(t.pn_pairs).T
         # pair[a, j, r]: AG arc a = (i, x) against star item r of slot j
-        pair = np.where(ex, t.vc[dst, :m][:, None, :] + t.ce[src, dst],
-                        np.inf)
+        pair = np.where(ex, t.vc[dst, :m][:, None, :] + t.rates[1:], np.inf)
         # pn_pairs run in order of source vertex
         heads, starts = np.unique(src, return_index=True)
         ag_side[heads] = np.add.reduceat(np.minimum(
@@ -179,10 +178,12 @@ def _expanded_distances(g, t, limit=None):
     the limit gives the same answer as the exact distances.  Without a
     limit every entry is exact."""
     n, m = t.n, t.m
-    vc, ins, stars, star_del = t.vc_list, t.w.K1 + t.w.K2, t.stars, t.star_del
-    # vc_ex[x] and the rates of an AG arc list the existable slot pairs in
-    # row-major order, so stars[j] slices out the items of slot j's star
-    vc_ex = t.vc[:, t.ex_r].tolist()
+    vc, ins = t.vc_list, t.w.K1 + t.w.K2
+    # slot j's star is bounds[j]:bounds[j + 1] of each existable-pair list
+    ex_r = np.nonzero(t.ex)[1]
+    bounds = [0] + np.cumsum(t.ex.sum(axis=1)).tolist()
+    star_del = t.del_v[ex_r].tolist()
+    vc_ex = t.vc[:, ex_r].tolist()
     if limit is None:
         dist = np.empty((n, m))
         run = np.ones((n, m), bool)
@@ -198,8 +199,8 @@ def _expanded_distances(g, t, limit=None):
         rates = [t.ce_pn_list[(i, x)] for x in targets[i]]
         items = [vc_ex[x] for x in targets[i]]
         for j in np.flatnonzero(run[i]).tolist():
-            star = stars[j]
-            dist[i, j] = _align(vc[i][j], ins, star_del[j],
+            star = slice(bounds[j], bounds[j + 1])
+            dist[i, j] = _align(vc[i][j], ins, star_del[star],
                                 [row[star] for row in items],
                                 [rate[star] for rate in rates])
     return dist, 1 + t.pn.sum(axis=1), 1 + t.ex.sum(axis=1)
@@ -212,7 +213,9 @@ def forbid_matrix(g, f, tau, weights=None, _tables=None):
     The limit tau * cap + _EPS is passed to _expanded_distances, so the
     alignment DP runs only for the pairs whose lower bound does not
     already prove them struck off; the mask is the one the exact
-    distances give."""
+    distances give.  A NaN tau raises ValueError."""
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
     cap = expanded_max_distance(1 + t.pn.sum(axis=1)[:, None],
@@ -239,15 +242,15 @@ class ProbMatrix:
         return self.probs.shape[1] - 1
 
     def mask(self, t_p):
-        """Real slots with probability >= t_p; each row additionally keeps
-        its best candidate so thresholding never empties a row (the null
-        target stays available regardless)."""
-        m = self.m
-        keep = self.probs[:, :m] >= t_p
-        for i in range(self.n):
-            a = int(np.argmax(self.probs[i]))
-            if a < m:
-                keep[i, a] = True
+        """Real slots with probability >= t_p (not NaN); each row also keeps
+        its best candidate, the first on a tie, so thresholding never empties
+        a row (the null target stays available regardless)."""
+        if math.isnan(t_p):
+            raise ValueError("t_p must not be NaN")
+        keep = self.probs[:, :self.m] >= t_p
+        best = self.probs.argmax(axis=1)
+        real = best < self.m
+        keep[real, best[real]] = True
         return keep
 
     def __repr__(self):
@@ -294,7 +297,7 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
     for i in range(n):
         for j in nbrs[i]:
             cm = (t.vc[i, :m][:, None] + t.vc[j, :m][None, :]
-                  + t.ce[i, j] + t.ce[j, i].T)
+                  + t.rates[t.arc_id[i, j]] + t.rates[t.arc_id[j, i]].T)
             support[(i, j)] = np.where(exu, np.exp(-cm), 0.0)
 
     for _ in range(iterations):

@@ -18,7 +18,7 @@ slot and one per pair of slots, so search._map_search finds it.
 import math
 
 from .search import _map_search
-from .core import PHI, null_pdf, vertex_list
+from .core import PHI, _slot_list, null_pdf, vertex_list
 from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
 
@@ -81,7 +81,7 @@ def outcome_probability(f, g, labelling):
     from their pdfs; an arc draws from its conditional pdf when both of its
     endpoints came out present and is null for free otherwise.
     """
-    vmap = vertex_list(labelling, g.order)
+    vmap = _slot_list(labelling, g, f)
     n = f.order
     slot_attr = [PHI] * n
     for v_i, s in enumerate(vmap):
@@ -89,8 +89,6 @@ def outcome_probability(f, g, labelling):
             if not g.vertices[v_i].is_null:
                 raise ValueError("non-null vertex %d has no slot" % v_i)
             continue
-        if not (0 <= s < n):
-            raise ValueError("slot %r outside prototype order %d" % (s, n))
         slot_attr[s] = g.vertices[v_i]
     inv = {s: v_i for v_i, s in enumerate(vmap) if s is not None}
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _RELATIONS, CostWeights, Labelling, _pair_ends, vertex_list
+from .core import _RELATIONS, CostWeights, Labelling, _pair_ends, _slot_list
 from .search import MatchResult, _map_search, _planar_ok, _planar_vet
 
 
@@ -145,11 +145,11 @@ def _fdg_costs(f, w):
     """The part of the (AG, f, w) cost tables that no AG enters, for
     _CostTables, as (arrays, lists): the vertex and arc _costs_by_bin maps
     (an arc slot with a null endpoint left out), del_v, ce_absent, sidx,
-    ex, ex_r, arc_base and rel, all read-only, and the list mirrors of
-    del_v and ce_absent, stars, star_del and ex_pos.  It depends on f and
-    on w's K1, K2 and K_pr only, so it is kept on f (Fdg._costs) under
-    those three and rebuilt when they change; the fill makes f's relation
-    arrays read-only, so rel cannot go stale."""
+    ex and rel, all read-only, and the leaf's lists del_v, ce_absent and
+    ex_pos.  It depends on f and on w's K1, K2 and K_pr only, so it is
+    kept on f (Fdg._costs) under those three and rebuilt when they
+    change; the fill makes f's relation arrays read-only, so rel cannot
+    go stale."""
     key = (w.K1, w.K2, w.K_pr)
     if f._costs is not None and f._costs[0] == key:
         return f._costs[1:]
@@ -172,26 +172,16 @@ def _fdg_costs(f, w):
     sidx[src, dst] = np.arange(len(src))
     ex = np.zeros((m, m), bool)
     ex[src, dst] = ~f.anull
-    # the existable slot pairs in row-major order: ex_r[k] is the second
-    # slot of the k-th, ex_pos[q][r] the place of (q, r) or -1
-    dl, ex_r, ex_pos, stars, star_del = del_v.tolist(), [], [], [], []
-    for row in ex.tolist():
-        start, pos = len(ex_r), [-1] * m
-        for r, on in enumerate(row):
-            if on:
-                pos[r] = len(ex_r)
-                ex_r.append(r)
-        ex_pos.append(pos)
-        stars.append(slice(start, len(ex_r)))
-        star_del.append([dl[r] for r in ex_r[start:]])
+    # ex_pos[q][r]: the row-major place of existable pair (q, r), or -1
+    ex_pos = np.full((m, m), -1)
+    ex_pos[ex] = np.arange(np.count_nonzero(ex))
     arrays = (by_vbin, by_abin, del_v, ce_absent, sidx, ex,
-              np.array(ex_r, dtype=int), ce_absent + ce_absent.T,
               _relation_pairs(f))
     for a in (*by_vbin[:2], *by_abin[:2], *arrays[2:],
               *f.relations().values()):
         a.setflags(write=False)
     f._costs = (key, arrays,
-                (dl, ce_absent.tolist(), stars, star_del, ex_pos))
+                (del_v.tolist(), ce_absent.tolist(), ex_pos.tolist()))
     return f._costs[1:]
 
 
@@ -200,13 +190,15 @@ class _CostTables:
 
     First order: vc[i, q] is the vertex cost of AG vertex i on slot q
     (column m is the null target), del_v[q] the cost of leaving slot q
-    empty, ce_absent[q, r] the rate of slot pair (q, r) when no AG arc lands
-    on it and ce[i, j] the rate matrix of the ordered AG pair (i, j).
-    ce_ex[a] holds the rates of the a-th present AG arc (in pn_pairs order)
-    on the existable slot pairs, in row-major order; on any other pair an
-    AG arc costs K2.  The list mirrors of vc, del_v, ce_absent and ce_ex
-    (ce_pn_list, by AG arc) are read per leaf, where plain-list indexing
-    beats numpy's per-call dispatch on matrices this small.
+    empty, ce_absent[q, r] the rate of slot pair (q, r) when no AG arc
+    lands on it and rates[arc_id[i, j]] the rate matrix of the ordered AG
+    pair (i, j), each computed once: rates[0] is ce_absent and rates[a]
+    the a-th present AG arc's (pn_pairs[a - 1], in row-major order; pn is
+    arc_id > 0).  ce_ex[a - 1] holds that arc's rates on the existable
+    slot pairs, in row-major order; on any other pair an AG arc costs K2.
+    The list mirrors of vc, del_v, ce_absent and ce_ex (ce_pn_list, by
+    AG arc) are read per leaf, where plain-list indexing beats numpy's
+    per-call dispatch on matrices this small.
 
     The first-order tables are built by bin lookup: each AG attribute is
     binned once, every entry starts at one unit (K1 or K2), the cost of a
@@ -216,19 +208,17 @@ class _CostTables:
     The expanded-vertex filter reads these tables too.
 
     ex[q, r] is True where the slot pair (q, r) is an existable arc slot
-    (never on the diagonal); ex_r holds the second slot of each existable
-    pair in row-major order, ex_pos[q][r] the pair's place among them (or
-    -1), stars[q] the slice of them that is slot q's star and star_del[q]
-    the del_v of its slots.  arc_base is ce_absent + ce_absent.T.  seed
-    caches the unrestricted _greedy_cost.
+    (never on the diagonal), and ex_pos[q][r] is the pair's place among
+    them in row-major order (or -1).  seed caches the unrestricted
+    _greedy_cost.
 
     Second order: rel holds the relation instances a labelling can
     violate (_relation_pairs), the only form the relations are kept in;
     it is far smaller than dense m(m-1) x m(m-1) arc masks.
 
-    All but vc, ce and their mirrors come from the FDG's cache
-    (_fdg_costs), filled by the first build under the pair's K1, K2 and
-    K_pr and shared, read-only, by every later one.
+    All but vc, rates, arc_id and what is derived from them come from
+    the FDG's cache (_fdg_costs), filled by the first build under the
+    pair's K1, K2 and K_pr and shared, read-only, by every later one.
     """
 
     def __init__(self, g, f, w):
@@ -236,32 +226,25 @@ class _CostTables:
         self.n, self.m = n, m
         self.w = w
         width = f.bin_width
-        ((by_vbin, by_abin, self.del_v, self.ce_absent, self.sidx, self.ex,
-          self.ex_r, self.arc_base, self.rel),
-         (self.del_v_list, self.ce_absent_list, self.stars, self.star_del,
-          self.ex_pos)) = _fdg_costs(f, w)
+        (by_vbin, by_abin, self.del_v, self.ce_absent, self.sidx, self.ex,
+         self.rel), (self.del_v_list, self.ce_absent_list, self.ex_pos) = \
+            _fdg_costs(f, w)
 
         self.vc = np.full((n, m + 1), w.K1)
         for row, a in zip(self.vc, g.vertices):
             _put_by_bin(row, a.binned(width), by_vbin)
 
-        # ce[i, j] is the rate matrix of the ordered AG pair (i, j) over
-        # ordered slot pairs: ce_absent where g has no arc (i, j)
-        self.pn = np.zeros((n, n), bool)
-        self.ce = np.empty((n, n, m, m))
-        self.ce[:] = self.ce_absent
-        for (i, j), b in g.arcs.items():
-            if b.is_null:
-                continue
-            self.pn[i, j] = True
-            mat = self.ce[i, j]
-            mat.fill(w.K2)
-            _put_by_bin(mat.reshape(-1), b.binned(width), by_abin)
-
-        # np.nonzero and a boolean index both run in row-major order
-        self.pn_pairs = list(zip(*(a.tolist() for a in np.nonzero(self.pn))))
+        self.pn_pairs = sorted(p for p, b in g.arcs.items() if not b.is_null)
+        self.rates = np.full((len(self.pn_pairs) + 1, m, m), w.K2)
+        self.rates[0] = self.ce_absent
+        self.arc_id = np.zeros((n, n), dtype=int)
+        for a, (i, j) in enumerate(self.pn_pairs, 1):
+            self.arc_id[i, j] = a
+            _put_by_bin(self.rates[a].reshape(-1),
+                        g.arcs[(i, j)].binned(width), by_abin)
+        self.pn = self.arc_id > 0
         self.vc_list = self.vc.tolist()
-        self.ce_ex = self.ce[self.pn][:, self.ex]
+        self.ce_ex = self.rates[1:, self.ex]
         self.ce_pn_list = dict(zip(self.pn_pairs, self.ce_ex.tolist()))
         self.seed = None
 
@@ -299,7 +282,7 @@ def second_order_cost(g, f, labelling, weights=None):
     """Weighted sum of violated second-order relation instances."""
     w = weights or CostWeights()
     t = _CostTables(g, f, w)
-    v, e, _ = _realized(t, vertex_list(labelling, g.order))
+    v, e, _ = _realized(t, _slot_list(labelling, g, f))
     return _violations(w, t, v, e)[1]
 
 
@@ -313,12 +296,14 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
     """Cost and validity of one complete labelling.
 
     Returns (cost, valid); an invalid labelling (hard-constraint breach)
-    reports (inf, False).
+    reports (inf, False).  A slot outside 0..m-1 raises ValueError, but
+    is not looked for when the search's leaves pass their own _tables.
     """
     w = weights or CostWeights()
-    vmap = vertex_list(labelling, g.order)
-    t = _tables if _tables is not None else _CostTables(g, f, w)
-    n, m = t.n, t.m
+    vmap, t = labelling, _tables
+    if t is None:
+        vmap, t = _slot_list(labelling, g, f), _CostTables(g, f, w)
+    m = t.m
 
     v, e, inv = _realized(t, vmap)
     cost = 0.0
@@ -389,7 +374,7 @@ def _arc_tables(t, rows):
     pair = np.zeros((t.m, t.m))
     a, b = t.rel[:2, t.rel[2] == 0]
     pair[a, b] = pair[b, a] = math.inf if w.mode == "restricted" else w.K3
-    shared = (t.arc_base + pair).tolist()
+    shared = (t.ce_absent + t.ce_absent.T + pair).tolist()
     arc = [[shared] * p for p in range(t.n)]
     P, S = np.nonzero(t.pn | t.pn.T)
     keep = P > S
@@ -397,7 +382,8 @@ def _arc_tables(t, rows):
         some = np.array([bool(row) for row in rows], dtype=bool)
         keep &= some[P] & some[S]
     P, S = P[keep], S[keep]
-    tabs = t.ce[P, S] + t.ce[S, P].transpose(0, 2, 1) + pair
+    tabs = (t.rates[t.arc_id[P, S]]
+            + t.rates[t.arc_id[S, P]].transpose(0, 2, 1) + pair)
     if rows is None:
         for p, s, tab in zip(P.tolist(), S.tolist(), tabs.tolist()):
             arc[p][s] = tab

@@ -11,8 +11,8 @@
   its weights from the config file
 - bad input exits with status 2 and an error line on stderr; a non-finite
   attribute names the file and line
-- a bad bin width (flag or FDG file line) and a NaN --dalpha exit with
-  status 2 before any output is written
+- a bad bin width (flag or FDG file line), a NaN --dalpha and a NaN
+  dist --tau or --tp exit with status 2 before any output is written
 """
 
 import csv
@@ -286,6 +286,20 @@ def test_cluster_nan_dalpha_exits_2(tmp_path, capsys, method):
                  "--dalpha", "nan", "--out", str(out)]) == 2
     assert "NaN" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method,flag", [("noniter", "--tau"),
+                                         ("relax-ev", "--tp")])
+def test_dist_nan_threshold_exits_2(tmp_path, capsys, method, flag):
+    # a NaN tau used to forbid nothing and run the exact search
+    write_ag(_g2(), tmp_path / "g.ag")
+    write_fdg(ag_to_fdg(_g1()), tmp_path / "f.fdg")
+    assert main(["dist", "--ag", str(tmp_path / "g.ag"),
+                 "--fdg", str(tmp_path / "f.fdg"), "--method", method,
+                 flag, "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "NaN" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_reads_weights_from_config(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Cost tables against plain per-entry evaluation.
 
-* every entry of vc, del_v, ce_absent and ce equals the vertex_cost or
-  arc_cost product it stands for, bit for bit
+* every entry of vc, del_v, ce_absent and the rate matrices
+  rates[arc_id] of the AG pairs equals the vertex_cost or arc_cost
+  product it stands for, bit for bit
 * forbid_matrix, which reads the tables, equals the expanded-vertex filter
   evaluated item by item with split_into_expanded_vertices and
   expanded_vertex_distance, at tau 0.3, 0.5 and 1.0
@@ -17,6 +18,8 @@
 * the relation instances cached for an order-14 prototype, synthesised as
   the benchmark's are, and the whole cache stay within budgets far below
   one dense arc matrix
+* no array of that prototype's tables for a 12-vertex AG holds more than
+  one m x m rate matrix per present AG arc plus ce_absent
 
 Inputs mix string and numeric components, bin widths 0.5, 1 and 3, K_pr
 1e-4 and 0.05, null vertex slots, arc pdfs with total 0 between present
@@ -139,7 +142,7 @@ def test_tables_and_filter_equal_per_entry_evaluation():
         assert np.array_equal(t.vc, vc)
         assert np.array_equal(t.del_v, del_v)
         assert np.array_equal(t.ce_absent, ce_absent)
-        assert np.array_equal(t.ce, ce)
+        assert np.array_equal(t.rates[t.arc_id], ce)
 
         evg = split_into_expanded_vertices(g)
         evf = split_into_expanded_vertices(f)
@@ -299,3 +302,22 @@ def test_relation_instances_stay_within_their_memory_budget():
     arrays = f._costs[1]
     cached = [a for p in arrays[:2] for a in p[:2]] + list(arrays[2:])
     assert sum(a.nbytes for a in cached) <= 64 * 1024
+
+
+def test_per_pair_tables_stay_small():
+    # each AG arc's rates are held once: no array of the pair's tables has
+    # more than (k + 1) * m * m entries, k present AG arcs plus ce_absent,
+    # where a dense rate matrix per AG pair would take n * n * m * m
+    model = generate_models(GeneratorConfig(nFDG=1, nv=14, ne=42,
+                                            seed=0))[0]
+    ags = [perturb(model, "delete_distort", r, nd=2, nl=1)
+           for r in range(10)]
+    f = synth_from_labelled_ags(
+        ags, CommonLabelling.identity([g.order for g in ags]))
+    g = compact_ag(ags[0])
+    t = _CostTables(g, f, CostWeights())
+    n, m, k = g.order, f.order, len(t.pn_pairs)
+    assert n == 12 and m == 14 and 0 < k < n * (n - 1)
+    assert max(v.size for v in vars(t).values()
+               if isinstance(v, np.ndarray)) <= (k + 1) * m * m
+    assert t.rates.shape == (k + 1, m, m)

@@ -16,6 +16,7 @@
   counts included, in both modes, planar or not, with an upper bound, and
   on tables that already hold the unrestricted greedy seed
 * relaxation rows are probability vectors and masking keeps each row's best
+* a NaN tau or t_p is refused by the filter, the mask and the dispatcher
 * a relaxation match builds its pair's cost tables once
 """
 
@@ -357,6 +358,20 @@ def test_mask_keeps_row_best():
     # nothing real survives, row 2 keeps the first of its tied best slots
     assert hard.tolist() == [[True, False], [False, False], [True, False]]
     assert pm.mask(0.0).all()
+
+
+def test_nan_thresholds_are_refused():
+    # a NaN tau forbade nothing and a NaN t_p kept only each row's best
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(10)})
+    f = ag_to_fdg(g)
+    with pytest.raises(ValueError, match="NaN"):
+        forbid_matrix(g, f, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        relax_probabilities(g, f).mask(math.nan)
+    for method, kw in (("noniter", {"tau": math.nan}),
+                       ("relax-v", {"t_p": math.nan})):
+        with pytest.raises(ValueError, match="NaN"):
+            match_by_method(g, f, method=method, **kw)
 
 
 def test_isolated_vertices_converge():

@@ -7,6 +7,8 @@ Covers:
   * hand-computed distances (self match, a self match whose arc rates
     cancel to just below zero, substitution, deletion with and without
     occurrence weight, restricted-mode invalidity)
+  * labelling_cost, second_order_cost and check_constraints refuse a slot
+    outside the prototype, -1 and m alike
   * cyclic arc-order (planar) constraint on explicit labellings
   * bnb against the exhaustive oracle on random pairs: distances bit-equal,
     counters match the closed forms when the bound is off
@@ -218,6 +220,22 @@ def test_labelling_cost_matches_manual_sum():
     cost01, ok = labelling_cost(g, f, [0, 2], w)
     assert ok
     assert cost01 == pytest.approx(2.0)  # wrong leaf attr + deletion
+
+
+@pytest.mark.parametrize("fn", [labelling_cost, second_order_cost,
+                                check_constraints])
+def test_slots_outside_the_prototype_are_refused(fn):
+    # a negative slot used to alias a real one ([-1, 1] scored 3.0, valid)
+    # and slot m raised IndexError
+    g = _star(1, [2])
+    f = ag_to_fdg(_star(1, [2, 3]))
+    for slot in (-1, f.order):
+        for vmap in ([slot, 1], [2, slot]):
+            vertex = vmap.index(slot)
+            with pytest.raises(ValueError, match="vertex %d: slot %d"
+                               % (vertex, slot)):
+                fn(g, f, vmap)
+    fn(g, f, [2, None])
 
 
 def test_planar_constraint_on_labellings():
