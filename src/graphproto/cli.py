@@ -102,8 +102,14 @@ def cmd_synth(args):
         if len(entries) != len(ags):
             raise ValueError("%d labelling lines for %d graphs"
                              % (len(entries), len(ags)))
-        maps = [[entry.get(v) for v in range(g.order)]
-                for g, entry in zip(ags, entries)]
+        maps = []
+        for path, g, entry in zip(args.ag, ags, entries):
+            if entry and max(entry) >= g.order:
+                raise ValueError("%s names vertex %d, which %s (order %d) "
+                                 "does not have" % (args.labelling,
+                                                    max(entry) + 1, path,
+                                                    g.order))
+            maps.append([entry.get(v) for v in range(g.order)])
         slots = [t for m in maps for t in m if t is not None]
         n = args.order or (max(slots) + 1 if slots else 0)
         labelling = CommonLabelling(maps, n)
@@ -204,14 +210,10 @@ def cmd_cluster(args):
     return 0
 
 
-_SWEEPABLE = ["NR", "nd", "nl", "sigma", "structural", "tau", "tp", "method"]
-
-
-def _sweep_values(cfg, key, conv, default):
-    raw = cfg.get(key)
-    if raw is None:
-        return [default]
-    return [conv(tok) for tok in _strings(raw)]
+# each sweepable config key, its converter and its default
+_SWEEPS = [("NR", int, 2), ("nd", int, 0), ("nl", int, 0),
+           ("sigma", float, 0.0), ("structural", int, 0), ("tau", float, 1.0),
+           ("tp", float, 0.0), ("method", str, "optimal")]
 
 
 def cmd_bench(args):
@@ -222,16 +224,9 @@ def cmd_bench(args):
             "nv": int(cfg.get("nv", 5)), "ne": int(cfg.get("ne", 8))}
     noise = cfg.get("noise", "delete_distort")
     weights = _weights(args)
-    grid = [
-        _sweep_values(cfg, "NR", int, 2),
-        _sweep_values(cfg, "nd", int, 0),
-        _sweep_values(cfg, "nl", int, 0),
-        _sweep_values(cfg, "sigma", float, 0.0),
-        _sweep_values(cfg, "structural", int, 0),
-        _sweep_values(cfg, "tau", float, 1.0),
-        _sweep_values(cfg, "tp", float, 0.0),
-        _sweep_values(cfg, "method", str, "optimal"),
-    ]
+    grid = [[default] if cfg.get(key) is None
+            else [conv(tok) for tok in _strings(cfg[key])]
+            for key, conv, default in _SWEEPS]
     rows = []
     for NR, nd, nl, sigma, structural, tau, tp, method in \
             itertools.product(*grid):

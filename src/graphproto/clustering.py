@@ -28,7 +28,8 @@ import math
 import numpy as np
 
 from .baseline import edit_distance
-from .core import CostWeights, Labelling, extend_ag, extend_fdg, vertex_list
+from .core import (CostWeights, Labelling, _slot_list, extend_ag, extend_fdg,
+                   vertex_list)
 from .forg import forg_synthesize
 from .harness import _classify
 from .synthesis import ag_to_fdg, place_fresh, update_fdg_with_ag
@@ -40,9 +41,10 @@ def extend_labelling(g, f, labelling):
 
     Unplaced AG vertices get fresh null slots appended to the FDG in vertex
     order; uncovered FDG slots get null AG vertices, matched in ascending
-    order.  Returns (extended AG, extended FDG, bijective Labelling).
+    order.  Returns (extended AG, extended FDG, bijective Labelling); a slot
+    outside the FDG raises ValueError.
     """
-    vmap = vertex_list(labelling, g.order)
+    vmap = _slot_list(labelling, g, f)
     covered = set(q for q in vmap if q is not None)
     full, k = place_fresh(vmap, f.order)
     full.extend(q for q in range(f.order) if q not in covered)

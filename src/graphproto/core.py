@@ -888,22 +888,15 @@ def verify_identities(f, sample, labellings=None):
 
     def recompute(pres):
         cols = pres.shape[1]
-        A = np.ones((cols, cols), dtype=bool)
-        O = np.ones((cols, cols), dtype=bool)
-        E = np.ones((cols, cols), dtype=bool)
-        for x in range(cols):
-            for y in range(cols):
-                for g_i in range(pres.shape[0]):
-                    if pres[g_i, x] and pres[g_i, y]:
-                        A[x, y] = False
-                    if pres[g_i, x] and not pres[g_i, y]:
-                        O[x, y] = False
-                    if not pres[g_i, x] and not pres[g_i, y]:
-                        E[x, y] = False
+        A, O, E = (np.ones((cols, cols), dtype=bool) for _ in range(3))
+        for p in pres:
+            # x and y both present; x present, y not; neither present
+            A &= ~(p[:, None] & p)
+            O &= ~(p[:, None] & ~p)
+            E &= p[:, None] | p
         return A, O, E
 
-    for name, expected in zip(("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"),
-                              recompute(vp) + recompute(ap)):
+    for name, expected in zip(_RELATIONS, recompute(vp) + recompute(ap)):
         stored = getattr(f, name)
         for x, y in zip(*np.nonzero(stored != expected)):
             report.append("%s[%d, %d]: stored %d, sample says %d"
@@ -913,18 +906,13 @@ def verify_identities(f, sample, labellings=None):
             ("vertex", "p", (f.Aw, f.Ow, f.Ew), f.vnull, f.vstrict),
             ("arc", "Pr", (f.Ae, f.Oe, f.Ee), f.anull, f.astrict)):
         A, O, E = rel
-        for x in range(len(null)):
-            for y in range(len(null)):
-                if x == y:
-                    continue
-                ao = A[x, y] and O[x, y]
-                if ao != null[x]:
-                    report.append("%s identity A&O at (%d, %d): relation %d, "
-                                  "%s(PHI)=1 is %d"
-                                  % (kind, x, y, ao, pr, null[x]))
-                eo = E[x, y] and O[x, y]
-                if eo != strict[y]:
-                    report.append("%s identity E&O at (%d, %d): relation %d, "
-                                  "%s(PHI)=0 is %d"
-                                  % (kind, x, y, eo, pr, strict[y]))
+        # [x, y, 0]: A&O against null[x]; [x, y, 1]: E&O against strict[y]
+        got = np.stack([A & O, E & O], axis=-1)
+        want = np.stack(np.broadcast_arrays(null[:, None], strict), axis=-1)
+        bad = (got != want) & ~np.eye(len(null), dtype=bool)[..., None]
+        for x, y, k in zip(*np.nonzero(bad)):
+            report.append("%s identity %s at (%d, %d): relation %d, "
+                          "%s(PHI)=%d is %d"
+                          % (kind, ("A&O", "E&O")[k], x, y, got[x, y, k], pr,
+                             1 - k, want[x, y, k]))
     return report

@@ -10,21 +10,25 @@ lines of n arc entries each in the same encoding.  Diagonal entries must be
 null vertices, which marks it as extended).
 
 FDG file: a `fdg` header, then order / z / bin_width lines, one `vertex i`
-section per slot and one `arc i j` section per ordered slot pair, each
-listing `bin probability` pairs (bins are comma-separated components, `#`
-for the null bin, sorted by that text with `#` first; the probability is the
-%r of count/total); vertex sections carry their sample total, arc sections
-their denominator u.  Both directions work on the FDG's count stores and
-build no Pdf: the writer encodes each store's arrays, and the reader
-decodes the sections of a kind in one pass over their lines, a fault being
-a ParseError at its line.  A count is probability times total, rounded; a
-probability that is not finite is a ParseError, and so is a total the
-store's 64-bit counts cannot hold.  The bin_width line holds the FDG's bin
-width at every order, 0 included.  A final `relations` section gives the
-six matrices as 0/1 row strings.  The FORG format is the same with a `forg` header and no relations section; a
-read FORG gets all-false antagonisms and existences and reflexive
-occurrences.  Bins and string attribute components must not contain commas,
-whitespace or `#`, and a bin must not collide with the section keywords.
+section per slot and one `arc i j` section per ordered slot pair, in slot
+order (vertices 1..m, then the arc slots in arc_index order) and under
+exactly the head lines the writer writes; a section out of place is a
+ParseError at its head line.  Each section lists `bin probability` lines
+of two fields (bins are comma-separated components, `#` for the null bin,
+sorted by that text with `#` first; the probability is the %r of
+count/total); vertex sections carry their sample total, arc sections their
+denominator u.  Both directions work on the FDG's count stores and build no
+Pdf: the writer encodes each store's arrays, and the reader decodes the
+sections of a kind in one pass over their lines, a fault being a ParseError
+at its line.  A count is probability times total, rounded; a probability
+that is not finite is a ParseError, and so is a total the store's 64-bit
+counts cannot hold.  The bin_width line holds the FDG's bin width at every
+order, 0 included.  A final `relations` section gives the six matrices, in
+core._RELATIONS order, as 0/1 row strings.  The FORG format is the same
+with a `forg` header and no relations section; a read FORG gets all-false
+antagonisms and existences and reflexive occurrences.  Bins and string
+attribute components must not contain commas, whitespace or `#`, and a bin
+must not collide with the section keywords.
 
 Labelling file: one line per AG of whitespace-separated `i->l` pairs
 (vertex i to slot l, `#` for no slot).
@@ -38,9 +42,8 @@ import math
 
 import numpy as np
 
-from .core import (COUNT_LIMIT, PHI, AttributedGraph, BinStore, Fdg,
-                   arc_index, attr, checked_bin_width, slot_pairs,
-                   vertex_list)
+from .core import (_RELATIONS, COUNT_LIMIT, PHI, AttributedGraph, BinStore,
+                   Fdg, attr, checked_bin_width, vertex_list)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
 
@@ -173,11 +176,19 @@ def write_ag(g, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _head_lines(m):
+    """The head lines of an order-m file's vertex and arc sections, in slot
+    order, each made only when it is asked for: a reader stops at the first
+    line that differs, whatever order the file declares."""
+    return (("vertex %d" % i for i in range(1, m + 1)),
+            ("arc %d %d" % (i, j) for i in range(1, m + 1)
+             for j in range(1, m + 1) if i != j))
+
+
 @functools.lru_cache(maxsize=64)
 def _heads(m):
-    """The head lines of an order-m file's vertex and arc sections."""
-    return (tuple("vertex %d" % (i + 1) for i in range(m)),
-            tuple("arc %d %d" % (i + 1, j + 1) for i, j in slot_pairs(m)))
+    """_head_lines(m) as tuples, kept for the writer."""
+    return tuple(map(tuple, _head_lines(m)))
 
 
 def _pdf_sections(bins, heads, word):
@@ -198,52 +209,28 @@ def _pdf_sections(bins, heads, word):
     for head, total, a, e in zip(heads, bins.total.tolist(), bounds,
                                  bounds[1:]):
         lines.append(head)
-        lines.append(word % total)
+        lines.append("%s %d" % (word, total))
         lines += entries[a:e]
     return lines
 
 
-def _vertex_head(cur, m, seen):
-    i = _int_kv(cur, "vertex")
-    if not 1 <= i <= m:
-        cur.error("vertex index %d out of range" % i)
-    if i - 1 in seen:
-        cur.error("duplicate vertex %d" % i)
-    return i - 1
-
-
-def _arc_head(cur, m, seen):
-    fields = cur.next_line().split()
-    if len(fields) != 3 or fields[0] != "arc":
-        cur.error("expected 'arc <i> <j>'")
-    try:
-        i, j = int(fields[1]), int(fields[2])
-    except ValueError:
-        cur.error("bad arc indices %r" % (fields[1:],))
-    if not (1 <= i <= m and 1 <= j <= m) or i == j:
-        cur.error("arc slot (%d, %d) out of range" % (i, j))
-    s = arc_index(i - 1, j - 1, m)
-    if s in seen:
-        cur.error("duplicate arc slot (%d, %d)" % (i, j))
-    return s
-
-
-def _read_pdfs(cur, read_head, m, count, word, width):
-    """BinStore of `count` pdf sections of an order-m file, decoded in one
-    pass over their lines: a head line, whose slot read_head(cur, m, seen)
-    reads, a `word <total>` line and the `bin probability` lines up to the
-    next keyword line.  A count is probability times total, rounded.  The
-    first fault is a ParseError at its line, a count below 0 or above the
-    total included; a pdf whose counts do not sum to its total is one at
-    its `word` line."""
+def _read_pdfs(cur, heads, word, width):
+    """BinStore of the pdf sections under `heads`, one slot each in slot
+    order, decoded in one pass over their lines: the head line, a `word
+    <total>` line and the `bin probability` lines up to the next keyword
+    line.  A count is probability times total, rounded.  The first fault is
+    a ParseError at its line, another head line, a bin line without exactly
+    two fields and a count below 0 or above the total included; a pdf whose
+    counts do not sum to its total is one at its `word` line."""
     lines = cur.lines
     # the bins, interned by token and by value
     tokens, keys = {"#": 0}, {None: 0}
-    seen = set()
     slots, bins, counts = [], [], []
-    for _ in range(count):
-        s = read_head(cur, m, seen)
-        seen.add(s)
+    size = 0
+    for head in heads:
+        line = cur.next_line()
+        if line != head:
+            cur.error("expected %r, found %r" % (head, line))
         total = _int_kv(cur, word)
         at = pos = cur.pos
         section = {}
@@ -258,9 +245,7 @@ def _read_pdfs(cur, read_head, m, count, word, width):
                 break
             cur.pos = pos
             if len(fields) != 2:
-                fields = line.rsplit(None, 1)
-                if len(fields) != 2:
-                    cur.error("expected 'bin probability', found %r" % line)
+                cur.error("expected 'bin probability', found %r" % line)
             tok, ptok = fields
             b = tokens.get(tok)
             if b is None:
@@ -283,10 +268,11 @@ def _read_pdfs(cur, read_head, m, count, word, width):
                              "total %d" % (sum(values), total))
         if total >= COUNT_LIMIT:
             raise ParseError(cur.path, at, "total %d too large" % total)
-        slots += [s] * len(section)
+        slots += [size] * len(section)
         bins += section
         counts += values
-    return _store(keys, slots, bins, counts, count, width)
+        size += 1
+    return _store(keys, slots, bins, counts, size, width)
 
 
 def _store(keys, slots, bins, counts, size, width):
@@ -314,23 +300,30 @@ def _int_kv(cur, keyword):
         cur.error("bad %s %r" % (keyword, raw))
 
 
-def _read_matrix(cur, name, rows, cols):
-    """The named block of 0/1 rows, decoded in one step (see _matrix_rows)."""
+def _read_matrix(cur, name, k):
+    """The named k-by-k block of 0/1 rows, decoded in one step (see
+    _matrix_rows)."""
     head = cur.next_line()
     if head != name:
         cur.error("expected relation %r, found %r" % (name, head))
     lines = []
-    for _ in range(rows):
+    for _ in range(k):
         line = cur.next_line()
         # strip leaves the first character that is not 0 or 1 in place
-        if len(line) != cols or line.strip("01"):
+        if len(line) != k or line.strip("01"):
             cur.error("bad 0/1 row %r" % line)
         lines.append(line)
     return np.frombuffer("".join(lines).encode(), np.uint8).reshape(
-        rows, cols) == ord("1")
+        k, k) == ord("1")
 
 
-def _read_fdg_body(cur, with_relations):
+def _read_fdg_file(path, header):
+    """The FDG of a file with the given header, `fdg` (relations read) or
+    `forg` (none on file; the neutral ones)."""
+    cur = _Cursor(path)
+    head = cur.next_line()
+    if head != header:
+        cur.error("expected %r header, found %r" % (header, head))
     m = _int_kv(cur, "order")
     if m < 0:
         cur.error("negative order")
@@ -345,31 +338,23 @@ def _read_fdg_body(cur, with_relations):
     except ValueError:
         cur.error("bad bin_width %r (want a positive finite number)" % raw)
 
-    vbins = _read_pdfs(cur, _vertex_head, m, m, "total", bin_width)
-    abins = _read_pdfs(cur, _arc_head, m, m * (m - 1), "u", bin_width)
+    vheads, aheads = _head_lines(m)
+    vbins = _read_pdfs(cur, vheads, "total", bin_width)
+    abins = _read_pdfs(cur, aheads, "u", bin_width)
 
-    big = m * (m - 1)
-    if with_relations:
+    if header == "fdg":
         head = cur.next_line()
         if head != "relations":
             cur.error("expected 'relations', found %r" % head)
-        relations = {
-            "Aw": _read_matrix(cur, "Aw", m, m),
-            "Ow": _read_matrix(cur, "Ow", m, m),
-            "Ew": _read_matrix(cur, "Ew", m, m),
-            "Ae": _read_matrix(cur, "Ae", big, big),
-            "Oe": _read_matrix(cur, "Oe", big, big),
-            "Ee": _read_matrix(cur, "Ee", big, big),
-        }
-    else:
-        relations = {
-            "Aw": np.zeros((m, m), bool),
-            "Ow": np.eye(m, dtype=bool),
-            "Ew": np.zeros((m, m), bool),
-            "Ae": np.zeros((big, big), bool),
-            "Oe": np.eye(big, dtype=bool),
-            "Ee": np.zeros((big, big), bool),
-        }
+    relations = {}
+    for name in _RELATIONS:
+        k = m if name[1] == "w" else m * (m - 1)
+        if header == "fdg":
+            relations[name] = _read_matrix(cur, name, k)
+        else:
+            # each slot occurs with itself and has no other relation
+            relations[name] = np.eye(k, dtype=bool) if name[0] == "O" \
+                else np.zeros((k, k), bool)
     cur.expect_done()
     try:
         return Fdg(vbins, abins, relations, z, None)
@@ -381,11 +366,11 @@ def _fdg_lines(f, header):
     m = f.order
     lines = [header, "order %d" % m, "z %d" % f.z, "bin_width %r" % f.bin_width]
     vheads, aheads = _heads(m)
-    lines += _pdf_sections(f.vbins, vheads, "total %d")
-    lines += _pdf_sections(f.abins, aheads, "u %d")
+    lines += _pdf_sections(f.vbins, vheads, "total")
+    lines += _pdf_sections(f.abins, aheads, "u")
     if header == "fdg":
         lines.append("relations")
-        for name in ("Aw", "Ow", "Ew", "Ae", "Oe", "Ee"):
+        for name in _RELATIONS:
             lines.append(name)
             lines.extend(_matrix_rows(getattr(f, name)))
     return lines
@@ -400,11 +385,7 @@ def _matrix_rows(mat):
 
 
 def read_fdg(path):
-    cur = _Cursor(path)
-    head = cur.next_line()
-    if head != "fdg":
-        cur.error("expected 'fdg' header, found %r" % head)
-    return _read_fdg_body(cur, with_relations=True)
+    return _read_fdg_file(path, "fdg")
 
 
 def write_fdg(f, path):
@@ -414,11 +395,7 @@ def write_fdg(f, path):
 
 def read_forg(path):
     """A FORG file carries no relations; the result gets the neutral ones."""
-    cur = _Cursor(path)
-    head = cur.next_line()
-    if head != "forg":
-        cur.error("expected 'forg' header, found %r" % head)
-    return _read_fdg_body(cur, with_relations=False)
+    return _read_fdg_file(path, "forg")
 
 
 def write_forg(f, path):

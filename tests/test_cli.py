@@ -13,6 +13,9 @@
   attribute names the file and line
 - a bad bin width (flag or FDG file line), a NaN --dalpha and a NaN
   dist --tau or --tp exit with status 2 before any output is written
+- a synth labelling entry for a vertex its AG lacks exits with status 2,
+  naming both files and the vertex
+- a boolean config value is read from its spellings; any other exits 2
 """
 
 import csv
@@ -327,3 +330,35 @@ def test_non_finite_probability_exits_2_at_its_line(tmp_path, capsys, prob):
     assert main(["dist", "--ag", str(tmp_path / "g.ag"),
                  "--fdg", str(path)]) == 2
     assert "%s:%d: bad probability" % (path, k + 1) in capsys.readouterr().err
+
+
+def test_synth_labelling_of_a_missing_vertex_exits_2(tmp_path, capsys):
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(10)})
+    ag, lab = tmp_path / "a.ag", tmp_path / "l.txt"
+    write_ag(g, ag)
+    lab.write_text("1->1 2->2 5->3\n")
+    out = tmp_path / "out.fdg"
+    assert main(["synth", "--ag", str(ag), "--labelling", str(lab),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s names vertex 5, which %s (order 2) does not " \
+        "have\n" % (lab, ag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, rc", [("yes", 0), ("maybe", 2)])
+def test_dist_reads_planar_from_config(tmp_path, capsys, value, rc):
+    write_ag(_g1(), tmp_path / "g.ag")
+    write_fdg(ag_to_fdg(_g2()), tmp_path / "f.fdg")
+    cfg = tmp_path / "dist.cfg"
+    cfg.write_text("ag=%s\nfdg=%s\nplanar=%s\n"
+                   % (tmp_path / "g.ag", tmp_path / "f.fdg", value))
+    assert main(["dist", "--config", str(cfg)]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.err == "error: not a boolean: 'maybe'\n"
+        assert captured.out == ""
+    else:
+        want = match_by_method(_g1(), read_fdg(tmp_path / "f.fdg"),
+                               CostWeights(planar=True))
+        assert captured.out == format_dist_record(want)

@@ -1,7 +1,8 @@
 """Clustering checks.
 
 * extend_labelling produces the documented bijection and, followed by plain
-  FDG synthesis, reproduces update_fdg_with_ag exactly
+  FDG synthesis, reproduces update_fdg_with_ag exactly; a slot outside the
+  FDG, negative ones included, is a ValueError
 * incremental clustering: one prototype under a huge threshold, one per AG
   under a negative one, z grows when identical AGs are absorbed, each AG
   joins the nearest prototype, and second-order weights are forced to zero
@@ -70,6 +71,16 @@ def test_extend_labelling_shapes():
     assert list(lab.vertex_map) == [1, 3, 0, 2]
     assert g_ext.vertices[2].is_null and g_ext.vertices[3].is_null
     assert f_ext.vertex_pdfs[3].is_null()
+
+
+@pytest.mark.parametrize("vmap, slot", [([-1, None], -1), ([5, None], 5),
+                                        ([None, 2], 2)])
+def test_extend_labelling_refuses_a_slot_outside_the_fdg(vmap, slot):
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(9)})
+    f = ag_to_fdg(g)
+    with pytest.raises(ValueError, match="slot %d outside prototype order 2"
+                       % slot):
+        extend_labelling(g, f, vmap)
 
 
 def test_extend_then_synthesise_matches_update():

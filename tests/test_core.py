@@ -10,7 +10,8 @@ Covers:
     arc probabilities, co-occurrence
   * a NaN cost weight is refused
   * FDG extension: kept bits, null/strict table rules, arc slot re-indexing
-  * verify_identities on a hand-built sample, including single-bit damage
+  * verify_identities on a hand-built sample, including single-bit damage,
+    and its exact report lines, in order, for damage to several bits
   * every public function that takes a labelling accepts a Labelling and a
     plain list alike and rejects a wrong arity
 """
@@ -428,6 +429,27 @@ def test_verify_identities_arc_bit():
     report = verify_identities(f, ags, labellings)
     assert len(report) >= 2
     assert any("Ae" in line for line in report)
+
+
+def test_verify_identities_reports_each_damaged_bit_in_order():
+    ags, labellings, f = _fixture()
+    s = arc_index(0, 3, 4)
+    t = arc_index(1, 3, 4)
+    f.Ow[0, 1] = True
+    f.Aw[2, 0] = False
+    f.Ae[s, t] = f.Ae[t, s] = True
+    f.Ee[t, s] = True
+    assert (s, t) == (2, 5)
+    assert verify_identities(f, ags, labellings) == [
+        "Aw[2, 0]: stored 0, sample says 1",
+        "Ow[0, 1]: stored 1, sample says 0",
+        "Ae[2, 5]: stored 1, sample says 0",
+        "Ae[5, 2]: stored 1, sample says 0",
+        "Ee[5, 2]: stored 1, sample says 0",
+        "vertex identity A&O at (2, 0): relation 0, p(PHI)=1 is 1",
+        "arc identity A&O at (5, 2): relation 1, Pr(PHI)=1 is 0",
+        "arc identity E&O at (5, 2): relation 1, Pr(PHI)=0 is 0",
+    ]
 
 
 def test_verify_identities_rejects_bad_sample():

@@ -24,6 +24,9 @@
 * a pdf count below 0 or above its section's total is a ParseError at its
   bin's line, and counts that do not sum to the total one at the total's
   line
+* sections are read in slot order only: one out of place is a ParseError at
+  its head line, in FDG and FORG files alike
+* a bin line without exactly two fields is a ParseError at its line
 """
 
 import math
@@ -569,3 +572,49 @@ def test_a_count_outside_its_total_is_a_parse_error_at_its_line(
         read_fdg(str(p))
     assert err.value.lineno == lineno
     assert str(err.value) == "%s:%d: %s" % (p, lineno, message)
+
+
+def _swap_sections(lines, first, second):
+    """lines with the section under head `first` and the one under head
+    `second`, which follows it, swapped."""
+    a, b = lines.index(first), lines.index(second)
+    c = next((k for k in range(b + 1, len(lines))
+              if lines[k].split()[0] in ("vertex", "arc", "relations")),
+             len(lines))
+    return lines[:a] + lines[b:c] + lines[a:b] + lines[c:]
+
+
+@pytest.mark.parametrize("reader, writer", [(read_fdg, write_fdg),
+                                            (read_forg, write_forg)])
+@pytest.mark.parametrize("first, second", [("vertex 1", "vertex 2"),
+                                           ("vertex 2", "arc 1 2"),
+                                           ("arc 1 2", "arc 1 3"),
+                                           ("arc 3 1", "arc 3 2")])
+def test_a_section_out_of_slot_order_is_a_parse_error_at_its_head_line(
+        tmp_path, reader, writer, first, second):
+    p = tmp_path / "f"
+    writer(_sample_fdg(), p)
+    lines = _swap_sections(p.read_text().splitlines(), first, second)
+    p.write_text("\n".join(lines) + "\n")
+    k = lines.index(second)
+    with pytest.raises(ParseError) as err:
+        reader(str(p))
+    assert str(err.value) == "%s:%d: expected %r, found %r" % (
+        p, k + 1, first, second)
+
+
+@pytest.mark.parametrize("line", ["1 7 1.0", "1,7 1.0 x", "1"])
+def test_a_bin_line_without_two_fields_is_a_parse_error_at_its_line(
+        tmp_path, line):
+    # vertex 1's section: `vertex 1` at line 5, `total 2` at 6 and its one
+    # bin `1 1.0` at 7
+    p = tmp_path / "f.fdg"
+    write_fdg(_sample_fdg(), p)
+    lines = p.read_text().splitlines()
+    assert lines[4:7] == ["vertex 1", "total 2", "1 1.0"]
+    lines[6] = line
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_fdg(str(p))
+    assert str(err.value) == "%s:7: expected 'bin probability', found %r" % (
+        p, line)
