@@ -21,8 +21,8 @@ from .baseline import EditCosts, abs_threshold, knn_classify, squared_threshold
 from .clustering import hierarchical_clustering, incremental_clustering
 from .core import CostWeights
 from .efficient import METHODS, match_by_method
-from .fileio import (ParseError, format_dist_record, read_ag, read_fdg,
-                     read_labelling, write_fdg)
+from .fileio import (ParseError, _read_labelling, format_dist_record,
+                     read_ag, read_fdg, write_fdg)
 from .harness import (CSV_COLUMNS, GeneratorConfig, csv_row, run_experiment)
 from .synthesis import CommonLabelling, synth_from_labelled_ags
 
@@ -98,20 +98,26 @@ def cmd_synth(args):
         raise ValueError("synth needs --out")
     ags = [read_ag(path) for path in args.ag]
     if args.labelling:
-        entries = read_labelling(args.labelling)
+        entries = _read_labelling(args.labelling)
         if len(entries) != len(ags):
             raise ValueError("%d labelling lines for %d graphs"
                              % (len(entries), len(ags)))
         maps = []
-        for path, g, entry in zip(args.ag, ags, entries):
+        for path, g, (_, entry) in zip(args.ag, ags, entries):
             if entry and max(entry) >= g.order:
                 raise ValueError("%s names vertex %d, which %s (order %d) "
                                  "does not have" % (args.labelling,
                                                     max(entry) + 1, path,
                                                     g.order))
             maps.append([entry.get(v) for v in range(g.order)])
-        slots = [t for m in maps for t in m if t is not None]
-        n = args.order or (max(slots) + 1 if slots else 0)
+        tops = [max((t for t in m if t is not None), default=-1)
+                for m in maps]
+        n = args.order or max(tops, default=-1) + 1
+        for (lineno, _), top in zip(entries, tops):
+            if top >= n:
+                raise ParseError(args.labelling, lineno,
+                                 "slot %d is beyond --order %d"
+                                 % (top + 1, n))
         labelling = CommonLabelling(maps, n)
     else:
         orders = [g.order for g in ags]

@@ -1,8 +1,10 @@
 """Sub-optimal matching: cut the labelling space down before the search.
 
 match_by_method turns a method name into a per-vertex candidate mask and
-feeds it to bnb_distance as its `allowed` argument; mask and search read
-the pair's one set of cost tables (matching._CostTables).  The masks:
+hands it to bnb_distance unbuilt: the mask is built only for a pair whose
+search root survives with every slot open, so a prototype that cannot win
+costs no filter.  Mask and search read the pair's one set of cost tables
+(matching._CostTables).  The masks:
 
   * "noniter", the expanded-vertex filter, scores every (AG vertex, FDG
     slot) pair by a cyclic string edit distance between their local star
@@ -28,7 +30,8 @@ import math
 import numpy as np
 
 from .core import AttributedGraph, CostWeights, Fdg
-from .matching import _CostTables, _trunc, arc_cost, bnb_distance, vertex_cost
+from .matching import (_CostTables, _row_lists, _trunc, arc_cost,
+                       bnb_distance, vertex_cost)
 
 _EPS = 1e-9
 # relaxation stops once no probability moves by this much in a pass
@@ -195,10 +198,11 @@ def _expanded_distances(g, t, limit=None):
     for i, x in t.pn_pairs:
         targets[i].append(x)
     targets = [(g.arc_order or {}).get(i, ts) for i, ts in enumerate(targets)]
+    runs = _row_lists(run)
     for i in range(n):
         rates = [t.ce_pn_list[(i, x)] for x in targets[i]]
         items = [vc_ex[x] for x in targets[i]]
-        for j in np.flatnonzero(run[i]).tolist():
+        for j in runs[i]:
             star = slice(bounds[j], bounds[j + 1])
             dist[i, j] = _align(vc[i][j], ins, star_del[star],
                                 [row[star] for row in items],
@@ -331,17 +335,29 @@ def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
     mode the result is always a valid labelling; its distance is an upper
     bound on the optimal one, tight at tau = 1 and at t_p = 0.  A distance
     not below upper_bound comes back as valid=False (see bnb_distance).
+
+    Every argument is checked first.  Then bnb_distance tests the root
+    with every slot open; only if it survives are the mask and the greedy
+    seed on it built and the root tested on them, and only then the arc
+    tables.  The result is that of bnb_distance on the built mask.
     """
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
+    if method == "noniter" and math.isnan(tau):
+        raise ValueError("tau must not be NaN")
+    if method.startswith("relax-") and math.isnan(t_p):
+        raise ValueError("t_p must not be NaN")
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
-    allowed = None
+    mask = None
     if method == "noniter":
-        allowed = ~forbid_matrix(g, f, tau, w, _tables=t)
+        def mask():
+            return ~forbid_matrix(g, f, tau, w, _tables=t)
     elif method != "optimal":
         init = "vertex" if method == "relax-v" else "expanded"
-        allowed = relax_probabilities(g, f, w, iterations, init,
-                                      _tables=t).mask(t_p)
-    return bnb_distance(g, f, w, allowed=allowed, upper_bound=upper_bound,
-                        _tables=t)
+
+        def mask():
+            return relax_probabilities(g, f, w, iterations, init,
+                                       _tables=t).mask(t_p)
+    return bnb_distance(g, f, w, upper_bound=upper_bound, _tables=t,
+                        _mask=mask)

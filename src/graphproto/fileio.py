@@ -444,21 +444,31 @@ def read_labelling(path):
 
     Vertices missing from a line are simply absent from its dict.
     """
+    return [entry for _, entry in _read_labelling(path)]
+
+
+def _read_labelling(path):
+    """read_labelling's entries with the file line each comes from, as
+    (lineno, entry) pairs; blank lines are skipped."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    return [_parse_pairs(line, path, lineno)
+    return [(lineno, _parse_pairs(line, path, lineno))
             for lineno, line in enumerate(lines, 1) if line.strip()]
 
 
 def _parse_pairs(line, path, lineno):
-    """{vertex: slot} of a line of `i->l` tokens; a vertex listed twice is
-    a ParseError."""
-    entry = {}
+    """{vertex: slot} of a line of `i->l` tokens; a vertex or a slot
+    listed twice is a ParseError."""
+    entry, used = {}, set()
     for token in line.split():
         i, q = _parse_pair(token, path, lineno)
         if i in entry:
             raise ParseError(path, lineno, "duplicate vertex %d" % (i + 1))
+        if q in used:
+            raise ParseError(path, lineno, "duplicate slot %d" % (q + 1))
         entry[i] = q
+        if q is not None:
+            used.add(q)
     return entry
 
 

@@ -33,9 +33,10 @@ greedy labelling, or at a caller's upper bound, whichever is lower, so a
 caller that only needs distances below a known value (the nearest-prototype
 loop) can abandon a losing pair early.  The bound charges every unplaced
 vertex and every AG arc not yet paid for, so a pair whose root bound
-already reaches the incumbent is abandoned with one walk, before its arc
-tables are built.  exhaustive_oracle grinds through the whole labelling
-space and is kept around as an independent check.
+already reaches the caller's upper bound is abandoned with one walk,
+before its candidate mask, its greedy seed or its arc tables are built.
+exhaustive_oracle grinds through the whole labelling space and is kept
+around as an independent check.
 """
 
 import itertools
@@ -395,19 +396,28 @@ def _arc_tables(t, rows):
     return arc
 
 
-def _bnb_tables(t, rows=None):
+def _row_lists(mask):
+    """The True columns of each row of a 2-d bool array, as ascending
+    lists, from one nonzero pass."""
+    cols = mask.nonzero()[1].tolist()
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [cols[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _bnb_tables(t, rows=lambda: None):
     """The pair's cost as _map_search's tables, in its argument order (vs,
     v_del, v_ins, arc, a_del, a_floor, a_ins): vertex costs, AG arcs
     deleted with an endpoint at K2 each, the existable slot pairs as the
     second side's arcs at no insertion cost, and the builder of the tables
-    of arc rates per pair of placed vertices (_arc_tables)."""
+    of arc rates per pair of placed vertices (_arc_tables), on the
+    candidate rows that rows() gives when the search calls it."""
     w, m = t.w, t.m
     # an AG arc on a slot pair that is not existable costs K2, so K2 also
     # caps every arc's floor
     floors = t.ce_ex.min(axis=1, initial=w.K2)
     qs, rs = np.nonzero(t.ex)
     return (t.vc_list, [row[m] for row in t.vc_list], t.del_v_list,
-            lambda: _arc_tables(t, rows), dict.fromkeys(t.pn_pairs, w.K2),
+            lambda: _arc_tables(t, rows()), dict.fromkeys(t.pn_pairs, w.K2),
             dict(zip(t.pn_pairs, floors.tolist())),
             dict.fromkeys(zip(qs.tolist(), rs.tolist()), 0.0))
 
@@ -441,7 +451,8 @@ def _arc_antagonism_vet(t):
 
 
 def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
-                 disable_pruning=False, upper_bound=math.inf, _tables=None):
+                 disable_pruning=False, upper_bound=math.inf, _tables=None,
+                 _mask=None):
     """Distance from AG g to FDG f by depth-first branch and bound.
 
     The search is _map_search on the pair's tables (_bnb_tables).  Every
@@ -461,6 +472,16 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
     cost.  The search still returns the first labelling of minimum cost in
     depth-first order, as a search from an infinite incumbent would; only
     the node counts differ.  A NaN upper_bound raises ValueError.
+
+    _mask, a private stand-in for allowed, is a builder: _mask() returns
+    the (n, m) bool mask.  Work happens in this order: the arguments are
+    checked; the root is tested against upper_bound with every slot open;
+    only if it survives is the mask built, its row lists and the greedy
+    seed on them made, and the root tested again on them; only then are
+    the arc tables built.  A mask only takes candidates away, so a root
+    cut before it would also be cut with it: the result is the same as
+    with the mask built first.  With disable_bound the mask is always
+    built.
     """
     w = weights or CostWeights()
     if any(v.is_null for v in g.vertices):
@@ -469,15 +490,20 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
         raise ValueError("upper_bound must not be NaN")
     n, m = g.order, f.order
     t = _tables if _tables is not None else _CostTables(g, f, w)
-    rows = None
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         if allowed.shape != (n, m):
             raise ValueError("allowed mask must be %d x %d" % (n, m))
-        rows = [np.flatnonzero(row).tolist() for row in allowed]
-    if not disable_bound:
-        seed = _greedy_cost(g, f, t, rows)
-        upper_bound = min(upper_bound, math.nextafter(seed, math.inf))
+    rows = None
+
+    def restrict():
+        nonlocal rows
+        mask = allowed if _mask is None else _mask()
+        if mask is not None:
+            rows = _row_lists(mask)
+        if disable_bound:
+            return rows, math.inf
+        return rows, math.nextafter(_greedy_cost(g, f, t, rows), math.inf)
 
     vets = []
     if w.planar:
@@ -495,8 +521,8 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
         cost, ok = labelling_cost(g, f, vmap, w, _tables=t)
         return cost if ok else math.inf
 
-    return _map_search(*_bnb_tables(t, rows), upper_bound, vet, rows, score,
-                       bound=not disable_bound)
+    return _map_search(*_bnb_tables(t, lambda: rows), upper_bound, vet,
+                       restrict, score, bound=not disable_bound)
 
 
 def exhaustive_oracle(g, f, weights=None):

@@ -86,16 +86,23 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     v_ins[q] per q unused; a_del[e] per arc (ordered pair) e of the first
     side with a deleted endpoint, a_ins[e] per arc of the second side with
     an unused endpoint, and arc[p][s][q][r] (s < p) for the arcs between p
-    and s, both ways, when p lands on q and s on r.  arc is passed as a
-    builder: arc() returns those tables, and is called only when the root
-    survives the bound (always with bound False), so a pair decided at the
-    root builds none.  vet(vmap, p), when given, vetoes a placement of p
-    by returning False.  rows[p], when given, lists the vertices p may
-    land on in ascending order; only vs[p][q] and arc[p][s][q] with q
-    among them are read.  score(vmap), when given, is the cost a complete
-    map is kept by: at least its table cost up to rounding, so that terms
-    with no table form (or an infinite one for a map that breaks a
-    constraint) are charged at the leaf.
+    and s, both ways, when p lands on q and s on r.  vet(vmap, p), when
+    given, vetoes a placement of p by returning False.  score(vmap), when
+    given, is the cost a complete map is kept by: at least its table cost
+    up to rounding, so that terms with no table form (or an infinite one
+    for a map that breaks a constraint) are charged at the leaf.
+
+    rows and arc are builders, called in that order and only while the
+    root survives (always with bound False), so a pair decided at the
+    root builds neither.  The root is first tested with every vertex
+    free to land anywhere.  Then rows(), when given, returns
+    (candidates, cap): candidates[p] lists the vertices p may land on in
+    ascending order (candidates None leaves them all), and only maps
+    cheaper than cap are kept.  Fewer options can only raise the root's
+    bound, so a root cut before rows() would be cut after it too.  The
+    root is tested again on the candidates and cap, and then arc()
+    returns the arc tables; only vs[p][q] and arc[p][s][q] with q among
+    candidates[p] are read.
 
     Vertices are placed in index order on free vertices in ascending order,
     then on nothing; the first least-cost map met is kept.  The root, and
@@ -118,8 +125,7 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     if math.isnan(upper_bound):
         raise ValueError("upper_bound must not be NaN")
     n1, n2 = len(v_del), len(v_ins)
-    if rows is None:
-        rows = [range(n2)] * n1
+    candidates = [range(n2)] * n1
     charged = [(e2, cost) for e2, cost in a_ins.items() if cost]
     C_vd, C_vi, C_ed, C_ei = (min(x, default=0.0) for x in (
         v_del, v_ins, a_del.values(), a_ins.values()))
@@ -143,9 +149,14 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     for p in range(n1 - 1, -1, -1):
         a1[p] += a1[p + 1]
         e_floor[p] += e_floor[p + 1]
-    v_min = [min([v_del[p]] + [vs[p][q] for q in rows[p]])
-             for p in range(n1)]
-    v_floor = [sum(v_min[p:]) for p in range(n1 + 1)]
+
+    def floors(options):
+        # v_floor[p]: the cheapest option of each of p..n1-1, summed
+        v_min = [min([v_del[p]] + [vs[p][q] for q in options[p]])
+                 for p in range(n1)]
+        return [sum(v_min[p:]) for p in range(n1 + 1)]
+
+    v_floor = floors(candidates)
     # outs/ins: each second-side vertex's arc partners, as bit masks, and
     # deg its number of arcs
     outs = [0] * n2
@@ -181,8 +192,21 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
 
     margin = 0.0 if score is None else _MARGIN
     full = (1 << n2) - 1
-    if bound and owed(0, full, len(a_ins), 0) * _SLACK >= upper_bound + margin:
+
+    def cut_at_root():
+        return bound and \
+            owed(0, full, len(a_ins), 0) * _SLACK >= upper_bound + margin
+
+    if cut_at_root():
         return MatchResult(math.inf, None, 1, False, 0)
+    if rows is not None:
+        some, cap = rows()
+        upper_bound = min(upper_bound, cap)
+        if some is not None:
+            candidates = some
+            v_floor = floors(candidates)
+        if cut_at_root():
+            return MatchResult(math.inf, None, 1, False, 0)
     arc = arc()
     best_cost = upper_bound
     best_map = None
@@ -210,7 +234,7 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
                 best_map = Labelling(vmap)
             return
         vs_p, arc_p, dels_p = vs[p], arc[p], dels[p]
-        for q in [q for q in rows[p] if (free >> q) & 1] + [None]:
+        for q in [q for q in candidates[p] if (free >> q) & 1] + [None]:
             vmap[p] = q
             if q is None:
                 step = v_del[p]

@@ -14,7 +14,8 @@
 - a bad bin width (flag or FDG file line), a NaN --dalpha and a NaN
   dist --tau or --tp exit with status 2 before any output is written
 - a synth labelling entry for a vertex its AG lacks exits with status 2,
-  naming both files and the vertex
+  naming both files and the vertex; a slot listed twice on a line or at
+  or beyond --order exits 2 naming the labelling file and line
 - a boolean config value is read from its spellings; any other exits 2
 """
 
@@ -343,6 +344,24 @@ def test_synth_labelling_of_a_missing_vertex_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: %s names vertex 5, which %s (order 2) does not " \
         "have\n" % (lab, ag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1->1 2->1", "duplicate slot 1"),
+    ("1->1 2->3", "slot 3 is beyond --order 2"),
+])
+def test_synth_labelling_refusal_names_file_and_line(tmp_path, capsys, line,
+                                                     message):
+    # the blank lines are skipped, but the error names the file's own line
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(10)})
+    ag, lab = tmp_path / "a.ag", tmp_path / "l.txt"
+    write_ag(g, ag)
+    lab.write_text("\n1->1 2->2\n\n%s\n" % line)
+    out = tmp_path / "out.fdg"
+    assert main(["synth", "--ag", str(ag), "--ag", str(ag), "--labelling",
+                 str(lab), "--order", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s:4: %s\n" % (lab, message)
     assert not out.exists()
 
 

@@ -17,6 +17,9 @@
   on tables that already hold the unrestricted greedy seed
 * relaxation rows are probability vectors and masking keeps each row's best
 * a NaN tau or t_p is refused by the filter, the mask and the dispatcher
+* a pair whose root is cut before its mask is built builds none and gives
+  the search on the full mask; a noniter classify filters only the winner
+* argument errors are raised even where the root would be cut
 * a relaxation match builds its pair's cost tables once
 """
 
@@ -37,12 +40,16 @@ from graphproto import (
     attr,
     bnb_distance,
     compact_ag,
+    extend_ag,
+    fdg_classify,
     generate_models,
     perturb,
     synth_from_labelled_ags,
     vertex_cost,
 )
+from graphproto import efficient
 from graphproto.efficient import (
+    METHODS,
     ExpandedVertex,
     ProbMatrix,
     _expanded_distances,
@@ -336,6 +343,92 @@ def test_every_method_is_the_search_on_its_own_mask():
         seen["restricted"] += w.mode == "restricted"
         seen["planar"] += w.planar
     assert min(seen.values()) >= 5, seen
+
+
+class _Built(Exception):
+    """Raised by a filter that should not have run."""
+
+
+def _refuse(*args, **kwargs):
+    raise _Built
+
+
+def _outcome(res):
+    return (res.distance, res.valid, res.labelling, res.explored_nodes,
+            res.leaves)
+
+
+def test_a_root_cut_before_the_mask_builds_no_mask(monkeypatch):
+    # with the filters refusing to run, a call that still returns was cut
+    # at the root on every slot; it must be the search on the full mask
+    rng = np.random.default_rng(41)
+    cut = dict.fromkeys(METHODS[1:], 0)
+    survived = 0
+    for trial in range(60):
+        g, f = _random_ag(rng), _random_fdg(rng)
+        w = CostWeights(K3=float(rng.choice([0.0, 1.0])),
+                        mode="restricted" if trial % 3 == 0 else "relaxed")
+        bound = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        masks = {
+            "noniter": ~forbid_matrix(g, f, 0.5, w),
+            "relax-v": relax_probabilities(g, f, w, 5, "vertex").mask(0.2),
+            "relax-ev": relax_probabilities(g, f, w, 5, "expanded").mask(0.2),
+        }
+        with monkeypatch.context() as m:
+            m.setattr(efficient, "forbid_matrix", _refuse)
+            m.setattr(efficient, "relax_probabilities", _refuse)
+            for method, mask in masks.items():
+                try:
+                    got = match_by_method(g, f, w, method, tau=0.5, t_p=0.2,
+                                          iterations=5, upper_bound=bound)
+                except _Built:
+                    survived += 1
+                    continue
+                want = bnb_distance(g, f, w, allowed=mask, upper_bound=bound)
+                assert _outcome(got) == _outcome(want) \
+                    == (math.inf, False, None, 1, 0)
+                cut[method] += 1
+    assert min(cut.values()) >= 5 and survived >= 5, (cut, survived)
+
+
+def test_noniter_classify_filters_the_winner_only(monkeypatch):
+    calls = []
+    build = efficient.forbid_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(efficient, "forbid_matrix", counting)
+    ags = [AttributedGraph([attr(v), attr(v + 1), attr(v + 2)],
+                           {(0, 1): attr(v + 3), (1, 2): attr(v + 4)})
+           for v in (1, 300, 600)]
+    protos = [ag_to_fdg(g) for g in ags]
+    assert fdg_classify(ags[1], protos, method="noniter", tau=0.5) == (1, 0.0)
+    assert calls == [1]
+
+
+def test_argument_errors_come_before_the_root_test():
+    # at upper_bound 1 the search on this far pair stops at its root
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(10)})
+    f = ag_to_fdg(AttributedGraph([attr(500), attr(600)],
+                                  {(1, 0): attr(700)}))
+    assert match_by_method(g, f, method="noniter", tau=0.5,
+                           upper_bound=1.0).explored_nodes == 1
+    for method, kw in (("noniter", {"tau": math.nan}),
+                       ("relax-v", {"t_p": math.nan}),
+                       ("relax-ev", {"t_p": math.nan})):
+        with pytest.raises(ValueError, match="NaN"):
+            match_by_method(g, f, method=method, upper_bound=1.0, **kw)
+    with pytest.raises(ValueError, match="unknown method"):
+        match_by_method(g, f, method="nope", upper_bound=1.0)
+    with pytest.raises(ValueError, match="upper_bound must not be NaN"):
+        match_by_method(g, f, method="noniter", upper_bound=math.nan)
+    with pytest.raises(ValueError, match="non-extended"):
+        match_by_method(extend_ag(g, 3), f, method="relax-ev",
+                        upper_bound=1.0)
+    with pytest.raises(ValueError, match="2 x 2"):
+        bnb_distance(g, f, allowed=np.ones((2, 3), bool), upper_bound=1.0)
 
 
 def test_relaxation_rows_are_distributions():

@@ -288,6 +288,7 @@ def test_labelling_accepts_labelling_objects(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "1->1 1->2\n",
+    "1->2 2->2\n",
     "0->1\n",
     "1->0\n",
     "1=>2\n",

@@ -6,7 +6,8 @@ build, taken from the caller's own call, at upper bounds around the
 optimum.  A bound that overestimated what a branch still owes would cut
 the optimal map at one of them; a brute force over every map shows it.
 A pair whose root bound already reaches the upper bound is decided with
-one walk and builds no arc tables.
+one walk and builds no arc tables, also when only its candidate rows
+raise the bound that far.
 """
 
 import itertools
@@ -80,6 +81,8 @@ def _brute(args):
     tables = args[:7]
     vet, rows, score = (args[8:] + [None] * 3)[:3]
     n1, n2 = len(tables[1]), len(tables[2])
+    if rows is not None:
+        rows = rows()[0]
     arc = tables[3]()
     costs = {}
     for vmap in _maps(n1, n2, rows):
@@ -256,3 +259,16 @@ def test_a_pair_decided_at_the_root_builds_no_arc_tables(arc_table_builds):
         baseline, lambda: edit_distance(g, far, upper_bound=0.5))
     assert out == (math.inf, None)
     assert (res.explored_nodes, res.leaves) == (1, 0)
+
+
+def test_a_root_cut_only_on_the_mask_counts_one_walk(arc_table_builds):
+    g = AttributedGraph([attr(1)], {})
+    f = synth_from_labelled_ags([g], CommonLabelling([[0]], 1))
+    # with its one slot open the root survives upper_bound 0.5; without
+    # it the vertex owes its deletion, 1
+    res = bnb_distance(g, f, upper_bound=0.5)
+    assert (res.distance, res.explored_nodes) == (0.0, 2)
+    res = bnb_distance(g, f, allowed=[[False]], upper_bound=0.5)
+    assert (res.distance, res.labelling, res.valid) == (math.inf, None, False)
+    assert (res.explored_nodes, res.leaves) == (1, 0)
+    assert arc_table_builds == [1]
