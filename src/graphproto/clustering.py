@@ -59,7 +59,8 @@ def incremental_clustering(ags, d_alpha, weights=None, matcher=None,
     distance is at most d_alpha.  matcher(g, f, weights) must return an
     object with distance, labelling and valid; the default is fdg_classify's
     bounded branch and bound, which gives the result of a full search per
-    prototype.  A custom matcher gets no bound and may search in full.
+    prototype and builds no cost tables for one whose root bound is beyond
+    d_alpha.  A custom matcher gets every prototype, with no bound.
     Weights K3..K8 are forced to zero.  With return_assignments the second
     element maps each prototype to the set of input positions it absorbed.
     """

@@ -614,11 +614,11 @@ class Fdg:
 
     _costs is an FDG's one cache: every part of its cost tables that no AG
     enters (matching._fdg_costs), under the last K1, K2 and K_pr it was
-    matched with, as (key, arrays, lists), or None.  It is filled lazily,
-    by the first match, so an FDG that is never matched pays nothing for
-    it.  It stays valid for the reason the flags do, and because the first
-    fill makes the six relation arrays read-only.  The FDG copies them at
-    construction, so that freezes its own arrays and not a caller's.
+    matched with, as (key, root part, search part or None), or None, each
+    part filled lazily.  It stays valid for the reason the flags do, and
+    because the search part's fill makes the six relation arrays
+    read-only.  The FDG copies them at construction, so that freezes its
+    own arrays and not a caller's.
     """
 
     __slots__ = _RELATIONS + ("vbins", "abins", "z", "vnull", "vstrict",

@@ -10,12 +10,9 @@ costs no filter.  Mask and search read the pair's one set of cost tables
     slot) pair by a cyclic string edit distance between their local star
     structures and forbids the pairs whose normalised score exceeds a
     threshold tau.  With tau = 1 and unit weights nothing is forbidden, so
-    the search stays exact.  forbid_matrix reads the item costs from the
-    tables and runs the alignment DP only where a vectorised lower bound
-    (_star_bound) does not already decide the pair, and it reads each
-    slot's star off the tables' existable slot pairs; the public
-    expanded_vertex_distance scores its items by vertex_cost and arc_cost
-    and runs the same DP, with bit-identical results.
+    the search stays exact.  forbid_matrix reads the stars off the tables
+    and runs the alignment DP only where a lower bound (_star_bound) does
+    not decide the pair, bit-identical to expanded_vertex_distance.
   * "relax-v" and "relax-ev", probabilistic relaxation, iterate a
     support-driven update on a vertex-to-slot probability matrix and keep
     the entries above a threshold t_p (plus each row's best candidate, so
@@ -153,20 +150,27 @@ def _star_bound(t):
     distance less the centre cost vc[i, j] is at least the AG-side sum of
     each item's cheapest outcome, and at least the FDG-side sum of each
     star item's.  The bound is the centre plus the larger of the two."""
-    n, m, ex = t.n, t.m, t.ex
+    n, m = t.n, t.m
+    # existable pair (j, r), a column of ce_ex, is item r of slot j's star;
+    # the FDG side sums rows of m with zeros elsewhere, as a dense mask does
+    js, rs = np.nonzero(t.ex)
+    fdg_side = np.zeros((n, m * m))
+    fdg_side[:, js * m + rs] = t.del_v[rs]
     ag_side = np.zeros((n, m))
-    best = np.full((n, m, m), np.inf)
     if t.pn_pairs:
         src, dst = np.array(t.pn_pairs).T
-        # pair[a, j, r]: AG arc a = (i, x) against star item r of slot j
-        pair = np.where(ex, t.vc[dst, :m][:, None, :] + t.rates[1:], np.inf)
+        # pair[a, e]: AG arc a = (i, x) against existable pair e
+        pair = t.vc[dst][:, rs] + t.ce_ex
+        least = np.full((len(src), m), np.inf)
+        np.minimum.at(least, (slice(None), js), pair)
         # pn_pairs run in order of source vertex
         heads, starts = np.unique(src, return_index=True)
-        ag_side[heads] = np.add.reduceat(np.minimum(
-            pair.min(axis=2, initial=np.inf), t.w.K1 + t.w.K2), starts)
-        best[heads] = np.minimum.reduceat(pair, starts)
-    fdg_side = np.where(ex, np.minimum(best, t.del_v), 0.0).sum(axis=2)
-    return t.vc[:, :m] + np.maximum(ag_side, fdg_side)
+        ag_side[heads] = np.add.reduceat(
+            np.minimum(least, t.w.K1 + t.w.K2), starts)
+        fdg_side[heads[:, None], js * m + rs] = np.minimum(
+            np.minimum.reduceat(pair, starts), t.del_v[rs])
+    return t.vc[:, :m] + np.maximum(
+        ag_side, fdg_side.reshape(n, m, m).sum(axis=2))
 
 
 def _expanded_distances(g, t, limit=None):
@@ -322,6 +326,17 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
     return ProbMatrix(P)
 
 
+def _check_method(method, tau, t_p):
+    """Refuse an unknown method and a NaN tau or t_p where it is used,
+    before a root cut can skip the filter that would refuse them."""
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % (method,))
+    if method == "noniter" and math.isnan(tau):
+        raise ValueError("tau must not be NaN")
+    if method.startswith("relax-") and math.isnan(t_p):
+        raise ValueError("t_p must not be NaN")
+
+
 def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
                     iterations=20, upper_bound=math.inf, _tables=None):
     """Distance from g to f by the matcher a name in METHODS selects.
@@ -334,19 +349,10 @@ def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
     set of cost tables.  The null target stays available, so in relaxed
     mode the result is always a valid labelling; its distance is an upper
     bound on the optimal one, tight at tau = 1 and at t_p = 0.  A distance
-    not below upper_bound comes back as valid=False (see bnb_distance).
-
-    Every argument is checked first.  Then bnb_distance tests the root
-    with every slot open; only if it survives are the mask and the greedy
-    seed on it built and the root tested on them, and only then the arc
-    tables.  The result is that of bnb_distance on the built mask.
+    not below upper_bound comes back as valid=False.  Every argument is
+    checked first; the mask goes to bnb_distance unbuilt (its _mask).
     """
-    if method not in METHODS:
-        raise ValueError("unknown method %r" % (method,))
-    if method == "noniter" and math.isnan(tau):
-        raise ValueError("tau must not be NaN")
-    if method.startswith("relax-") and math.isnan(t_p):
-        raise ValueError("t_p must not be NaN")
+    _check_method(method, tau, t_p)
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
     mask = None

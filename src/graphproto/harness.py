@@ -20,9 +20,10 @@ import time
 import numpy as np
 
 from .core import PHI, AttributedGraph, CostWeights, Pdf, attr
-from .efficient import match_by_method
+from .efficient import _check_method, match_by_method
 from .fileio import read_ag, read_fdg, write_ag, write_fdg
-from .matching import _CostTables, _greedy_cost
+from .matching import _binned, _cheap_root, _CostTables
+from .search import _MARGIN, _SLACK, MatchResult
 from .synthesis import CommonLabelling, synth_from_labelled_ags
 
 __all__ = [
@@ -229,27 +230,36 @@ def _classify(test, models, weights, method="optimal", tau=1.0, t_p=0.0,
               upper_bound=math.inf, matcher=None):
     """fdg_classify plus the MatchResult of every prototype, in model order.
 
-    Prototypes are visited in order of their greedy labelling cost, each
-    searched only below the incumbent (at first upper_bound): one with a
-    lower index than the incumbent's may also tie it.  A prototype that
-    cannot win comes back with valid=False, unless matcher(test, f, weights)
-    replaces match_by_method: its results are taken as returned.  With no
+    Arguments are checked first.  Prototypes are visited in order of their
+    root bound (_cheap_root, the test AG binned once per bin width), each
+    searched below the incumbent (at first upper_bound): one with a lower
+    index than the incumbent's may also tie it.  One whose root bound
+    reaches that bound gets bnb_distance's root cut, with no tables built.
+    A prototype that cannot win comes back with valid=False, unless
+    matcher(test, f, weights) replaces match_by_method: all go to it, in
+    index order, and its results are taken as returned.  With no
     prototype below upper_bound the result is (0, upper_bound, results).
     """
+    _check_method(method, tau, t_p)
     w = weights or CostWeights()
-    tables = [_CostTables(test, f, w) for f in models]
-    order = sorted(range(len(models)),
-                   key=lambda i: (_greedy_cost(test, models[i], tables[i]), i))
     results = [None] * len(models)
-    best = -1
-    best_d = upper_bound
+    order = range(len(models))
+    if matcher is None:
+        bins = {x: _binned(test, x) for x in {f.bin_width for f in models}}
+        roots = [_cheap_root(bins[f.bin_width], f, w) for f in models]
+        order = sorted(order, key=lambda i: (roots[i], i))
+    best, best_d = -1, upper_bound
     for i in order:
+        f = models[i]
         bound = best_d if i > best else math.nextafter(best_d, math.inf)
-        if matcher is None:
-            res = match_by_method(test, models[i], w, method, tau, t_p,
-                                  upper_bound=bound, _tables=tables[i])
+        if matcher is not None:
+            res = matcher(test, f, w)
+        elif roots[i] * _SLACK >= bound + _MARGIN:
+            res = MatchResult(math.inf, None, 1, False, 0)
         else:
-            res = matcher(test, models[i], w)
+            res = match_by_method(
+                test, f, w, method, tau, t_p, upper_bound=bound,
+                _tables=_CostTables(test, f, w, bins[f.bin_width]))
         results[i] = res
         d = res.distance if res.valid else math.inf
         if (d, i) < (best_d, best):
@@ -265,8 +275,8 @@ def fdg_classify(test, models, weights=None, method="optimal", tau=1.0,
     labelling.
 
     One bounded search: a prototype is abandoned as soon as it cannot beat
-    the nearest one found so far, so only the winner's distance is solved
-    to the end.  Winner and distance equal those of a full search against
+    the nearest one found so far (at its root bound, before any cost
+    table), so only the winner's distance is solved to the end.  Winner and distance equal those of a full search against
     every prototype.
     """
     if not models:

@@ -24,19 +24,13 @@ terms have no such form without negative entries, which would break the
 bound, so they are charged when a complete labelling is scored.  In
 restricted mode vertex antagonism is an infinite pair cost, arc antagonism
 an in-tree veto, and the rest of the constraints are checked at the leaf.
-Vertices are matched in index order, candidates are the unused slots in
-ascending order followed by the null target, and a branch survives only
-while its cost plus an admissible bound on what is still owed stays below
-the incumbent.  A node of the search is one partial labelling, the root and
-the complete ones included.  The incumbent starts just above the cost of a
-greedy labelling, or at a caller's upper bound, whichever is lower, so a
-caller that only needs distances below a known value (the nearest-prototype
-loop) can abandon a losing pair early.  The bound charges every unplaced
-vertex and every AG arc not yet paid for, so a pair whose root bound
-already reaches the caller's upper bound is abandoned with one walk,
-before its candidate mask, its greedy seed or its arc tables are built.
-exhaustive_oracle grinds through the whole labelling space and is kept
-around as an independent check.
+The incumbent starts just above the cost of a greedy labelling, or at a
+caller's upper bound, whichever is lower, so the nearest-prototype loop
+can abandon a losing pair early: one whose root bound already reaches the
+upper bound takes one walk.  That bound reads no table entry, so the loop
+gets it from the FDG's cache (_cheap_root) and builds no tables for such a
+pair.  exhaustive_oracle grinds through the whole labelling space and is
+kept around as an independent check.
 """
 
 import itertools
@@ -46,7 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import _RELATIONS, CostWeights, Labelling, _pair_ends, _slot_list
-from .search import MatchResult, _map_search, _planar_ok, _planar_vet
+from .search import (MatchResult, _arc_floors, _bound, _map_search,
+                     _planar_ok, _planar_vet)
 
 
 def _trunc(pr, k_pr):
@@ -77,8 +72,9 @@ def _costs_by_bin(bins, positions, k, k_pr):
     """(positions, costs, spans): every bin a slot of the store holds, with
     the flat positions of the slots that hold it and k * _trunc of its
     probability under each, in one pass over the store's entries.
-    positions and costs are flat arrays grouped by bin, and spans maps a
-    bin to its slice of them.  positions[s] is slot s's flat position, or
+    positions and costs are flat arrays grouped by bin, each bin's least
+    cost first, and spans maps a bin to its slice of them.  positions[s] is
+    slot s's flat position, or
     -1 to leave the slot out; a slot with total 0 holds only the null bin,
     at probability 1.  A probability is count over total, divided as
     Python ints, as BinStore.probs does."""
@@ -96,6 +92,8 @@ def _costs_by_bin(bins, positions, k, k_pr):
             hit[1].append(k * _trunc(c / (total[s] or 1), k_pr))
     flat, costs, spans = [], [], {}
     for b, (ps, cs) in by_bin.items():
+        i = cs.index(min(cs))
+        ps[0], ps[i], cs[0], cs[i] = ps[i], ps[0], cs[i], cs[0]
         spans[bins.keys[b]] = slice(len(flat), len(flat) + len(ps))
         flat += ps
         costs += cs
@@ -142,48 +140,84 @@ def _relation_pairs(f):
     return pairs
 
 
-def _fdg_costs(f, w):
-    """The part of the (AG, f, w) cost tables that no AG enters, for
-    _CostTables, as (arrays, lists): the vertex and arc _costs_by_bin maps
-    (an arc slot with a null endpoint left out), del_v, ce_absent, sidx,
-    ex and rel, all read-only, and the leaf's lists del_v, ce_absent and
-    ex_pos.  It depends on f and on w's K1, K2 and K_pr only, so it is
-    kept on f (Fdg._costs) under those three and rebuilt when they
-    change; the fill makes f's relation arrays read-only, so rel cannot
-    go stale."""
+def _fdg_root(f, w):
+    """The root part of f's cost cache under w's K1, K2 and K_pr: the vertex
+    and arc _costs_by_bin maps (an arc slot with a null endpoint left out),
+    del_v, the number of existable slot pairs and min(del_v)."""
     key = (w.K1, w.K2, w.K_pr)
     if f._costs is not None and f._costs[0] == key:
-        return f._costs[1:]
+        return f._costs[1]
     m, k_pr = f.order, w.K_pr
     by_vbin = _costs_by_bin(f.vbins, np.arange(m), w.K1, k_pr)
     del_v = np.full(m, w.K1)
     _put_by_bin(del_v, None, by_vbin)
     # a pair with a null slot at either end is free when absent and
     # costs one unit when present, whatever its pdf says
-    endpoint_null = f.vnull[:, None] | f.vnull[None, :]
     src, dst = _pair_ends(m)
     by_abin = _costs_by_bin(
-        f.abins, np.where(endpoint_null[src, dst], -1, src * m + dst),
+        f.abins, np.where(f.vnull[src] | f.vnull[dst], -1, src * m + dst),
         w.K2, k_pr)
-    ce_absent = np.full((m, m), w.K2)
-    ce_absent[endpoint_null] = 0.0
-    np.fill_diagonal(ce_absent, 0.0)
-    _put_by_bin(ce_absent.reshape(-1), None, by_abin)
-    sidx = np.full((m, m), -1, dtype=int)
-    sidx[src, dst] = np.arange(len(src))
-    ex = np.zeros((m, m), bool)
-    ex[src, dst] = ~f.anull
-    # ex_pos[q][r]: the row-major place of existable pair (q, r), or -1
-    ex_pos = np.full((m, m), -1)
-    ex_pos[ex] = np.arange(np.count_nonzero(ex))
-    arrays = (by_vbin, by_abin, del_v, ce_absent, sidx, ex,
-              _relation_pairs(f))
-    for a in (*by_vbin[:2], *by_abin[:2], *arrays[2:],
-              *f.relations().values()):
+    for a in (*by_vbin[:2], *by_abin[:2], del_v):
         a.setflags(write=False)
-    f._costs = (key, arrays,
-                (del_v.tolist(), ce_absent.tolist(), ex_pos.tolist()))
-    return f._costs[1:]
+    root = (by_vbin, by_abin, del_v, int(np.count_nonzero(~f.anull)),
+            min(del_v.tolist(), default=0.0))
+    f._costs = (key, root, None)
+    return root
+
+
+def _fdg_costs(f, w):
+    """f's cost cache: the root part and the search part, filled on first
+    use (ce_absent, sidx, ex, rel and the leaf's lists del_v, ce_absent
+    and ex_pos), which freezes f's relation arrays so rel cannot go stale."""
+    root = _fdg_root(f, w)
+    if f._costs[2] is None:
+        m = f.order
+        by_abin, del_v = root[1:3]
+        ce_absent = np.full((m, m), w.K2)
+        ce_absent[f.vnull[:, None] | f.vnull[None, :]] = 0.0
+        np.fill_diagonal(ce_absent, 0.0)
+        _put_by_bin(ce_absent.reshape(-1), None, by_abin)
+        src, dst = _pair_ends(m)
+        sidx = np.full((m, m), -1, dtype=int)
+        sidx[src, dst] = np.arange(len(src))
+        ex = np.zeros((m, m), bool)
+        ex[src, dst] = ~f.anull
+        # ex_pos[q][r]: the row-major place of existable pair (q, r), or -1
+        ex_pos = np.full((m, m), -1)
+        ex_pos[ex] = np.arange(root[3])
+        arrays = (ce_absent, sidx, ex, _relation_pairs(f))
+        for a in (*arrays, *f.relations().values()):
+            a.setflags(write=False)
+        f._costs = f._costs[:2] + ((arrays, (
+            del_v.tolist(), ce_absent.tolist(), ex_pos.tolist())),)
+    return root, f._costs[2]
+
+
+def _binned(g, width):
+    """g's vertex bins at width, and its present arcs as (pair, bin)."""
+    return ([a.binned(width) for a in g.vertices],
+            [(ij, g.arcs[ij].binned(width)) for ij in
+             sorted(ij for ij, b in g.arcs.items() if not b.is_null)])
+
+
+def _cheap_root(bins, f, w):
+    """_map_search's first root test on the tables of the AG binned as bins
+    and f, from f's root part alone: each vertex's cheapest option and each
+    arc's floor is its bin's least cost, the first of its span, or K1 and
+    K2 (no cost exceeds them); a pair that is not existable holds only the
+    null bin.  Like bnb_distance, it refuses an extended AG."""
+    vertices, arcs = bins
+    if None in vertices:
+        raise ValueError("bnb_distance expects a non-extended AG")
+    (_, vcost, vspan), (_, acost, aspan), _, n_ex, min_del = _fdg_root(f, w)
+    n = len(vertices)
+    v_floor = sum([w.K1 if (s := vspan.get(b)) is None
+                   else vcost.item(s.start) for b in vertices])
+    a_floor = {ij: w.K2 if (s := aspan.get(b)) is None
+               else acost.item(s.start) for ij, b in arcs}
+    owed = _bound(n, *_arc_floors(n, a_floor), [0], [0.0], [v_floor],
+                  (w.K1 if n else 0.0, min_del, w.K2 if arcs else 0.0, 0.0))
+    return owed(0, (1 << f.order) - 1, n_ex, 0)
 
 
 class _CostTables:
@@ -202,16 +236,16 @@ class _CostTables:
     per-call dispatch on matrices this small.
 
     The first-order tables are built by bin lookup: each AG attribute is
-    binned once, every entry starts at one unit (K1 or K2), the cost of a
-    bin the slot's pdf has never seen, and the slots whose pdf holds the
-    AG's bin are overwritten from a bin -> (slots, costs) map
-    (_costs_by_bin), bit-identical to vertex_cost and arc_cost times K.
-    The expanded-vertex filter reads these tables too.
+    binned once (bins, from _binned, when the caller has them), every
+    entry starts at one unit (K1 or K2), the cost of a bin the slot's pdf
+    has never seen, and the slots whose pdf holds the AG's bin are
+    overwritten from a bin -> (slots, costs) map (_costs_by_bin),
+    bit-identical to vertex_cost and arc_cost times K.  The expanded-vertex
+    filter reads these tables too.
 
     ex[q, r] is True where the slot pair (q, r) is an existable arc slot
     (never on the diagonal), and ex_pos[q][r] is the pair's place among
-    them in row-major order (or -1).  seed caches the unrestricted
-    _greedy_cost.
+    them in row-major order (or -1).
 
     Second order: rel holds the relation instances a labelling can
     violate (_relation_pairs), the only form the relations are kept in;
@@ -222,32 +256,31 @@ class _CostTables:
     pair's K1, K2 and K_pr and shared, read-only, by every later one.
     """
 
-    def __init__(self, g, f, w):
+    def __init__(self, g, f, w, bins=None):
         n, m = g.order, f.order
         self.n, self.m = n, m
         self.w = w
-        width = f.bin_width
-        (by_vbin, by_abin, self.del_v, self.ce_absent, self.sidx, self.ex,
-         self.rel), (self.del_v_list, self.ce_absent_list, self.ex_pos) = \
+        vertices, arcs = bins or _binned(g, f.bin_width)
+        (by_vbin, by_abin, self.del_v, *_), (
+            (self.ce_absent, self.sidx, self.ex, self.rel),
+            (self.del_v_list, self.ce_absent_list, self.ex_pos)) = \
             _fdg_costs(f, w)
 
         self.vc = np.full((n, m + 1), w.K1)
-        for row, a in zip(self.vc, g.vertices):
-            _put_by_bin(row, a.binned(width), by_vbin)
+        for row, b in zip(self.vc, vertices):
+            _put_by_bin(row, b, by_vbin)
 
-        self.pn_pairs = sorted(p for p, b in g.arcs.items() if not b.is_null)
-        self.rates = np.full((len(self.pn_pairs) + 1, m, m), w.K2)
+        self.pn_pairs = [ij for ij, _ in arcs]
+        self.rates = np.full((len(arcs) + 1, m, m), w.K2)
         self.rates[0] = self.ce_absent
         self.arc_id = np.zeros((n, n), dtype=int)
-        for a, (i, j) in enumerate(self.pn_pairs, 1):
-            self.arc_id[i, j] = a
-            _put_by_bin(self.rates[a].reshape(-1),
-                        g.arcs[(i, j)].binned(width), by_abin)
+        for a, (ij, b) in enumerate(arcs, 1):
+            self.arc_id[ij] = a
+            _put_by_bin(self.rates[a].reshape(-1), b, by_abin)
         self.pn = self.arc_id > 0
         self.vc_list = self.vc.tolist()
         self.ce_ex = self.rates[1:, self.ex]
         self.ce_pn_list = dict(zip(self.pn_pairs, self.ce_ex.tolist()))
-        self.seed = None
 
 
 def _realized(t, vmap):
@@ -345,9 +378,7 @@ def _greedy_cost(g, f, t, rows=None):
     """Cost of the labelling that gives each vertex, in index order, its
     cheapest free slot among `rows[i]` (all slots by default) if that is
     cheaper than the null target, else the null target; inf when that
-    labelling is invalid.  The unrestricted cost is kept as t.seed."""
-    if rows is None and t.seed is not None:
-        return t.seed
+    labelling is invalid."""
     m = t.m
     vmap = []
     used = set()
@@ -359,8 +390,6 @@ def _greedy_cost(g, f, t, rows=None):
         used.add(pick)
         vmap.append(pick)
     cost, ok = labelling_cost(g, f, vmap, t.w, _tables=t)
-    if rows is None:
-        t.seed = cost if ok else math.inf
     return cost if ok else math.inf
 
 
@@ -473,15 +502,11 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
     depth-first order, as a search from an infinite incumbent would; only
     the node counts differ.  A NaN upper_bound raises ValueError.
 
-    _mask, a private stand-in for allowed, is a builder: _mask() returns
-    the (n, m) bool mask.  Work happens in this order: the arguments are
-    checked; the root is tested against upper_bound with every slot open;
-    only if it survives is the mask built, its row lists and the greedy
-    seed on them made, and the root tested again on them; only then are
-    the arc tables built.  A mask only takes candidates away, so a root
-    cut before it would also be cut with it: the result is the same as
-    with the mask built first.  With disable_bound the mask is always
-    built.
+    _mask, a private stand-in for allowed, builds the (n, m) bool mask
+    only if the root survives with every slot open; the greedy seed on its
+    rows, a second root test and the arc tables follow.  A mask only takes
+    candidates away, so the result is that of the mask built first.  With
+    disable_bound it is always built.
     """
     w = weights or CostWeights()
     if any(v.is_null for v in g.vertices):

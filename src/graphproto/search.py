@@ -75,102 +75,29 @@ def _planar_vet(g):
     return vet
 
 
-def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
-                vet=None, rows=None, score=None, bound=True):
-    """Cheapest injective partial map of the n1 = len(v_del) vertices of one
-    side into the n2 = len(v_ins) of the other, as a MatchResult whose
-    distance is inf and labelling None when none costs less than
-    upper_bound.
-
-    A map pays vs[p][q] per p placed on q, v_del[p] per p deleted and
-    v_ins[q] per q unused; a_del[e] per arc (ordered pair) e of the first
-    side with a deleted endpoint, a_ins[e] per arc of the second side with
-    an unused endpoint, and arc[p][s][q][r] (s < p) for the arcs between p
-    and s, both ways, when p lands on q and s on r.  vet(vmap, p), when
-    given, vetoes a placement of p by returning False.  score(vmap), when
-    given, is the cost a complete map is kept by: at least its table cost
-    up to rounding, so that terms with no table form (or an infinite one
-    for a map that breaks a constraint) are charged at the leaf.
-
-    rows and arc are builders, called in that order and only while the
-    root survives (always with bound False), so a pair decided at the
-    root builds neither.  The root is first tested with every vertex
-    free to land anywhere.  Then rows(), when given, returns
-    (candidates, cap): candidates[p] lists the vertices p may land on in
-    ascending order (candidates None leaves them all), and only maps
-    cheaper than cap are kept.  Fewer options can only raise the root's
-    bound, so a root cut before rows() would be cut after it too.  The
-    root is tested again on the candidates and cap, and then arc()
-    returns the arc tables; only vs[p][q] and arc[p][s][q] with q among
-    candidates[p] are read.
-
-    Vertices are placed in index order on free vertices in ascending order,
-    then on nothing; the first least-cost map met is kept.  The root, and
-    then each child, is cut when its cost plus a bound on what is still
-    owed reaches the upper bound or the incumbent (plus _MARGIN when a
-    score hook sets the incumbent): each unplaced vertex its cheapest
-    option, a surplus of vertices on either side the cheapest deletion or
-    insertion, and every arc not yet paid for (on the first side, one
-    whose later endpoint is unplaced; on the second, one with an unused
-    endpoint) at least a_floor[e].  The unpaid arcs fall in two groups:
-    those among unplaced (or unused) vertices, and those across the cut,
-    with one endpoint placed (or used).  An arc can only land on an arc of
-    its own group, so a surplus of either group on either side owes the
-    cheapest arc deletion or insertion per arc, counted apart.  So no cost
-    may be negative, and an arc on a pair that is no arc of the other side
-    must cost at least the cheapest arc deletion (first side) or insertion
-    (second side).  With bound False nothing is cut by cost, an infinite
-    one included, and every leaf is scored.
-    """
-    if math.isnan(upper_bound):
-        raise ValueError("upper_bound must not be NaN")
-    n1, n2 = len(v_del), len(v_ins)
-    candidates = [range(n2)] * n1
-    charged = [(e2, cost) for e2, cost in a_ins.items() if cost]
-    C_vd, C_vi, C_ed, C_ei = (min(x, default=0.0) for x in (
-        v_del, v_ins, a_del.values(), a_ins.values()))
-    # dels[p][s]: the arcs between p and s (s < p) when either is deleted.
-    # While 0..p-1 are placed, an arc is unpaid when its later endpoint is
-    # p or above: a1[p] and e_floor[p] are the count and floor sum of those
-    # among p..n1-1, x1[p] and x_floor[p] of those across the cut
-    dels = [[0.0] * p for p in range(n1)]
+def _arc_floors(n1, a_floor):
+    """a1[p] and e_floor[p]: the count and floor sum of the arcs (keys of
+    a_floor) whose earlier endpoint is p or above."""
     a1 = [0] * (n1 + 1)
     e_floor = [0.0] * (n1 + 1)
-    x1 = [0] * (n1 + 1)
-    x_floor = [0.0] * (n1 + 1)
-    for (i, j), cost in a_del.items():
-        s, p = sorted((i, j))
-        dels[p][s] += cost
+    for (i, j), floor in a_floor.items():
+        s = min(i, j)
         a1[s] += 1
-        e_floor[s] += a_floor[i, j]
-        for k in range(s + 1, p + 1):
-            x1[k] += 1
-            x_floor[k] += a_floor[i, j]
+        e_floor[s] += floor
     for p in range(n1 - 1, -1, -1):
         a1[p] += a1[p + 1]
         e_floor[p] += e_floor[p + 1]
+    return a1, e_floor
 
-    def floors(options):
-        # v_floor[p]: the cheapest option of each of p..n1-1, summed
-        v_min = [min([v_del[p]] + [vs[p][q] for q in options[p]])
-                 for p in range(n1)]
-        return [sum(v_min[p:]) for p in range(n1 + 1)]
 
-    v_floor = floors(candidates)
-    # outs/ins: each second-side vertex's arc partners, as bit masks, and
-    # deg its number of arcs
-    outs = [0] * n2
-    ins = [0] * n2
-    deg = [0] * n2
-    for j, r in a_ins:
-        outs[j] |= 1 << r
-        ins[r] |= 1 << j
-        deg[j] += 1
-        deg[r] += 1
+def _bound(n1, a1, e_floor, x1, x_floor, v_floor, costs):
+    """_map_search's bound owed(p, free, a2, x2), what vertices p..n1-1
+    still owe while the second side's vertices in free are unused, a2 of
+    its arcs lie among them and x2 across the cut (see _map_search); the
+    root reads index 0 of each list."""
+    C_vd, C_vi, C_ed, C_ei = costs
 
     def owed(p, free, a2, x2):
-        # what p..n1-1 still owe while the second side's vertices in free
-        # are unused, a2 of its arcs lie among them and x2 across the cut;
         # a zero gap is skipped, not multiplied: 0 * inf is nan
         h, gap = e_floor[p], a1[p] - a2
         if gap > 0:
@@ -190,13 +117,76 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
             v_h = max(-gap * C_vd, v_h)
         return h + v_h
 
+    return owed
+
+
+def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
+                vet=None, rows=None, score=None, bound=True):
+    """Cheapest injective partial map of the n1 = len(v_del) vertices of one
+    side into the n2 = len(v_ins) of the other, as a MatchResult whose
+    distance is inf and labelling None when none costs less than
+    upper_bound.
+
+    A map pays vs[p][q] per p placed on q, v_del[p] per p deleted and
+    v_ins[q] per q unused; a_del[e] per arc (ordered pair) e of the first
+    side with a deleted endpoint, a_ins[e] per arc of the second side with
+    an unused endpoint, and arc[p][s][q][r] (s < p) for the arcs between p
+    and s, both ways, when p lands on q and s on r.  vet(vmap, p), when
+    given, vetoes a placement of p by returning False.  score(vmap), when
+    given, is the cost a complete map is kept by: at least its table cost
+    up to rounding, so that terms with no table form (or an infinite one
+    for a map that breaks a constraint) are charged at the leaf.
+
+    rows and arc are builders, called in that order and only while the
+    root survives (always with bound False); the root is first tested
+    with every vertex free to land anywhere.  rows(), when given, returns
+    (candidates, cap): candidates[p] lists the vertices p may land on in
+    ascending order (None leaves them all), and only maps cheaper than cap
+    are kept; fewer options can only raise the root's bound.  The root is
+    tested again, and only then are the rest of the set-up and arc() run;
+    only vs[p][q] and arc[p][s][q] with q among candidates[p] are read.
+
+    Vertices are placed in index order on free vertices in ascending order,
+    then on nothing; the first least-cost map met is kept.  The root, and
+    then each child, is cut when its cost plus a bound on what is still
+    owed reaches the upper bound or the incumbent (plus _MARGIN when a
+    score hook sets the incumbent): each unplaced vertex its cheapest
+    option, a surplus of vertices on either side the cheapest deletion or
+    insertion, and every arc not yet paid for (on the first side, one
+    whose later endpoint is unplaced; on the second, one with an unused
+    endpoint) at least a_floor[e], keyed as a_del is.  The unpaid arcs
+    fall in two groups: those among unplaced (or unused) vertices, and
+    those across the cut, with one endpoint placed (or used).  An arc can
+    only land on an arc of its own group, so a surplus of either group on
+    either side owes the cheapest arc deletion or insertion per arc,
+    counted apart.  So no cost may be negative, and an arc on a pair that
+    is no arc of the other side must cost at least the cheapest arc
+    deletion (first side) or insertion (second side).  With bound False
+    nothing is cut by cost, an infinite one included, and every leaf is
+    scored.
+    """
+    if math.isnan(upper_bound):
+        raise ValueError("upper_bound must not be NaN")
+    n1, n2 = len(v_del), len(v_ins)
+    candidates = [range(n2)] * n1
+    costs = tuple(min(x, default=0.0) for x in (
+        v_del, v_ins, a_del.values(), a_ins.values()))
+    a1, e_floor = _arc_floors(n1, a_floor)
     margin = 0.0 if score is None else _MARGIN
     full = (1 << n2) - 1
 
+    def floors(options):
+        # v_floor[p]: the cheapest option of each of p..n1-1, summed
+        v_min = [min([v_del[p]] + [vs[p][q] for q in options[p]])
+                 for p in range(n1)]
+        return [sum(v_min[p:]) for p in range(n1 + 1)]
+
     def cut_at_root():
+        owed = _bound(n1, a1, e_floor, [0], [0.0], v_floor, costs)
         return bound and \
             owed(0, full, len(a_ins), 0) * _SLACK >= upper_bound + margin
 
+    v_floor = floors(candidates)
     if cut_at_root():
         return MatchResult(math.inf, None, 1, False, 0)
     if rows is not None:
@@ -207,6 +197,31 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
             v_floor = floors(candidates)
         if cut_at_root():
             return MatchResult(math.inf, None, 1, False, 0)
+    charged = [(e2, cost) for e2, cost in a_ins.items() if cost]
+    # dels[p][s]: the arcs between p and s (s < p) when either is deleted.
+    # While 0..p-1 are placed, x1[p] and x_floor[p] are the count and
+    # floor sum of the unpaid arcs across the cut
+    dels = [[0.0] * p for p in range(n1)]
+    x1 = [0] * (n1 + 1)
+    x_floor = [0.0] * (n1 + 1)
+    for (i, j), cost in a_del.items():
+        s, p = sorted((i, j))
+        dels[p][s] += cost
+        for k in range(s + 1, p + 1):
+            x1[k] += 1
+            x_floor[k] += a_floor[i, j]
+    # outs/ins: each second-side vertex's arc partners, as bit masks, and
+    # deg its number of arcs
+    outs = [0] * n2
+    ins = [0] * n2
+    deg = [0] * n2
+    for j, r in a_ins:
+        outs[j] |= 1 << r
+        ins[r] |= 1 << j
+        deg[j] += 1
+        deg[r] += 1
+
+    owed = _bound(n1, a1, e_floor, x1, x_floor, v_floor, costs)
     arc = arc()
     best_cost = upper_bound
     best_map = None

@@ -9,13 +9,14 @@ from graphproto.matching import _CostTables
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """A list that gains one entry per _CostTables construction."""
+    """A list that gains, per _CostTables construction, the FDG it is
+    built for."""
     calls = []
     init = _CostTables.__init__
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
+    def counting(self, g, f, *args, **kwargs):
+        calls.append(f)
+        init(self, g, f, *args, **kwargs)
 
     monkeypatch.setattr(_CostTables, "__init__", counting)
     return calls

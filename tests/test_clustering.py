@@ -49,7 +49,7 @@ from graphproto.clustering import (
 from graphproto.core import AttrTuple
 from graphproto.harness import (GeneratorConfig, compact_ag, generate_models,
                                 perturb)
-from graphproto.matching import _CostTables, _greedy_cost
+from graphproto.matching import _binned, _cheap_root
 from graphproto import harness
 
 
@@ -341,8 +341,9 @@ def test_incremental_joins_at_a_distance_of_exactly_d_alpha():
 
 def test_incremental_tie_met_out_of_index_order(monkeypatch):
     # t lies at distance 2 = d_alpha from both prototypes, but only the
-    # second one's greedy labelling finds that, so the second is searched
-    # first; the tie must still go to the first
+    # second one's root bound is below 2, so the second is searched
+    # first; the tie must still go to the first.  b's root against the
+    # first prototype is 3, so that pair is cut before any search
     a = AttributedGraph([attr(1), attr(1), attr(1)], {})
     b = AttributedGraph([attr(1), attr(2)], {(1, 0): attr(5)})
     t = AttributedGraph([attr(2), attr(1), attr(2)], {})
@@ -351,8 +352,9 @@ def test_incremental_tie_met_out_of_index_order(monkeypatch):
     assert bnb_distance(b, p0, w).distance > 2.0
     assert bnb_distance(t, p0, w).distance == 2.0
     assert bnb_distance(t, p1, w).distance == 2.0
-    assert (_greedy_cost(t, p1, _CostTables(t, p1, w))
-            < _greedy_cost(t, p0, _CostTables(t, p0, w)))
+    roots = [_cheap_root(_binned(t, 1.0), p, w) for p in (p0, p1)]
+    assert roots[1] < roots[0] == 2.0
+    assert _cheap_root(_binned(b, 1.0), p0, w) > 2.0
     visits = []
     match = harness.match_by_method
 
@@ -364,7 +366,7 @@ def test_incremental_tie_met_out_of_index_order(monkeypatch):
     _, members = incremental_clustering([a, b, t], 2.0,
                                         return_assignments=True)
     assert members == [{0, 2}, {1}]
-    assert visits == [3, 2, 3]
+    assert visits == [2, 3]
     monkeypatch.undo()
     _, members = incremental_clustering([a, b, t], 2.0, matcher=bnb_distance,
                                         return_assignments=True)

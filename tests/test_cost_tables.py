@@ -235,6 +235,13 @@ def _attributes(t):
     return out
 
 
+def _cached_arrays(f):
+    """Every array f's cost cache holds, in its root and search parts."""
+    root, search = f._costs[1:]
+    arrays = [a for by_bin in root[:2] for a in by_bin[:2]] + [root[2]]
+    return arrays + (list(search[0]) if search is not None else [])
+
+
 def test_warm_tables_equal_cold_ones():
     rng = np.random.default_rng(2027)
     empty = synth_from_labelled_ags([AttributedGraph([], {})],
@@ -252,8 +259,7 @@ def test_warm_tables_equal_cold_ones():
             fresh = Fdg(f.vertex_pdfs, f.arc_pdfs, f.relations(), f.z, f.u,
                         f.bin_width)
             assert _attributes(warm) == _attributes(_CostTables(g, fresh, w))
-            parts = f._costs[1]
-            arrays = [a for p in parts[:2] for a in p[:2]] + list(parts[2:])
+            arrays = _cached_arrays(f)
             arrays += [warm.del_v, warm.ce_absent, warm.sidx, warm.ex]
             assert not any(a.flags.writeable for a in arrays)
         seen["order 0"] += f.order == 0
@@ -299,9 +305,7 @@ def test_relation_instances_stay_within_their_memory_budget():
     # the arc relation matrices are dense before exempt slots are dropped
     assert f.Ae.sum() > 30000
     assert t.rel.nbytes <= 24 * 1024
-    arrays = f._costs[1]
-    cached = [a for p in arrays[:2] for a in p[:2]] + list(arrays[2:])
-    assert sum(a.nbytes for a in cached) <= 64 * 1024
+    assert sum(a.nbytes for a in _cached_arrays(f)) <= 64 * 1024
 
 
 def test_per_pair_tables_stay_small():

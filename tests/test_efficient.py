@@ -5,6 +5,8 @@
 * the cyclic edit distance agrees with a brute-force minimum over rotations
   and monotone item alignments
 * the distance cap holds at unit weights, so tau = 1 forbids nothing
+* the star bound, read off the existable slot pairs only, is bit for bit
+  the former formula over every (arc, slot, slot) triple
 * forbid masks are nested as tau shrinks
 * at benchmark size (order-14 models, larger stars than the random
   inputs) the pruned forbid_matrix equals the rule applied to the exact
@@ -14,7 +16,7 @@
 * the size cap broadcasts over arrays with the scalar rule's values
 * every name in METHODS gives the search on the mask built by hand, node
   counts included, in both modes, planar or not, with an upper bound, and
-  on tables that already hold the unrestricted greedy seed
+  on tables the caller built
 * relaxation rows are probability vectors and masking keeps each row's best
 * a NaN tau or t_p is refused by the filter, the mask and the dispatcher
 * a pair whose root is cut before its mask is built builds none and gives
@@ -41,6 +43,7 @@ from graphproto import (
     bnb_distance,
     compact_ag,
     extend_ag,
+    extend_fdg,
     fdg_classify,
     generate_models,
     perturb,
@@ -53,6 +56,7 @@ from graphproto.efficient import (
     ExpandedVertex,
     ProbMatrix,
     _expanded_distances,
+    _star_bound,
     expanded_max_distance,
     expanded_vertex_distance,
     forbid_matrix,
@@ -60,7 +64,7 @@ from graphproto.efficient import (
     relax_probabilities,
     split_into_expanded_vertices,
 )
-from graphproto.matching import _CostTables, _greedy_cost
+from graphproto.matching import _CostTables
 
 
 def _brute_cyclic(ev_g, ev_f, w):
@@ -234,6 +238,52 @@ def test_forbid_masks_nest_with_tau():
             assert (~lo | hi).all()
 
 
+def _dense_star_bound(t):
+    """_star_bound as it was first written, over every (AG arc, slot, star
+    item) triple, non-existable pairs masked to inf: the reference."""
+    n, m, ex = t.n, t.m, t.ex
+    ag_side = np.zeros((n, m))
+    best = np.full((n, m, m), np.inf)
+    if t.pn_pairs:
+        src, dst = np.array(t.pn_pairs).T
+        pair = np.where(ex, t.vc[dst, :m][:, None, :] + t.rates[1:], np.inf)
+        heads, starts = np.unique(src, return_index=True)
+        ag_side[heads] = np.add.reduceat(np.minimum(
+            pair.min(axis=2, initial=np.inf), t.w.K1 + t.w.K2), starts)
+        best[heads] = np.minimum.reduceat(pair, starts)
+    fdg_side = np.where(ex, np.minimum(best, t.del_v), 0.0).sum(axis=2)
+    return t.vc[:, :m] + np.maximum(ag_side, fdg_side)
+
+
+def test_star_bound_equals_the_dense_formula():
+    rng = np.random.default_rng(53)
+    models = generate_models(GeneratorConfig(nFDG=2, nv=14, ne=42, seed=7))
+    big = [synth_from_labelled_ags(
+        refs, CommonLabelling.identity([g.order for g in refs]))
+        for refs in ([perturb(model, "delete_distort", 10 * k + r, nd=2,
+                              nl=1) for r in range(6)]
+                     for k, model in enumerate(models))]
+    seen = dict.fromkeys(("null slot", "empty star", "order 8+"), 0)
+    for trial in range(150):
+        if trial % 10 == 0:
+            f = big[trial // 10 % 2]
+            g = compact_ag(perturb(models[trial // 10 % 2], "delete_distort",
+                                   trial, nd=2, nl=1))
+        else:
+            g, f = _random_ag(rng, 6), _random_fdg(rng, 9)
+            if trial % 3 == 0:
+                f = extend_fdg(f, f.order + int(rng.integers(1, 3)))
+        w = CostWeights(K1=float(rng.choice([1.0, 0.7, 2.5])),
+                        K2=float(rng.choice([1.0, 0.4, 1.9])))
+        t = _CostTables(g, f, w)
+        got, want = _star_bound(t), _dense_star_bound(t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        seen["null slot"] += bool(f.vnull.any())
+        seen["empty star"] += not t.ex.any(axis=1).all()
+        seen["order 8+"] += f.order >= 8
+    assert min(seen.values()) >= 10, seen
+
+
 def test_pruned_filter_matches_exact_rule_at_benchmark_size():
     models = generate_models(GeneratorConfig(nFDG=3, nv=14, ne=42, seed=5))
     rng = np.random.default_rng(31)
@@ -327,12 +377,10 @@ def test_every_method_is_the_search_on_its_own_mask():
             "relax-ev": relax_probabilities(g, f, w, 5, "expanded").mask(0.2),
         }
         for method, mask in masks.items():
-            # tables that already hold the unrestricted greedy seed, as in
-            # the classify loop, which orders prototypes by it
-            t = _CostTables(g, f, w)
-            _greedy_cost(g, f, t)
+            # on tables the caller built, as in the classify loop
             got = match_by_method(g, f, w, method, tau=0.5, t_p=0.2,
-                                  iterations=5, upper_bound=bound, _tables=t)
+                                  iterations=5, upper_bound=bound,
+                                  _tables=_CostTables(g, f, w))
             want = bnb_distance(g, f, w, allowed=mask, upper_bound=bound)
             assert ((got.distance, got.valid, got.labelling,
                      got.explored_nodes)

@@ -8,10 +8,14 @@
 - fdg_classify: own prototype wins, ties to the lowest index, rescaling
   of all K weights leaves predictions alone; for every method the bounded
   search equals the argmin of per-pair distances, duplicates and a tie met
-  out of index order included, and builds one set of cost tables per
-  prototype; the filtered search bins each attribute of the test AG once
-  per prototype; under an upper bound that no prototype beats, the bounded
-  search reports no winner and abandons every prototype
+  out of index order included, and builds at most one set of cost tables
+  per prototype, none for one cut at its root; its per-prototype results
+  are those of match_by_method on full tables under the same bounds; a
+  custom matcher gets every prototype and its results are kept as
+  returned; arguments are refused before any prototype is cut; the
+  filtered search bins each attribute of the test AG once per prototype;
+  under an upper bound that no prototype beats, the bounded search
+  reports no winner and abandons every prototype
 - run_experiment: zero noise scores 1.0, confusion row sums, determinism,
   noniter at tau 1 matches optimal, csv rows line up with CSV_COLUMNS
 - when no prototype admits a valid labelling, fdg_classify returns
@@ -23,13 +27,15 @@ import math
 import numpy as np
 import pytest
 
-from graphproto.core import PHI, AttributedGraph, CostWeights, Pdf, attr
+from graphproto.core import (PHI, AttributedGraph, CostWeights, Pdf, attr,
+                             extend_ag)
 from graphproto.efficient import METHODS, match_by_method
 from graphproto.harness import (CSV_COLUMNS, GeneratorConfig, _classify,
                                 compact_ag, csv_row, fdg_classify,
                                 generate_models, perturb, run_experiment,
                                 smooth_pdf)
-from graphproto.matching import _CostTables, _greedy_cost
+from graphproto.matching import _binned, _cheap_root
+from graphproto.search import MatchResult
 from graphproto.synthesis import (CommonLabelling, ag_to_fdg,
                                   synth_from_labelled_ags)
 from graphproto import fileio, harness
@@ -274,16 +280,19 @@ def test_classify_equals_argmin_over_pairs(method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_classify_tie_met_out_of_index_order(method, monkeypatch):
-    # the same two-vertex graph with its arc reversed: both prototypes are
-    # at distance 0, but only the second one's greedy labelling finds it,
-    # so the second is visited first and the first must still win the tie
-    g = AttributedGraph([attr(1), attr(1)], {(0, 1): attr(5)})
-    reversed_ = ag_to_fdg(AttributedGraph([attr(1), attr(1)],
-                                          {(1, 0): attr(5)}))
-    same = ag_to_fdg(g)
+    # both prototypes are at distance 1: the first lacks the AG's arc
+    # label, which its root bound already charges, while the second holds
+    # it on both of its arcs, so its root owes nothing, and it pays the
+    # unit for the arc no AG arc lands on; the second is visited first and
+    # the first must still win the tie
+    g = AttributedGraph([attr(1), attr(1)], {(0, 1): attr(6)})
+    lacking = ag_to_fdg(AttributedGraph([attr(1), attr(1)],
+                                        {(1, 0): attr(5)}))
+    both = ag_to_fdg(AttributedGraph([attr(1), attr(1)],
+                                     {(0, 1): attr(6), (1, 0): attr(6)}))
     w = CostWeights()
-    assert (_greedy_cost(g, same, _CostTables(g, same, w))
-            < _greedy_cost(g, reversed_, _CostTables(g, reversed_, w)))
+    bins = _binned(g, 1.0)
+    assert _cheap_root(bins, both, w) < _cheap_root(bins, lacking, w)
     visits = []
 
     def recording(test, f, *args, **kwargs):
@@ -291,19 +300,119 @@ def test_classify_tie_met_out_of_index_order(method, monkeypatch):
         return match_by_method(test, f, *args, **kwargs)
 
     monkeypatch.setattr(harness, "match_by_method", recording)
-    assert fdg_classify(g, [reversed_, same], method=method) == (0, 0.0)
-    assert visits == [same, reversed_]
-    assert _argmin_over_pairs(g, [reversed_, same], method) == (0, 0.0)
+    assert fdg_classify(g, [lacking, both], method=method) == (0, 1.0)
+    assert visits == [both, lacking]
+    assert _argmin_over_pairs(g, [lacking, both], method) == (0, 1.0)
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_classify_builds_tables_once_per_prototype(method, table_builds):
+def test_classify_builds_tables_once_per_prototype(method, table_builds,
+                                                   monkeypatch):
+    # tables are built just before match_by_method, at most once per
+    # prototype; a prototype that never reaches it was cut at its root,
+    # with no tables, and comes back as bnb_distance's root cut
+    visits = []
+
+    def recording(test, f, *args, **kwargs):
+        visits.append(f)
+        return match_by_method(test, f, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "match_by_method", recording)
     models, protos = _synthesised_prototypes(5)
+    cut = 0
     for k, g in enumerate(models):
         test = compact_ag(perturb(g, "delete_distort", k, nd=1, nl=1))
-        before = len(table_builds)
-        fdg_classify(test, protos, method=method, tau=0.5, t_p=0.05)
-        assert len(table_builds) - before == len(protos)
+        del table_builds[:], visits[:]
+        _, _, results = _classify(test, protos, None, method, tau=0.5,
+                                  t_p=0.05)
+        assert table_builds == visits
+        assert len(set(map(id, visits))) == len(visits)
+        for f, res in zip(protos, results):
+            if all(f is not v for v in visits):
+                assert (res.distance, res.labelling, res.explored_nodes,
+                        res.valid, res.leaves) == (math.inf, None, 1, False, 0)
+                cut += 1
+    assert cut >= len(models)
+
+
+def _outcome(res):
+    return (res.distance, res.valid, res.labelling, res.explored_nodes,
+            res.leaves)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_classify_results_equal_searches_on_full_tables(method):
+    # each prototype, in order of (root bound, index), searched by
+    # match_by_method on its full tables below the same bounds the
+    # classify loop uses: the same results, root cuts included
+    kw = dict(tau=0.5, t_p=0.05)
+    cut = 0
+    for seed in range(4):
+        models, protos = _synthesised_prototypes(seed)
+        for k, g in enumerate(models):
+            test = compact_ag(perturb(g, "delete_distort", 11 * seed + k,
+                                      nd=1, nl=1))
+            for w, upper in ((CostWeights(), math.inf),
+                             (CostWeights(mode="restricted", planar=True),
+                              6.0)):
+                _, _, results = _classify(test, protos, w, method,
+                                          upper_bound=upper, **kw)
+                roots = [_cheap_root(_binned(test, f.bin_width), f, w)
+                         for f in protos]
+                best, best_d = -1, upper
+                for i in sorted(range(3), key=lambda i: (roots[i], i)):
+                    bound = best_d if i > best else \
+                        math.nextafter(best_d, math.inf)
+                    want = match_by_method(test, protos[i], w, method,
+                                           upper_bound=bound, **kw)
+                    assert _outcome(results[i]) == _outcome(want)
+                    cut += _outcome(want) == (math.inf, False, None, 1, 0)
+                    d = want.distance if want.valid else math.inf
+                    if (d, i) < (best_d, best):
+                        best, best_d = i, d
+    assert cut >= 10
+
+
+def test_classify_hands_every_prototype_to_a_custom_matcher(table_builds):
+    # nothing is cut, even below a bound no prototype beats, and each
+    # result is the matcher's own object
+    _, protos = _synthesised_prototypes(3)
+    far = AttributedGraph([attr(5000), attr(5001)], {(0, 1): attr(5002)})
+    for upper, want in ((0.0, (0, 0.0)), (math.inf, (1, 1.0))):
+        seen, given = [], []
+
+        def matcher(test, f, w):
+            seen.append(f)
+            given.append(MatchResult((3.0, 1.0, 2.0)[len(given)], None, 7,
+                                     True, 3))
+            return given[-1]
+
+        got, got_d, results = _classify(far, protos, None,
+                                        upper_bound=upper, matcher=matcher)
+        assert seen == protos
+        assert all(r is g for r, g in zip(results, given))
+        assert (got, got_d) == want
+    assert table_builds == []
+
+
+def test_classify_refuses_arguments_before_any_cut(table_builds,
+                                                   relation_builds):
+    # every prototype's root reaches 0, so all are cut before any table
+    _, protos = _synthesised_prototypes(4)
+    far = AttributedGraph([attr(5000), attr(5001)], {(0, 1): attr(5002)})
+    _, _, results = _classify(far, protos, None, "noniter", tau=0.5,
+                              upper_bound=0.0)
+    assert [_outcome(r) for r in results] == \
+        [(math.inf, False, None, 1, 0)] * 3
+    assert table_builds == [] and relation_builds == []
+    assert all(f._costs[2] is None for f in protos)
+    for kw in ({"method": "bogus"}, {"method": "noniter", "tau": math.nan},
+               {"method": "relax-v", "t_p": math.nan},
+               {"method": "relax-ev", "t_p": math.nan}):
+        with pytest.raises(ValueError):
+            _classify(far, protos, None, upper_bound=0.0, **kw)
+    with pytest.raises(ValueError, match="non-extended"):
+        _classify(extend_ag(far, 3), protos, None, upper_bound=0.0)
 
 
 def test_filtered_classify_bins_each_attribute_once_per_prototype(

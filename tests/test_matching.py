@@ -15,6 +15,9 @@ Covers:
   * candidate masks and error handling, a NaN upper bound among it; on
     random masks (rows that allow no slot among them) the distance is the
     minimum over the labellings the mask allows
+  * the root bound read off an FDG's root part, with no table built, is
+    the float bnb's search first tests its root by (null slots, total-0
+    arc pdfs, orders 0 and 1, each K changed, every mode)
   * the map-search tables bnb runs on: they price every labelling as
     labelling_cost does when no second-order term is left for the leaf,
     never above it otherwise, and their bound at the root stays at or
@@ -52,9 +55,12 @@ from graphproto.core import (
     extend_fdg,
     slot_pairs,
 )
+from graphproto import search
 from graphproto.matching import (
     MatchResult,
+    _binned,
     _bnb_tables,
+    _cheap_root,
     _CostTables,
     _greedy_cost,
     _relation_pairs,
@@ -69,6 +75,8 @@ from graphproto.matching import (
     second_order_cost,
     vertex_cost,
 )
+from graphproto.harness import (GeneratorConfig, compact_ag, generate_models,
+                                perturb)
 from graphproto.synthesis import CommonLabelling, ag_to_fdg, synth_from_labelled_ags
 
 
@@ -652,6 +660,79 @@ def test_search_tables_price_labellings_and_bound_the_optimum(
         else:
             assert got <= want + 1e-12
     assert _root_bound(tables) <= exhaustive_oracle(g, f, w).distance + 1e-12
+
+
+def test_cheap_root_is_the_search_root(monkeypatch):
+    # the root bound read off the FDG's root part is the very float
+    # bnb_distance's search first tests its root by, with no table built
+    bound = search._bound
+    tested = []
+
+    def spy(*args):
+        owed = bound(*args)
+
+        def first(*at):
+            tested.append(owed(*at))
+            return tested[-1]
+
+        return first
+
+    monkeypatch.setattr(search, "_bound", spy)
+    rng = np.random.default_rng(2030)
+    empty = synth_from_labelled_ags([AttributedGraph([], {})],
+                                    CommonLabelling.identity([0]))
+    seen = dict.fromkeys(("AG order 0", "AG order 1", "FDG order 0",
+                          "FDG order 1", "null slot", "total 0",
+                          "restricted", "planar"), 0)
+    for trial in range(240):
+        g = _random_ag(rng) if trial % 8 else AttributedGraph(
+            [attr(int(rng.integers(0, 4)))] * (trial % 16 // 8), {})
+        f = (empty, extend_fdg(empty, 1))[trial % 2] if trial % 20 < 2 \
+            else _random_fdg(rng)
+        if trial % 3 == 0:
+            f = extend_fdg(f, f.order + int(rng.integers(1, 3)))
+        w = CostWeights(K1=float(rng.choice([1.0, 0.6, 2.5])),
+                        K2=float(rng.choice([1.0, 0.3, 1.7])),
+                        K_pr=float(rng.choice([1e-4, 0.02])),
+                        K3=float(rng.choice([0.0, 1.0])),
+                        mode=("relaxed", "restricted")[trial % 2],
+                        planar=trial % 5 == 0)
+        fresh = Fdg(f.vbins, f.abins, f.relations(), f.z, None)
+        cheap = _cheap_root(_binned(g, f.bin_width), fresh, w)
+        assert fresh._costs[2] is None
+        del tested[:]
+        bnb_distance(g, fresh, w)
+        assert tested[0] == cheap
+        assert cheap == pytest.approx(
+            _root_bound(_bnb_tables(_CostTables(g, f, w))), abs=1e-12)
+        seen["AG order 0"] += g.order == 0
+        seen["AG order 1"] += g.order == 1
+        seen["FDG order 0"] += f.order == 0
+        seen["FDG order 1"] += f.order == 1
+        seen["null slot"] += bool(f.vnull.any())
+        seen["total 0"] += any(
+            p.total == 0 and not (f.vertex_null(q) or f.vertex_null(r))
+            for (q, r), p in f.arc_pdfs.items())
+        seen["restricted"] += w.mode == "restricted"
+        seen["planar"] += w.planar
+    assert min(seen.values()) >= 5, seen
+    # at benchmark size (order 14, about 40 arcs) the floors' sum would
+    # round differently if taken in another order; below a bound of 0 each
+    # search ends at or just after its root
+    models = generate_models(GeneratorConfig(nFDG=2, nv=14, ne=42, seed=7))
+    for k, model in enumerate(models):
+        refs = [perturb(model, "delete_distort", 10 * k + r, nd=2, nl=1)
+                for r in range(6)]
+        f = synth_from_labelled_ags(
+            refs, CommonLabelling.identity([g.order for g in refs]))
+        for trial in range(12):
+            g = compact_ag(perturb(models[trial % 2], "delete_distort",
+                                   100 + trial, nd=2, nl=1))
+            w = (CostWeights(), CostWeights(K1=0.6, K2=1.7, K_pr=0.02),
+                 CostWeights(K2=0.3, mode="restricted"))[trial % 3]
+            del tested[:]
+            bnb_distance(g, f, w, upper_bound=0.0)
+            assert tested[0] == _cheap_root(_binned(g, f.bin_width), f, w)
 
 
 @_PROPERTY
