@@ -1,10 +1,10 @@
 """Sub-optimal matching: cut the labelling space down before the search.
 
 match_by_method turns a method name into a per-vertex candidate mask and
-hands it to bnb_distance unbuilt: the mask is built only for a pair whose
-search root survives with every slot open, so a prototype that cannot win
-costs no filter.  Mask and search read the pair's one set of cost tables
-(matching._CostTables).  The masks:
+hands it to bnb_distance unbuilt: bnb_distance builds it, from the pair's
+one set of cost tables (matching._CostTables), only once the search root
+has survived with every slot open, so a prototype that cannot win costs
+no tables and no filter.  The masks:
 
   * "noniter", the expanded-vertex filter, scores every (AG vertex, FDG
     slot) pair by a cyclic string edit distance between their local star
@@ -338,7 +338,7 @@ def _check_method(method, tau, t_p):
 
 
 def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
-                    iterations=20, upper_bound=math.inf, _tables=None):
+                    iterations=20, upper_bound=math.inf, _root=None):
     """Distance from g to f by the matcher a name in METHODS selects.
 
     "optimal" is the unfiltered branch and bound; "noniter" filters by the
@@ -354,16 +354,15 @@ def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
     """
     _check_method(method, tau, t_p)
     w = weights or CostWeights()
-    t = _tables if _tables is not None else _CostTables(g, f, w)
     mask = None
     if method == "noniter":
-        def mask():
+        def mask(t):
             return ~forbid_matrix(g, f, tau, w, _tables=t)
     elif method != "optimal":
         init = "vertex" if method == "relax-v" else "expanded"
 
-        def mask():
+        def mask(t):
             return relax_probabilities(g, f, w, iterations, init,
                                        _tables=t).mask(t_p)
-    return bnb_distance(g, f, w, upper_bound=upper_bound, _tables=t,
+    return bnb_distance(g, f, w, upper_bound=upper_bound, _root=_root,
                         _mask=mask)

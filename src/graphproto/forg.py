@@ -45,6 +45,9 @@ def forg_distance(f1, f2):
     if f1.order + f2.order > 20:
         raise ValueError("forg_distance refuses orders %d + %d"
                          % (f1.order, f2.order))
+    if f1.z == f2.z == 0:
+        raise ValueError("forg_distance needs samples: both prototypes "
+                         "have z = 0")
     base = (f1.z * forg_entropy(f1) + f2.z * forg_entropy(f2)) / (f1.z + f2.z)
     # as in forg_synthesize, an empty slot side pads as certainly null, and
     # an empty arc side as the empty pdf, which leaves the other's entropy

@@ -22,8 +22,7 @@ import numpy as np
 from .core import PHI, AttributedGraph, CostWeights, Pdf, attr
 from .efficient import _check_method, match_by_method
 from .fileio import read_ag, read_fdg, write_ag, write_fdg
-from .matching import _binned, _cheap_root, _CostTables
-from .search import _MARGIN, _SLACK, MatchResult
+from .matching import _binned, _cheap_root
 from .synthesis import CommonLabelling, synth_from_labelled_ags
 
 __all__ = [
@@ -232,13 +231,13 @@ def _classify(test, models, weights, method="optimal", tau=1.0, t_p=0.0,
 
     Arguments are checked first.  Prototypes are visited in order of their
     root bound (_cheap_root, the test AG binned once per bin width), each
-    searched below the incumbent (at first upper_bound): one with a lower
-    index than the incumbent's may also tie it.  One whose root bound
-    reaches that bound gets bnb_distance's root cut, with no tables built.
-    A prototype that cannot win comes back with valid=False, unless
-    matcher(test, f, weights) replaces match_by_method: all go to it, in
-    index order, and its results are taken as returned.  With no
-    prototype below upper_bound the result is (0, upper_bound, results).
+    searched below the incumbent (at first upper_bound), with its bins and
+    root passed down to bnb_distance's root cut: one with a lower index
+    than the incumbent's may also tie it.  A prototype that cannot win
+    comes back with valid=False, unless matcher(test, f, weights) replaces
+    match_by_method: all go to it, in index order, and its results are
+    taken as returned.  With no prototype below upper_bound the result is
+    (0, upper_bound, results).
     """
     _check_method(method, tau, t_p)
     w = weights or CostWeights()
@@ -254,12 +253,10 @@ def _classify(test, models, weights, method="optimal", tau=1.0, t_p=0.0,
         bound = best_d if i > best else math.nextafter(best_d, math.inf)
         if matcher is not None:
             res = matcher(test, f, w)
-        elif roots[i] * _SLACK >= bound + _MARGIN:
-            res = MatchResult(math.inf, None, 1, False, 0)
         else:
-            res = match_by_method(
-                test, f, w, method, tau, t_p, upper_bound=bound,
-                _tables=_CostTables(test, f, w, bins[f.bin_width]))
+            res = match_by_method(test, f, w, method, tau, t_p,
+                                  upper_bound=bound,
+                                  _root=(bins[f.bin_width], roots[i]))
         results[i] = res
         d = res.distance if res.valid else math.inf
         if (d, i) < (best_d, best):
@@ -276,8 +273,8 @@ def fdg_classify(test, models, weights=None, method="optimal", tau=1.0,
 
     One bounded search: a prototype is abandoned as soon as it cannot beat
     the nearest one found so far (at its root bound, before any cost
-    table), so only the winner's distance is solved to the end.  Winner and distance equal those of a full search against
-    every prototype.
+    table), so only the winner's distance is solved to the end.  Winner
+    and distance equal those of a full search against every prototype.
     """
     if not models:
         raise ValueError("models must be non-empty")

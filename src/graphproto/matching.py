@@ -24,13 +24,12 @@ terms have no such form without negative entries, which would break the
 bound, so they are charged when a complete labelling is scored.  In
 restricted mode vertex antagonism is an infinite pair cost, arc antagonism
 an in-tree veto, and the rest of the constraints are checked at the leaf.
-The incumbent starts just above the cost of a greedy labelling, or at a
-caller's upper bound, whichever is lower, so the nearest-prototype loop
-can abandon a losing pair early: one whose root bound already reaches the
-upper bound takes one walk.  That bound reads no table entry, so the loop
-gets it from the FDG's cache (_cheap_root) and builds no tables for such a
-pair.  exhaustive_oracle grinds through the whole labelling space and is
-kept around as an independent check.
+A caller's upper bound lets the nearest-prototype loop drop a losing pair
+early: bnb_distance reads the root bound off the FDG's cache (_cheap_root)
+and cuts a pair whose root reaches the bound with one walk and no tables.
+A survivor's incumbent starts just above the cost of a greedy labelling or
+at the upper bound, whichever is lower.  exhaustive_oracle grinds through
+the whole labelling space and is kept around as an independent check.
 """
 
 import itertools
@@ -40,8 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import _RELATIONS, CostWeights, Labelling, _pair_ends, _slot_list
-from .search import (MatchResult, _arc_floors, _bound, _map_search,
-                     _planar_ok, _planar_vet)
+from .search import (_MARGIN, _SLACK, MatchResult, _arc_floors, _bound,
+                     _map_search, _planar_ok, _planar_vet)
 
 
 def _trunc(pr, k_pr):
@@ -194,21 +193,22 @@ def _fdg_costs(f, w):
 
 
 def _binned(g, width):
-    """g's vertex bins at width, and its present arcs as (pair, bin)."""
+    """g's vertex bins at width, and its present arcs as (pair, bin); an
+    extended AG is refused, as matching maps real vertices only."""
+    if any(v.is_null for v in g.vertices):
+        raise ValueError("matching expects a non-extended AG")
     return ([a.binned(width) for a in g.vertices],
             [(ij, g.arcs[ij].binned(width)) for ij in
              sorted(ij for ij, b in g.arcs.items() if not b.is_null)])
 
 
 def _cheap_root(bins, f, w):
-    """_map_search's first root test on the tables of the AG binned as bins
-    and f, from f's root part alone: each vertex's cheapest option and each
-    arc's floor is its bin's least cost, the first of its span, or K1 and
-    K2 (no cost exceeds them); a pair that is not existable holds only the
-    null bin.  Like bnb_distance, it refuses an extended AG."""
+    """_map_search's root bound, every slot open, on the tables of the AG
+    binned as bins and f, from f's root part alone: each vertex's cheapest
+    option and each arc's floor is its bin's least cost, the first of its
+    span, or K1 and K2 (no cost exceeds them); a pair that is not
+    existable holds only the null bin."""
     vertices, arcs = bins
-    if None in vertices:
-        raise ValueError("bnb_distance expects a non-extended AG")
     (_, vcost, vspan), (_, acost, aspan), _, n_ex, min_del = _fdg_root(f, w)
     n = len(vertices)
     v_floor = sum([w.K1 if (s := vspan.get(b)) is None
@@ -433,20 +433,19 @@ def _row_lists(mask):
     return [cols[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _bnb_tables(t, rows=lambda: None):
+def _bnb_tables(t, rows=None):
     """The pair's cost as _map_search's tables, in its argument order (vs,
     v_del, v_ins, arc, a_del, a_floor, a_ins): vertex costs, AG arcs
     deleted with an endpoint at K2 each, the existable slot pairs as the
     second side's arcs at no insertion cost, and the builder of the tables
-    of arc rates per pair of placed vertices (_arc_tables), on the
-    candidate rows that rows() gives when the search calls it."""
+    of arc rates per pair of placed vertices (_arc_tables) on rows."""
     w, m = t.w, t.m
     # an AG arc on a slot pair that is not existable costs K2, so K2 also
     # caps every arc's floor
     floors = t.ce_ex.min(axis=1, initial=w.K2)
     qs, rs = np.nonzero(t.ex)
     return (t.vc_list, [row[m] for row in t.vc_list], t.del_v_list,
-            lambda: _arc_tables(t, rows()), dict.fromkeys(t.pn_pairs, w.K2),
+            lambda: _arc_tables(t, rows), dict.fromkeys(t.pn_pairs, w.K2),
             dict(zip(t.pn_pairs, floors.tolist())),
             dict.fromkeys(zip(qs.tolist(), rs.tolist()), 0.0))
 
@@ -480,7 +479,7 @@ def _arc_antagonism_vet(t):
 
 
 def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
-                 disable_pruning=False, upper_bound=math.inf, _tables=None,
+                 disable_pruning=False, upper_bound=math.inf, _root=None,
                  _mask=None):
     """Distance from AG g to FDG f by depth-first branch and bound.
 
@@ -497,38 +496,39 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
 
     The result is the optimum when it lies strictly below upper_bound, and
     otherwise valid=False with an infinite distance.  Unless disable_bound
-    is set, the incumbent also starts just above the greedy labelling's
+    is set, a finite upper_bound first meets the root bound with every slot
+    open (_cheap_root), and a pair cut there takes one walk and builds no
+    table; a survivor's incumbent starts just above the greedy labelling's
     cost.  The search still returns the first labelling of minimum cost in
     depth-first order, as a search from an infinite incumbent would; only
     the node counts differ.  A NaN upper_bound raises ValueError.
 
-    _mask, a private stand-in for allowed, builds the (n, m) bool mask
-    only if the root survives with every slot open; the greedy seed on its
-    rows, a second root test and the arc tables follow.  A mask only takes
-    candidates away, so the result is that of the mask built first.  With
-    disable_bound it is always built.
+    _root, private, is g's bins at f's bin width (_binned) and its cheap
+    root, or None.  _mask, a private stand-in for allowed, builds the
+    (n, m) bool mask from the tables of a pair that survived that cut; a
+    mask only takes candidates away, so a pair cut without it would be
+    cut with it too.
     """
     w = weights or CostWeights()
-    if any(v.is_null for v in g.vertices):
-        raise ValueError("bnb_distance expects a non-extended AG")
+    bins, root = _root or (_binned(g, f.bin_width), None)
     if math.isnan(upper_bound):
         raise ValueError("upper_bound must not be NaN")
     n, m = g.order, f.order
-    t = _tables if _tables is not None else _CostTables(g, f, w)
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         if allowed.shape != (n, m):
             raise ValueError("allowed mask must be %d x %d" % (n, m))
-    rows = None
-
-    def restrict():
-        nonlocal rows
-        mask = allowed if _mask is None else _mask()
-        if mask is not None:
-            rows = _row_lists(mask)
-        if disable_bound:
-            return rows, math.inf
-        return rows, math.nextafter(_greedy_cost(g, f, t, rows), math.inf)
+    if not disable_bound and upper_bound < math.inf:
+        if root is None:
+            root = _cheap_root(bins, f, w)
+        if root * _SLACK >= upper_bound + _MARGIN:
+            return MatchResult(math.inf, None, 1, False, 0)
+    t = _CostTables(g, f, w, bins)
+    mask = allowed if _mask is None else _mask(t)
+    rows = None if mask is None else _row_lists(mask)
+    if not disable_bound:
+        upper_bound = min(upper_bound, math.nextafter(
+            _greedy_cost(g, f, t, rows), math.inf))
 
     vets = []
     if w.planar:
@@ -546,8 +546,8 @@ def bnb_distance(g, f, weights=None, allowed=None, disable_bound=False,
         cost, ok = labelling_cost(g, f, vmap, w, _tables=t)
         return cost if ok else math.inf
 
-    return _map_search(*_bnb_tables(t, lambda: rows), upper_bound, vet,
-                       restrict, score, bound=not disable_bound)
+    return _map_search(*_bnb_tables(t, rows), upper_bound, vet, rows, score,
+                       bound=not disable_bound)
 
 
 def exhaustive_oracle(g, f, weights=None):

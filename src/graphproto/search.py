@@ -3,6 +3,8 @@
 _map_search finds the cheapest injective partial map of one graph's vertices
 into another's on cost tables its caller builds: bnb_distance (AG to FDG),
 edit_distance (AG to AG) and forg_distance (FORG to FORG) all run on it.
+It tests its root bound once, before the arc tables are built; bnb_distance
+tests the same bound first, before it builds any table (_cheap_root).
 _planar_ok is the cyclic arc-order constraint the AG searches can impose.
 """
 
@@ -39,9 +41,8 @@ class MatchResult:
         self.leaves = leaves
 
     def __repr__(self):
-        return ("MatchResult(distance=%r, labelling=%r, explored_nodes=%d, "
-                "valid=%r)" % (self.distance, self.labelling,
-                               self.explored_nodes, self.valid))
+        return "MatchResult(%s)" % ", ".join(
+            "%s=%r" % (k, getattr(self, k)) for k in self.__slots__)
 
 
 def _planar_ok(g, vmap, sources=None):
@@ -137,14 +138,10 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     up to rounding, so that terms with no table form (or an infinite one
     for a map that breaks a constraint) are charged at the leaf.
 
-    rows and arc are builders, called in that order and only while the
-    root survives (always with bound False); the root is first tested
-    with every vertex free to land anywhere.  rows(), when given, returns
-    (candidates, cap): candidates[p] lists the vertices p may land on in
-    ascending order (None leaves them all), and only maps cheaper than cap
-    are kept; fewer options can only raise the root's bound.  The root is
-    tested again, and only then are the rest of the set-up and arc() run;
-    only vs[p][q] and arc[p][s][q] with q among candidates[p] are read.
+    rows[p], when given, lists the vertices p may land on in ascending
+    order; only vs[p][q] and arc[p][s][q] with q among them are read.
+    arc is a builder, called only when the root survives (always with
+    bound False), so a pair decided at the root builds no arc tables.
 
     Vertices are placed in index order on free vertices in ascending order,
     then on nothing; the first least-cost map met is kept.  The root, and
@@ -168,35 +165,19 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
     if math.isnan(upper_bound):
         raise ValueError("upper_bound must not be NaN")
     n1, n2 = len(v_del), len(v_ins)
-    candidates = [range(n2)] * n1
+    rows = rows or [range(n2)] * n1
     costs = tuple(min(x, default=0.0) for x in (
         v_del, v_ins, a_del.values(), a_ins.values()))
     a1, e_floor = _arc_floors(n1, a_floor)
     margin = 0.0 if score is None else _MARGIN
     full = (1 << n2) - 1
-
-    def floors(options):
-        # v_floor[p]: the cheapest option of each of p..n1-1, summed
-        v_min = [min([v_del[p]] + [vs[p][q] for q in options[p]])
-                 for p in range(n1)]
-        return [sum(v_min[p:]) for p in range(n1 + 1)]
-
-    def cut_at_root():
-        owed = _bound(n1, a1, e_floor, [0], [0.0], v_floor, costs)
-        return bound and \
-            owed(0, full, len(a_ins), 0) * _SLACK >= upper_bound + margin
-
-    v_floor = floors(candidates)
-    if cut_at_root():
+    # v_floor[p]: the cheapest option of each of p..n1-1, summed
+    v_min = [min([v_del[p]] + [vs[p][q] for q in rows[p]])
+             for p in range(n1)]
+    v_floor = [sum(v_min[p:]) for p in range(n1 + 1)]
+    if bound and _bound(n1, a1, e_floor, [0], [0.0], v_floor, costs)(
+            0, full, len(a_ins), 0) * _SLACK >= upper_bound + margin:
         return MatchResult(math.inf, None, 1, False, 0)
-    if rows is not None:
-        some, cap = rows()
-        upper_bound = min(upper_bound, cap)
-        if some is not None:
-            candidates = some
-            v_floor = floors(candidates)
-        if cut_at_root():
-            return MatchResult(math.inf, None, 1, False, 0)
     charged = [(e2, cost) for e2, cost in a_ins.items() if cost]
     # dels[p][s]: the arcs between p and s (s < p) when either is deleted.
     # While 0..p-1 are placed, x1[p] and x_floor[p] are the count and
@@ -249,7 +230,7 @@ def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,
                 best_map = Labelling(vmap)
             return
         vs_p, arc_p, dels_p = vs[p], arc[p], dels[p]
-        for q in [q for q in candidates[p] if (free >> q) & 1] + [None]:
+        for q in [q for q in rows[p] if (free >> q) & 1] + [None]:
             vmap[p] = q
             if q is None:
                 step = v_del[p]

@@ -343,7 +343,7 @@ def test_incremental_tie_met_out_of_index_order(monkeypatch):
     # t lies at distance 2 = d_alpha from both prototypes, but only the
     # second one's root bound is below 2, so the second is searched
     # first; the tie must still go to the first.  b's root against the
-    # first prototype is 3, so that pair is cut before any search
+    # first prototype is 3, so that pair is cut at its root
     a = AttributedGraph([attr(1), attr(1), attr(1)], {})
     b = AttributedGraph([attr(1), attr(2)], {(1, 0): attr(5)})
     t = AttributedGraph([attr(2), attr(1), attr(2)], {})
@@ -366,7 +366,7 @@ def test_incremental_tie_met_out_of_index_order(monkeypatch):
     _, members = incremental_clustering([a, b, t], 2.0,
                                         return_assignments=True)
     assert members == [{0, 2}, {1}]
-    assert visits == [2, 3]
+    assert visits == [3, 2, 3]
     monkeypatch.undo()
     _, members = incremental_clustering([a, b, t], 2.0, matcher=bnb_distance,
                                         return_assignments=True)

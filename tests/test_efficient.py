@@ -64,7 +64,7 @@ from graphproto.efficient import (
     relax_probabilities,
     split_into_expanded_vertices,
 )
-from graphproto.matching import _CostTables
+from graphproto.matching import _binned, _cheap_root, _CostTables
 
 
 def _brute_cyclic(ev_g, ev_f, w):
@@ -377,10 +377,12 @@ def test_every_method_is_the_search_on_its_own_mask():
             "relax-ev": relax_probabilities(g, f, w, 5, "expanded").mask(0.2),
         }
         for method, mask in masks.items():
-            # on tables the caller built, as in the classify loop
+            # on the bins and root the caller worked out, as in the
+            # classify loop
+            bins = _binned(g, f.bin_width)
             got = match_by_method(g, f, w, method, tau=0.5, t_p=0.2,
                                   iterations=5, upper_bound=bound,
-                                  _tables=_CostTables(g, f, w))
+                                  _root=(bins, _cheap_root(bins, f, w)))
             want = bnb_distance(g, f, w, allowed=mask, upper_bound=bound)
             assert ((got.distance, got.valid, got.labelling,
                      got.explored_nodes)

@@ -9,7 +9,8 @@ Covers:
     route's entropy, on random prototype pairs, and its symmetry above that
     route's reach
   * outcome probabilities of the training graphs and impossible graphs
-  * the distance refuses combined orders above twenty
+  * the distance refuses combined orders above twenty, and two prototypes
+    with no samples
 """
 
 import itertools
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from graphproto.core import AttributedGraph, attr
+from graphproto.fileio import read_forg
 from graphproto.forg import (
     forg_distance,
     forg_entropy,
@@ -181,6 +183,17 @@ def test_distance_refuses_orders_above_twenty():
     assert forg_distance(ten, ten)[0] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         forg_distance(eleven, ten)
+
+
+def test_distance_refuses_two_prototypes_without_samples(tmp_path):
+    path = tmp_path / "empty.forg"
+    path.write_text("forg\norder 0\nz 0\nbin_width 1.0\n")
+    empty = read_forg(path)
+    assert empty.z == 0
+    with pytest.raises(ValueError, match="z = 0"):
+        forg_distance(empty, empty)
+    one = ag_to_fdg(AttributedGraph([attr(1)], {}))
+    assert forg_distance(empty, one)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_is_the_sum_over_the_pdf_views_bit_for_bit():

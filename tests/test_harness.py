@@ -306,29 +306,19 @@ def test_classify_tie_met_out_of_index_order(method, monkeypatch):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_classify_builds_tables_once_per_prototype(method, table_builds,
-                                                   monkeypatch):
-    # tables are built just before match_by_method, at most once per
-    # prototype; a prototype that never reaches it was cut at its root,
-    # with no tables, and comes back as bnb_distance's root cut
-    visits = []
-
-    def recording(test, f, *args, **kwargs):
-        visits.append(f)
-        return match_by_method(test, f, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "match_by_method", recording)
+def test_classify_builds_tables_once_per_prototype(method, table_builds):
+    # tables are built at most once per prototype; a prototype with none
+    # was cut at its root and comes back as bnb_distance's root cut
     models, protos = _synthesised_prototypes(5)
     cut = 0
     for k, g in enumerate(models):
         test = compact_ag(perturb(g, "delete_distort", k, nd=1, nl=1))
-        del table_builds[:], visits[:]
+        del table_builds[:]
         _, _, results = _classify(test, protos, None, method, tau=0.5,
                                   t_p=0.05)
-        assert table_builds == visits
-        assert len(set(map(id, visits))) == len(visits)
+        assert len(set(map(id, table_builds))) == len(table_builds)
         for f, res in zip(protos, results):
-            if all(f is not v for v in visits):
+            if all(f is not b for b in table_builds):
                 assert (res.distance, res.labelling, res.explored_nodes,
                         res.valid, res.leaves) == (math.inf, None, 1, False, 0)
                 cut += 1

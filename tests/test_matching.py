@@ -357,16 +357,26 @@ def test_allowed_mask():
 
 
 def test_extended_query_rejected():
+    # the oracle used to charge the padding vertex as a deletion and
+    # report 1.0, where the compacted AG's distance is 0
     from graphproto.core import extend_ag
-    f = ag_to_fdg(AttributedGraph([attr(1)], {}))
-    g = extend_ag(AttributedGraph([attr(1)], {}), 2)
-    with pytest.raises(ValueError):
-        bnb_distance(g, f)
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(3)})
+    f = ag_to_fdg(g)
+    assert exhaustive_oracle(g, f).distance == 0.0
+    x = extend_ag(g, 3)
+    for cost in (lambda: bnb_distance(x, f),
+                 lambda: exhaustive_oracle(x, f),
+                 lambda: labelling_cost(x, f, [0, 1, None]),
+                 lambda: second_order_cost(x, f, [0, 1, None]),
+                 lambda: check_constraints(x, f, [0, 1, None])):
+        with pytest.raises(ValueError, match="non-extended"):
+            cost()
 
 
 def test_match_result_repr():
-    r = MatchResult(1.5, Labelling([0]), 7, True)
+    r = MatchResult(1.5, Labelling([0]), 7, True, 3)
     assert "1.5" in repr(r)
+    assert "leaves=3" in repr(r)
 
 
 _PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
@@ -717,8 +727,8 @@ def test_cheap_root_is_the_search_root(monkeypatch):
         seen["planar"] += w.planar
     assert min(seen.values()) >= 5, seen
     # at benchmark size (order 14, about 40 arcs) the floors' sum would
-    # round differently if taken in another order; below a bound of 0 each
-    # search ends at or just after its root
+    # round differently if taken in another order; at a bound of 0 the
+    # search on the pair's tables ends at its root
     models = generate_models(GeneratorConfig(nFDG=2, nv=14, ne=42, seed=7))
     for k, model in enumerate(models):
         refs = [perturb(model, "delete_distort", 10 * k + r, nd=2, nl=1)
@@ -731,7 +741,7 @@ def test_cheap_root_is_the_search_root(monkeypatch):
             w = (CostWeights(), CostWeights(K1=0.6, K2=1.7, K_pr=0.02),
                  CostWeights(K2=0.3, mode="restricted"))[trial % 3]
             del tested[:]
-            bnb_distance(g, f, w, upper_bound=0.0)
+            search._map_search(*_bnb_tables(_CostTables(g, f, w)), 0.0)
             assert tested[0] == _cheap_root(_binned(g, f.bin_width), f, w)
 
 

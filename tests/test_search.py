@@ -7,7 +7,8 @@ optimum.  A bound that overestimated what a branch still owes would cut
 the optimal map at one of them; a brute force over every map shows it.
 A pair whose root bound already reaches the upper bound is decided with
 one walk and builds no arc tables, also when only its candidate rows
-raise the bound that far.
+raise the bound that far; bnb_distance decides it before building any
+cost table.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from graphproto import AttributedGraph, CostWeights, attr
 from graphproto import baseline, forg, matching
 from graphproto.baseline import EditCosts, edit_distance
+from graphproto.efficient import METHODS, match_by_method
 from graphproto.forg import forg_distance
 from graphproto.matching import bnb_distance, count_search_nodes
 from graphproto.search import _map_search
@@ -81,8 +83,6 @@ def _brute(args):
     tables = args[:7]
     vet, rows, score = (args[8:] + [None] * 3)[:3]
     n1, n2 = len(tables[1]), len(tables[2])
-    if rows is not None:
-        rows = rows()[0]
     arc = tables[3]()
     costs = {}
     for vmap in _maps(n1, n2, rows):
@@ -238,7 +238,8 @@ def arc_table_builds(monkeypatch):
     return calls
 
 
-def test_a_pair_decided_at_the_root_builds_no_arc_tables(arc_table_builds):
+def test_a_pair_decided_at_the_root_builds_no_arc_tables(
+        monkeypatch, arc_table_builds, table_builds, relation_builds):
     g = AttributedGraph([attr(1), attr(2), attr(3)],
                         {(0, 1): attr(1), (1, 2): attr(2)})
     far = AttributedGraph([attr(50), attr(60), attr(70)],
@@ -247,8 +248,18 @@ def test_a_pair_decided_at_the_root_builds_no_arc_tables(arc_table_builds):
     res = bnb_distance(g, f, upper_bound=0.5)
     assert (res.distance, res.labelling, res.valid) == (math.inf, None, False)
     assert (res.explored_nodes, res.leaves) == (1, 0)
-    assert arc_table_builds == []
-    # without the bound nothing is decided at the root
+    for method in METHODS:
+        res = match_by_method(g, f, method=method, tau=0.5, t_p=0.05,
+                              upper_bound=0.5)
+        assert (res.distance, res.labelling, res.valid, res.explored_nodes,
+                res.leaves) == (math.inf, None, False, 1, 0)
+    # bnb_distance cuts before any cost table: the FDG's search part
+    # stays empty
+    assert arc_table_builds == table_builds == relation_builds == []
+    assert f._costs[2] is None
+    # without the bound nothing is decided at the root, and no cheap root
+    # is worked out
+    monkeypatch.setattr(matching, "_cheap_root", None)
     res = bnb_distance(g, f, upper_bound=0.5, disable_bound=True)
     assert res.explored_nodes == count_search_nodes(3, 3)
     assert arc_table_builds == [1]
