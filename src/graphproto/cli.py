@@ -63,14 +63,15 @@ def _strings(raw):
 
 
 def _fill(args, spec):
-    """Resolve each field: command line first, config twin second, default
-    last.  spec rows are (name, converter, default)."""
+    """Resolve each field from the command line, its config twin or its
+    default, in that order, and return the config ({} without one)."""
     cfg = read_config(args.config) if args.config else {}
     for name, conv, default in spec:
         if getattr(args, name, None) is not None:
             continue
         raw = cfg.get(name)
         setattr(args, name, default if raw is None else conv(raw))
+    return cfg
 
 
 def _weights(args, mode="relaxed", planar=False):
@@ -223,9 +224,8 @@ _SWEEPS = [("NR", int, 2), ("nd", int, 0), ("nl", int, 0),
 
 
 def cmd_bench(args):
-    _fill(args, [("seed", int, 0), ("reps", int, 1),
-                 ("out", str, "results.csv")] + _WEIGHT_SPEC)
-    cfg = read_config(args.config) if args.config else {}
+    cfg = _fill(args, [("seed", int, 0), ("reps", int, 1),
+                       ("out", str, "results.csv")] + _WEIGHT_SPEC)
     base = {"nFDG": int(cfg.get("nFDG", 2)), "NT": int(cfg.get("NT", 2)),
             "nv": int(cfg.get("nv", 5)), "ne": int(cfg.get("ne", 8))}
     noise = cfg.get("noise", "delete_distort")

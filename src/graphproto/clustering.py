@@ -28,8 +28,7 @@ import math
 import numpy as np
 
 from .baseline import edit_distance
-from .core import (CostWeights, Labelling, _slot_list, extend_ag, extend_fdg,
-                   vertex_list)
+from .core import CostWeights, Labelling, _slot_list, extend_ag, extend_fdg
 from .forg import forg_synthesize
 from .harness import _classify
 from .synthesis import ag_to_fdg, place_fresh, update_fdg_with_ag
@@ -41,10 +40,10 @@ def extend_labelling(g, f, labelling):
 
     Unplaced AG vertices get fresh null slots appended to the FDG in vertex
     order; uncovered FDG slots get null AG vertices, matched in ascending
-    order.  Returns (extended AG, extended FDG, bijective Labelling); a slot
-    outside the FDG raises ValueError.
+    order.  Returns (extended AG, extended FDG, bijective Labelling); a
+    labelling that breaks core's vertex-map rule raises ValueError.
     """
-    vmap = _slot_list(labelling, g, f)
+    vmap = _slot_list(labelling, g.order, f.order)
     covered = set(q for q in vmap if q is not None)
     full, k = place_fresh(vmap, f.order)
     full.extend(q for q in range(f.order) if q not in covered)
@@ -112,7 +111,7 @@ class ClusterState:
                     raise ValueError("ag_distance returned NaN")
                 self.dist[i, j] = self.dist[j, i] = dij
                 if dij < math.inf:
-                    vmap = vertex_list(lab, ags[i].order)
+                    vmap = _slot_list(lab, ags[i].order, ags[j].order)
                     self.phi[(i, j)] = vmap
                     self.phi[(j, i)] = Labelling(vmap).inverse(ags[j].order)
 

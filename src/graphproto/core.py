@@ -19,11 +19,15 @@ Conventions used throughout the package:
     arc_index order; a probability is count/total,
   * Pdf is the one-pdf form: how callers build an FDG, and the read-only
     view an FDG gives of each store row, built on demand,
-  * the null bin of a pdf is keyed by None.
+  * the null bin of a pdf is keyed by None,
+  * a vertex map (a Labelling or a plain sequence) sends each vertex of a
+    source graph to a distinct slot 0..m-1 of a target, or to the null
+    target None; _slot_list is the one check of that rule.
 """
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -289,8 +293,8 @@ def extend_ag(g, k):
 class Labelling:
     """Vertex map from a source graph into a target structure.
 
-    vertex_map[i] is the target index of source vertex i, or None for the
-    null target.  Injective on non-null targets.
+    vertex_map[i] is the slot of source vertex i, or None (see Conventions);
+    the constructor refuses a slot used twice, _slot_list the rest.
     """
 
     __slots__ = ("vertex_map",)
@@ -331,28 +335,26 @@ class Labelling:
         return "Labelling(%s)" % (self.vertex_map,)
 
 
-def vertex_list(labelling, order):
-    """The vertex map of a Labelling or of a plain sequence, as a new list.
-
-    Raises ValueError unless it has exactly `order` entries, one per source
-    vertex.
-    """
+def _slot_list(labelling, order, m):
+    """A vertex map of `order` vertices into m slots as a new list, each
+    slot None or an int; ValueError unless it keeps Conventions' rule."""
     vmap = list(labelling.vertex_map) if isinstance(labelling, Labelling) \
         else list(labelling)
     if len(vmap) != order:
         raise ValueError("labelling arity %d does not match order %d"
                          % (len(vmap), order))
-    return vmap
-
-
-def _slot_list(labelling, g, f):
-    """vertex_list of a labelling of g onto f, each slot None or one of
-    f's; a slot out of range raises ValueError."""
-    vmap = vertex_list(labelling, g.order)
     for i, q in enumerate(vmap):
-        if q is not None and not 0 <= q < f.order:
-            raise ValueError("vertex %d: slot %r outside prototype order %d"
-                             % (i, q, f.order))
+        if q is None:
+            continue
+        try:
+            vmap[i] = q = operator.index(q)
+        except TypeError:
+            raise ValueError("vertex %d: slot %r is not an integer"
+                             % (i, q)) from None
+        if not 0 <= q < m:
+            raise ValueError("vertex %d: slot %r outside prototype order %r"
+                             % (i, q, m))
+    Labelling(vmap)
     return vmap
 
 
@@ -743,11 +745,7 @@ def unconditional_arc_prob(f, arc, value):
 
 def co_occurrence(f):
     """Mutual-occurrence matrices: C(x, y) = O(x, y) and O(y, x)."""
-    return self_and_transpose(f.Ow), self_and_transpose(f.Oe)
-
-
-def self_and_transpose(mat):
-    return np.logical_and(mat, mat.T)
+    return f.Ow & f.Ow.T, f.Oe & f.Oe.T
 
 
 def _extended_relations(old_A, old_O, old_E, old_idx, null, strict, size):
@@ -783,21 +781,19 @@ def _seat(f, vertex_map, k):
     """f's slots re-seated at new positions inside an order-k frame, as the
     arguments of the Fdg that remap_fdg builds.
 
-    vertex_map[i] is the new position of old slot i (injective, within
-    range).  The stores' rows move with their slots (BinStore.seated), and
-    unclaimed positions become null slots: absent in all z samples, with
-    u = 0 and the degenerate conditional arc pdf.  Relation bits between
-    re-seated pairs are kept; pairs involving a null element follow the
-    extension rules, applied to the frame's _slot_flags (see
-    _extended_relations).  Arc matrices are re-indexed because slot
+    vertex_map[i] is the new position of old slot i, a vertex map that
+    places every slot.  The stores' rows move with their slots
+    (BinStore.seated), and unclaimed positions become null slots: absent in
+    all z samples, with u = 0 and the degenerate conditional arc pdf.
+    Relation bits between re-seated pairs are kept; pairs involving a null
+    element follow the extension rules, applied to the frame's _slot_flags
+    (see _extended_relations).  Arc matrices are re-indexed because slot
     numbering depends on the order.
     """
     n = f.order
-    vmap = list(vertex_map)
-    if len(vmap) != n or len(set(vmap)) != n:
-        raise ValueError("vertex map must place each old slot once")
-    if any(not (0 <= t < k) for t in vmap):
-        raise ValueError("vertex map target outside order %d" % k)
+    vmap = _slot_list(vertex_map, n, k)
+    if None in vmap:
+        raise ValueError("vertex map must place each old slot")
     rows = np.array(vmap, dtype=np.int64)
     src, dst = rows[_pair_ends(n)]
     # arc_index of (src, dst) in the order-k frame
@@ -847,8 +843,8 @@ def verify_identities(f, sample, labellings=None):
     """Cross-check an FDG's stored relations and pdfs against its sample.
 
     sample is the list of AGs the FDG was synthesised from, either already
-    extended and slot-aligned (labellings None) or accompanied by one label
-    map per AG (vertex index -> slot).  Re-derives the six relation matrices
+    extended and slot-aligned (labellings None) or accompanied by one vertex
+    map per AG that places every vertex.  Re-derives the six relation matrices
     from the joint presence frequencies and reports every disagreement with
     the stored bits, then checks the stored first-order pdfs against the
     stored relations (antagonist-and-occurrent slots must be certainly null,
@@ -870,13 +866,10 @@ def verify_identities(f, sample, labellings=None):
     m = len(pairs)
     ap = np.zeros((z, m), dtype=bool)
     for g_i, (g, lab) in enumerate(zip(sample, labellings)):
-        if len(lab) != g.order:
-            raise ValueError("invalid sample: labelling arity mismatch at graph %d" % g_i)
-        seen = set()
+        lab = _slot_list(lab, g.order, n)
+        if None in lab:
+            raise ValueError("invalid sample: unplaced vertex in graph %d" % g_i)
         for v_i, s in enumerate(lab):
-            if not (0 <= s < n) or s in seen:
-                raise ValueError("invalid sample: bad label %r at graph %d" % (s, g_i))
-            seen.add(s)
             vp[g_i, s] = not g.vertices[v_i].is_null
         inv = {s: v_i for v_i, s in enumerate(lab)}
         for k, (si, sj) in enumerate(pairs):

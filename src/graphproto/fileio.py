@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .core import (_RELATIONS, COUNT_LIMIT, PHI, AttributedGraph, BinStore,
-                   Fdg, attr, checked_bin_width, vertex_list)
+                   Fdg, _slot_list, attr, checked_bin_width)
 
 _KEYWORDS = ("vertex", "arc", "u", "total", "relations")
 
@@ -409,10 +409,9 @@ def _pairs_token(vmap):
 
 
 def write_labelling(maps, path):
-    """One line per AG; every vertex is listed."""
-    lines = []
-    for vmap in maps:
-        lines.append(_pairs_token(vertex_list(vmap, len(vmap))))
+    """One line per AG, each map a vertex map; every vertex is listed."""
+    lines = [_pairs_token(_slot_list(vmap, len(vmap), math.inf))
+             for vmap in maps]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,7 +18,7 @@ slot and one per pair of slots, so search._map_search finds it.
 import math
 
 from .search import _map_search
-from .core import PHI, _slot_list, null_pdf, vertex_list
+from .core import PHI, _slot_list, null_pdf
 from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
 
 
@@ -33,7 +33,8 @@ def forg_synthesize(f1, f2, vertex_map):
     """Merge f1 into f2's frame under a slot map: vertex_map[i] is the f2
     slot receiving f1's slot i, or None to give it a fresh slot, appended in
     slot order.  Pdfs pool count-wise, f2's first."""
-    placed, k = place_fresh(vertex_list(vertex_map, f1.order), f2.order)
+    placed, k = place_fresh(_slot_list(vertex_map, f1.order, f2.order),
+                            f2.order)
     return synth_from_labelled_fdgs(
         [f2, f1], CommonLabelling([list(range(f2.order)), placed], k))
 
@@ -84,7 +85,7 @@ def outcome_probability(f, g, labelling):
     from their pdfs; an arc draws from its conditional pdf when both of its
     endpoints came out present and is null for free otherwise.
     """
-    vmap = _slot_list(labelling, g, f)
+    vmap = _slot_list(labelling, g.order, f.order)
     n = f.order
     slot_attr = [PHI] * n
     for v_i, s in enumerate(vmap):

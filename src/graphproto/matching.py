@@ -316,7 +316,7 @@ def second_order_cost(g, f, labelling, weights=None):
     """Weighted sum of violated second-order relation instances."""
     w = weights or CostWeights()
     t = _CostTables(g, f, w)
-    v, e, _ = _realized(t, _slot_list(labelling, g, f))
+    v, e, _ = _realized(t, _slot_list(labelling, g.order, f.order))
     return _violations(w, t, v, e)[1]
 
 
@@ -330,13 +330,13 @@ def labelling_cost(g, f, labelling, weights=None, _tables=None):
     """Cost and validity of one complete labelling.
 
     Returns (cost, valid); an invalid labelling (hard-constraint breach)
-    reports (inf, False).  A slot outside 0..m-1 raises ValueError, but
-    is not looked for when the search's leaves pass their own _tables.
+    reports (inf, False).  labelling, a vertex map (see core), is checked
+    unless the search's leaves pass their own _tables.
     """
     w = weights or CostWeights()
     vmap, t = labelling, _tables
     if t is None:
-        vmap, t = _slot_list(labelling, g, f), _CostTables(g, f, w)
+        vmap, t = _slot_list(labelling, g.order, f.order), _CostTables(g, f, w)
     m = t.m
 
     v, e, inv = _realized(t, vmap)

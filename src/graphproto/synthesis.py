@@ -23,28 +23,22 @@ from .core import (
     Fdg,
     _pair_ends,
     _seat,
+    _slot_list,
     checked_bin_width,
-    vertex_list,
 )
 
 
 class CommonLabelling:
     """Vertex maps of several graphs into one frame of n slots.
 
-    maps[g][i] is the slot of vertex i of graph g; each map is injective.
+    maps[g][i] is the slot of vertex i of graph g (see core's Conventions).
     """
 
     __slots__ = ("maps", "n")
 
     def __init__(self, maps, n):
-        self.maps = [list(m) for m in maps]
         self.n = int(n)
-        for g, m in enumerate(self.maps):
-            real = [t for t in m if t is not None]
-            if len(real) != len(set(real)):
-                raise ValueError("labelling of graph %d is not injective" % g)
-            if any(not (0 <= t < self.n) for t in real):
-                raise ValueError("labelling of graph %d leaves the frame" % g)
+        self.maps = [_slot_list(m, len(m), self.n) for m in maps]
 
     @classmethod
     def identity(cls, orders, n=None):
@@ -90,8 +84,7 @@ def _sample_args(ags, labelling, bin_width):
     vkey = np.zeros((z, n), np.int64)
     akey = np.zeros((z, n, n), np.int64)
     for g_i, (g, m) in enumerate(zip(ags, labelling.maps)):
-        if len(m) != g.order:
-            raise ValueError("labelling arity mismatch at graph %d" % g_i)
+        m = _slot_list(m, g.order, n)
         for s, a in zip(m, g.vertices):
             if a.is_null:
                 continue
@@ -183,7 +176,7 @@ def update_fdg_with_ag(f, g, labelling):
     slot; fresh slots are appended in vertex order).  Equivalent to
     re-synthesising from the enlarged sample, f's graphs first.
     """
-    placed, k = place_fresh(vertex_list(labelling, g.order), f.order)
+    placed, k = place_fresh(_slot_list(labelling, g.order, f.order), f.order)
     return Fdg(*_pool([
         _seat(f, range(f.order), k),
         _sample_args([g], CommonLabelling([placed], k), f.bin_width)]))

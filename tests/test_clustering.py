@@ -83,6 +83,13 @@ def test_extend_labelling_refuses_a_slot_outside_the_fdg(vmap, slot):
         extend_labelling(g, f, vmap)
 
 
+def test_cluster_state_refuses_a_labelling_outside_the_other_ag():
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(9)})
+    with pytest.raises(ValueError, match="vertex 0: slot 5 outside"):
+        hierarchical_clustering(
+            [g, g], 1.0, ag_distance=lambda a, b: (0.0, [5, None]))
+
+
 def test_extend_then_synthesise_matches_update():
     g1 = AttributedGraph([attr(1), attr(2), attr(3)],
                          {(0, 1): attr(10), (1, 2): attr(11)})

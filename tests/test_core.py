@@ -39,6 +39,7 @@ from graphproto.core import (
     extend_fdg,
     induced_arc_map,
     null_pdf,
+    remap_fdg,
     slot_pairs,
     unconditional_arc_prob,
     verify_identities,
@@ -462,6 +463,20 @@ def test_verify_identities_rejects_bad_sample():
         verify_identities(f, [], [])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda f, g: remap_fdg(f, [None, 0], 3), "place each old slot"),
+    (lambda f, g: remap_fdg(f, [1.5, 0], 3), "vertex 0: slot 1.5"),
+    (lambda f, g: verify_identities(f, [g], [[None, 0]]), "unplaced vertex"),
+    (lambda f, g: CommonLabelling([["a"]], 2), "vertex 0: slot 'a'"),
+    (lambda f, g: CommonLabelling([[0.5]], 2), "vertex 0: slot 0.5"),
+], ids=["remap-unplaced", "remap-float", "verify-unplaced", "common-str",
+        "common-float"])
+def test_total_map_takers_refuse_a_bad_map(call, match):
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(9)})
+    with pytest.raises(ValueError, match=match):
+        call(ag_to_fdg(g), g)
+
+
 def test_extend_fdg_pads():
     _, _, f = _fixture()
     e = extend_fdg(f, 6)
@@ -570,9 +585,12 @@ def test_labelling_takers_accept_both_forms_and_check_arity(name):
     call = _labelling_takers()[name]
     vmap = [1, 2, 0]
     assert _summary(call(Labelling(vmap))) == _summary(call(list(vmap)))
-    for short in ([1, 2], Labelling([1, 2])):
+    # short, a slot twice, out of range, not an integer; a Labelling
+    # cannot hold a slot twice
+    for bad in ([1, 2], Labelling([1, 2]), [1, 1, 0], [1, 2, 3],
+                Labelling([1, 2, 3]), [0.5, 1, 2], Labelling([0.5, 1, 2])):
         with pytest.raises(ValueError):
-            call(short)
+            call(bad)
 
 
 def test_negative_z_is_refused():

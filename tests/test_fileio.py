@@ -286,6 +286,14 @@ def test_labelling_accepts_labelling_objects(tmp_path):
     assert read_labelling(p) == [{0: 2, 1: None}]
 
 
+@pytest.mark.parametrize("maps", [[[0, 0]], [[-1]]])
+def test_write_labelling_refuses_what_read_labelling_refuses(tmp_path, maps):
+    p = tmp_path / "lab.txt"
+    with pytest.raises(ValueError):
+        write_labelling(maps, str(p))
+    assert not p.exists()
+
+
 @pytest.mark.parametrize("text", [
     "1->1 1->2\n",
     "1->2 2->2\n",
