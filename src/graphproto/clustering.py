@@ -1,19 +1,18 @@
 """Unsupervised grouping of AGs into FDG prototypes.
 
-Two schemes share the synthesis machinery:
-
   * incremental_clustering consumes the AGs in the order given.  Each one
     joins the nearest live prototype when the distance stays within d_alpha
     and seeds a new one otherwise (second-order weights forced to zero,
     since the growing structure is what those weights would have to
     describe).  The search is fdg_classify's, bounded just above d_alpha,
     so prototypes that cannot come within d_alpha are abandoned early.
-  * hierarchical_clustering starts from singleton prototypes, one per AG,
+  * hierarchical_clustering starts from singleton clusters, one per AG,
     with a full table of pairwise AG distances and labellings.  While the
     smallest table entry stays within d_alpha the closest pair is merged;
     complete linkage keeps the larger of the two distances to every other
     cluster, single linkage the smaller, and the stored labelling is composed
-    through the merge so later syntheses still know where each slot went.
+    through the merge.  No merge reads a prototype: a cluster is its AGs'
+    vertex maps into one frame, synthesised into a prototype at the end.
 
 The distance producing the hierarchical table is pluggable and defaults to
 the edit distance between AGs, bounded just above d_alpha: a pair that
@@ -28,10 +27,11 @@ import math
 import numpy as np
 
 from .baseline import edit_distance
-from .core import CostWeights, Labelling, _slot_list, extend_ag, extend_fdg
-from .forg import forg_synthesize
+from .core import (CostWeights, Labelling, _slot_list, checked_bin_width,
+                   extend_ag, extend_fdg)
 from .harness import _classify
-from .synthesis import ag_to_fdg, place_fresh, update_fdg_with_ag
+from .synthesis import (CommonLabelling, ag_to_fdg, place_fresh,
+                        synth_from_labelled_ags, update_fdg_with_ag)
 
 
 def extend_labelling(g, f, labelling):
@@ -88,18 +88,20 @@ def incremental_clustering(ags, d_alpha, weights=None, matcher=None,
 
 
 class ClusterState:
-    """Bookkeeping of an agglomerative run: live prototypes, the pairwise
-    distance and labelling tables and the provenance of each cluster.
+    """Bookkeeping of an agglomerative run: the pairwise distance and
+    labelling tables and, per cluster c, maps[c], each member AG's total
+    vertex map into c's frame of orders[c] slots, in joining order.
 
     Rows and columns of dead clusters sit at infinity and their labellings
     are dropped, so the tables always describe exactly the live pairs.  A
     pair at infinity, dead or beyond ag_distance's bound, has no labelling.
     """
 
-    def __init__(self, ags, ag_distance=None, bin_width=1.0):
+    def __init__(self, ags, ag_distance=None):
         dist_fn = ag_distance or edit_distance
         count = len(ags)
-        self.fdgs = [ag_to_fdg(g, bin_width) for g in ags]
+        self.maps = [{i: list(range(g.order))} for i, g in enumerate(ags)]
+        self.orders = [g.order for g in ags]
         self.members = [{i} for i in range(count)]
         self.live = [True] * count
         self.dist = np.full((count, count), math.inf)
@@ -118,28 +120,27 @@ class ClusterState:
     def closest_pair(self):
         """Lexicographically first pair realizing the smallest live
         distance, or None when fewer than two clusters remain."""
-        x, y = divmod(int(np.argmin(self.dist)), len(self.fdgs))
+        x, y = divmod(int(np.argmin(self.dist)), len(self.live))
         return None if self.dist[x, y] == math.inf else (x, y, self.dist[x, y])
 
     def merge(self, x, y, linkage):
         """Fold cluster x into cluster y.
 
         The stored x->y labelling is extended to a bijection (unplaced x
-        slots get fresh slots appended to y's frame), the prototypes are
-        combined under it, and every other cluster's distance to y becomes
-        the larger (complete) or smaller (single) of its two old distances,
-        its labelling composed through the merge when the kept distance was
-        the one to x and dropped when the kept distance is infinite.
+        slots get fresh slots appended to y's frame), x's maps are composed
+        through it, and every other cluster's distance to y becomes the
+        larger (complete) or smaller (single) of its two old distances, its
+        labelling composed through the merge when the kept distance was the
+        one to x and dropped when the kept distance is infinite.
         """
         if linkage not in ("single", "complete"):
             raise ValueError("linkage must be 'single' or 'complete'")
-        mx = self.phi[(x, y)]
-        old_y = self.fdgs[y].order
-        full_x, k = place_fresh(mx, old_y)
-        self.fdgs[y] = forg_synthesize(self.fdgs[x], self.fdgs[y], mx)
+        full_x, k = place_fresh(self.phi[(x, y)], self.orders[y])
+        for a, vmap in self.maps[x].items():
+            self.maps[y][a] = [full_x[q] for q in vmap]
         self.members[y] |= self.members[x]
 
-        for i in range(len(self.fdgs)):
+        for i in range(len(self.live)):
             if i == x or i == y or not self.live[i]:
                 continue
             dx, dy = self.dist[i, x], self.dist[i, y]
@@ -154,9 +155,10 @@ class ClusterState:
                 self.phi[(i, y)] = comp
                 self.phi[(y, i)] = Labelling(comp).inverse(k)
             else:
-                self.phi[(y, i)] = self.phi[(y, i)] + [None] * (k - old_y)
+                self.phi[(y, i)] += [None] * (k - self.orders[y])
             self.dist[i, y] = self.dist[y, i] = kept
 
+        self.orders[y] = k
         self.live[x] = False
         self.dist[x, :] = math.inf
         self.dist[:, x] = math.inf
@@ -172,8 +174,9 @@ def hierarchical_clustering(ags, d_alpha, linkage="complete",
     ag_distance(g1, g2) must return (distance, labelling), or (inf, None)
     for a pair it did not search; the default is the edit distance with an
     upper bound just above d_alpha.  Merging continues while the smallest
-    live distance is at most d_alpha.  With return_assignments the second
-    element maps each prototype to the set of input positions it absorbed.
+    live distance is at most d_alpha; each prototype is then synthesised from
+    its cluster's AGs.  With return_assignments the second element maps
+    each prototype to the set of input positions it absorbed.
     """
     ags = list(ags)
     if not ags:
@@ -182,17 +185,21 @@ def hierarchical_clustering(ags, d_alpha, linkage="complete",
         raise ValueError("linkage must be 'single' or 'complete'")
     if math.isnan(d_alpha):
         raise ValueError("d_alpha must not be NaN")
+    bin_width = checked_bin_width(bin_width)
     if ag_distance is None:
         ag_distance = functools.partial(
             edit_distance, upper_bound=math.nextafter(d_alpha, math.inf))
-    state = ClusterState(ags, ag_distance, bin_width)
+    state = ClusterState(ags, ag_distance)
     while True:
         hit = state.closest_pair()
         if hit is None or hit[2] > d_alpha:
             break
         state.merge(hit[0], hit[1], linkage)
-    fdgs = [f for f, alive in zip(state.fdgs, state.live) if alive]
+    live = [c for c, alive in enumerate(state.live) if alive]
+    fdgs = [synth_from_labelled_ags(
+        [ags[a] for a in state.maps[c]],
+        CommonLabelling(list(state.maps[c].values()), state.orders[c]),
+        bin_width) for c in live]
     if return_assignments:
-        members = [m for m, alive in zip(state.members, state.live) if alive]
-        return fdgs, members
+        return fdgs, [state.members[c] for c in live]
     return fdgs

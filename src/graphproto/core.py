@@ -22,7 +22,8 @@ Conventions used throughout the package:
   * the null bin of a pdf is keyed by None,
   * a vertex map (a Labelling or a plain sequence) sends each vertex of a
     source graph to a distinct slot 0..m-1 of a target, or to the null
-    target None; _slot_list is the one check of that rule.
+    target None; _slot_list is the one check of that rule, and
+    _slot_lists applies it to the maps of several graphs.
 """
 
 import functools
@@ -338,8 +339,13 @@ class Labelling:
 def _slot_list(labelling, order, m):
     """A vertex map of `order` vertices into m slots as a new list, each
     slot None or an int; ValueError unless it keeps Conventions' rule."""
-    vmap = list(labelling.vertex_map) if isinstance(labelling, Labelling) \
-        else list(labelling)
+    if isinstance(labelling, Labelling):
+        labelling = labelling.vertex_map
+    try:
+        vmap = list(labelling)
+    except TypeError:
+        raise ValueError("labelling %r is not a sequence"
+                         % (labelling,)) from None
     if len(vmap) != order:
         raise ValueError("labelling arity %d does not match order %d"
                          % (len(vmap), order))
@@ -356,6 +362,18 @@ def _slot_list(labelling, order, m):
                              % (i, q, m))
     Labelling(vmap)
     return vmap
+
+
+def _slot_lists(maps, orders, m):
+    """_slot_list of each map, map g of orders[g] vertices; a ValueError
+    names the graph whose map breaks the rule."""
+    out = []
+    for g, (labelling, order) in enumerate(zip(maps, orders)):
+        try:
+            out.append(_slot_list(labelling, order, m))
+        except ValueError as exc:
+            raise ValueError("graph %d: %s" % (g, exc)) from None
+    return out
 
 
 class CostWeights:
@@ -865,8 +883,8 @@ def verify_identities(f, sample, labellings=None):
     pairs = slot_pairs(n)
     m = len(pairs)
     ap = np.zeros((z, m), dtype=bool)
+    labellings = _slot_lists(labellings, [g.order for g in sample], n)
     for g_i, (g, lab) in enumerate(zip(sample, labellings)):
-        lab = _slot_list(lab, g.order, n)
         if None in lab:
             raise ValueError("invalid sample: unplaced vertex in graph %d" % g_i)
         for v_i, s in enumerate(lab):

@@ -19,7 +19,8 @@ import math
 
 from .search import _map_search
 from .core import PHI, _slot_list, null_pdf
-from .synthesis import CommonLabelling, place_fresh, synth_from_labelled_fdgs
+from .synthesis import (CommonLabelling, _one_bin_width, place_fresh,
+                        synth_from_labelled_fdgs)
 
 
 def forg_entropy(f):
@@ -42,13 +43,15 @@ def forg_synthesize(f1, f2, vertex_map):
 def forg_distance(f1, f2):
     """Entropy-increase distance and the map of f1's slots into f2's slots
     or fresh ones (None) that attains it; the search is exponential, so
-    combined orders above twenty are refused."""
+    combined orders above twenty are refused, and so are prototypes of
+    different bin widths."""
     if f1.order + f2.order > 20:
         raise ValueError("forg_distance refuses orders %d + %d"
                          % (f1.order, f2.order))
     if f1.z == f2.z == 0:
         raise ValueError("forg_distance needs samples: both prototypes "
                          "have z = 0")
+    _one_bin_width((f1, f2))
     base = (f1.z * forg_entropy(f1) + f2.z * forg_entropy(f2)) / (f1.z + f2.z)
     # as in forg_synthesize, an empty slot side pads as certainly null, and
     # an empty arc side as the empty pdf, which leaves the other's entropy

@@ -24,6 +24,7 @@ from .core import (
     _pair_ends,
     _seat,
     _slot_list,
+    _slot_lists,
     checked_bin_width,
 )
 
@@ -38,7 +39,8 @@ class CommonLabelling:
 
     def __init__(self, maps, n):
         self.n = int(n)
-        self.maps = [_slot_list(m, len(m), self.n) for m in maps]
+        maps = list(maps)
+        self.maps = _slot_lists(maps, [len(m) for m in maps], self.n)
 
     @classmethod
     def identity(cls, orders, n=None):
@@ -83,8 +85,8 @@ def _sample_args(ags, labelling, bin_width):
     vindex, aindex = {None: 0}, {None: 0}
     vkey = np.zeros((z, n), np.int64)
     akey = np.zeros((z, n, n), np.int64)
-    for g_i, (g, m) in enumerate(zip(ags, labelling.maps)):
-        m = _slot_list(m, g.order, n)
+    maps = _slot_lists(labelling.maps, [g.order for g in ags], n)
+    for g_i, (g, m) in enumerate(zip(ags, maps)):
         for s, a in zip(m, g.vertices):
             if a.is_null:
                 continue
@@ -126,17 +128,21 @@ def synth_from_labelled_fdgs(fdgs, labelling):
     """
     if len(fdgs) == 0:
         raise ValueError("cannot combine zero FDGs")
-    if len(set(f.bin_width for f in fdgs)) > 1:
-        raise ValueError("cannot combine FDGs with different bin widths")
+    _one_bin_width(fdgs)
     if len(labelling.maps) != len(fdgs):
         raise ValueError("%d FDGs but %d labellings"
                          % (len(fdgs), len(labelling.maps)))
-    seats = []
-    for f, m in zip(fdgs, labelling.maps):
-        if any(t is None for t in m):
-            raise ValueError("FDG labellings must place every slot")
-        seats.append(_seat(f, m, labelling.n))
-    return Fdg(*_pool(seats))
+    n = labelling.n
+    maps = _slot_lists(labelling.maps, [f.order for f in fdgs], n)
+    if any(None in m for m in maps):
+        raise ValueError("FDG labellings must place every slot")
+    return Fdg(*_pool([_seat(f, m, n) for f, m in zip(fdgs, maps)]))
+
+
+def _one_bin_width(fdgs):
+    """ValueError unless the FDGs share one bin width."""
+    if len(set(f.bin_width for f in fdgs)) > 1:
+        raise ValueError("cannot combine FDGs with different bin widths")
 
 
 def _pool(seats):

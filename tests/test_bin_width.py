@@ -4,8 +4,8 @@
   pdfs of mixed widths or of a width other than its own
 - incremental and hierarchical clustering, forg_distance, forg_synthesize,
   update_fdg_with_ag and extend_fdg keep the width of an order-0 prototype
-- synth_from_labelled_fdgs refuses inputs of different widths, at order 0
-  as well
+- synth_from_labelled_fdgs and forg_distance refuse inputs of different
+  widths, at order 0 as well
 - an order-0 FDG and FORG written and read back keep their width
 - `graphproto cluster --bin-width 5` with an empty AG file bins at width 5
 """
@@ -114,6 +114,13 @@ def test_synth_from_fdgs_refuses_different_widths():
         [ag_to_fdg(_empty(), 5.0), ag_to_fdg(_empty(), 5.0)],
         CommonLabelling([[], []], 0))
     assert both.bin_width == 5.0 and both.z == 2
+
+
+@pytest.mark.parametrize("make", [_empty, _seven])
+def test_forg_distance_refuses_different_widths(make):
+    with pytest.raises(ValueError, match="cannot combine FDGs with "
+                       "different bin widths"):
+        forg_distance(ag_to_fdg(make(), 1.0), ag_to_fdg(make(), 2.0))
 
 
 @pytest.mark.parametrize("write, read, header", [

@@ -20,9 +20,15 @@
 * the bounded incremental search gives the members and prototypes of a full
   bnb_distance per prototype over random batches and thresholds, a distance
   of exactly d_alpha and a tie met out of index order included
-* a NaN d_alpha and a bad bin width are refused before any work
+* a NaN d_alpha and a bad bin width are refused before any work, the
+  width before any AG distance
+* an ag_distance or matcher that returns no vertex map is a ValueError
+* hierarchical prototypes equal the ones pooled merge by merge with
+  forg_synthesize from ag_to_fdg singletons, down to the stores and the
+  written file, and each is the one Fdg built for its cluster
 """
 
+import functools
 import math
 
 import numpy as np
@@ -33,6 +39,7 @@ from graphproto import (
     CommonLabelling,
     CostWeights,
     Labelling,
+    MatchResult,
     ag_to_fdg,
     attr,
     bnb_distance,
@@ -47,6 +54,8 @@ from graphproto.clustering import (
     incremental_clustering,
 )
 from graphproto.core import AttrTuple
+from graphproto.fileio import write_fdg
+from graphproto.forg import forg_synthesize
 from graphproto.harness import (GeneratorConfig, compact_ag, generate_models,
                                 perturb)
 from graphproto.matching import _binned, _cheap_root
@@ -402,3 +411,86 @@ def test_bad_bin_width_is_refused_before_binning(learner, width,
     ags = [AttributedGraph([attr(v)], {}) for v in (0, 1)]
     with pytest.raises(ValueError, match="bin width"):
         learner(ags, 1.0, bin_width=width)
+
+
+@pytest.mark.parametrize("width", [0, -1.0, math.nan, math.inf])
+def test_bad_bin_width_is_refused_before_any_distance(width):
+    calls = []
+
+    def counting(g1, g2):
+        calls.append(1)
+        return edit_distance(g1, g2)
+
+    ags = [AttributedGraph([attr(v)], {}) for v in (0, 1)]
+    with pytest.raises(ValueError, match="bin width"):
+        hierarchical_clustering(ags, 1.0, bin_width=width,
+                                ag_distance=counting)
+    assert calls == []
+
+
+def test_a_callback_without_a_map_is_refused():
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(9)})
+    h = AttributedGraph([attr(1)], {})
+    with pytest.raises(ValueError, match="labelling None is not a sequence"):
+        hierarchical_clustering([g, h], 5.0,
+                                ag_distance=lambda a, b: (1.0, None))
+    with pytest.raises(ValueError, match="labelling None is not a sequence"):
+        incremental_clustering(
+            [g, g], 5.0,
+            matcher=lambda g, f, w: MatchResult(0.0, None, 1, True))
+
+
+def _same_stores(f1, f2):
+    for a, b in ((f1.vbins, f2.vbins), (f1.abins, f2.abins)):
+        assert a.keys == b.keys and a.width == b.width
+        for name in ("slot", "bin", "count", "total"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert f1.bin_width == f2.bin_width
+
+
+@pytest.mark.parametrize("linkage", ["single", "complete"])
+@pytest.mark.parametrize("width", [1.0, 2.0])
+def test_hierarchical_prototypes_equal_merge_by_merge_pooling(
+        linkage, width, tmp_path):
+    # the oracle grows a prototype per cluster as the merges happen: an
+    # ag_to_fdg singleton per AG, and forg_synthesize under the stored
+    # x->y labelling at every merge
+    merged = 0
+    for ags in _noisy_batches(4, seed=29):
+        distance = functools.lru_cache(None)(edit_distance)
+        for d_alpha in (6.0, 10.0, math.inf):
+            state = ClusterState(ags, distance)
+            pooled = [ag_to_fdg(g, width) for g in ags]
+            while True:
+                hit = state.closest_pair()
+                if hit is None or hit[2] > d_alpha:
+                    break
+                x, y, _ = hit
+                pooled[y] = forg_synthesize(pooled[x], pooled[y],
+                                            state.phi[(x, y)])
+                state.merge(x, y, linkage)
+                merged += 1
+            want = [f for f, alive in zip(pooled, state.live) if alive]
+            got = hierarchical_clustering(ags, d_alpha, linkage=linkage,
+                                          ag_distance=distance,
+                                          bin_width=width)
+            assert len(got) == len(want)
+            for f1, f2 in zip(got, want):
+                _same_fdg(f1, f2)
+                _same_stores(f1, f2)
+                write_fdg(f1, tmp_path / "got.fdg")
+                write_fdg(f2, tmp_path / "want.fdg")
+                assert ((tmp_path / "got.fdg").read_bytes()
+                        == (tmp_path / "want.fdg").read_bytes())
+    assert merged > 0
+
+
+@pytest.mark.parametrize("linkage", ["single", "complete"])
+def test_hierarchical_builds_one_fdg_per_cluster(linkage, fdg_builds):
+    merged = 0
+    for ags in _noisy_batches(4, seed=11):
+        fdg_builds.clear()
+        fdgs = hierarchical_clustering(ags, 10.0, linkage=linkage)
+        assert len(fdg_builds) == len(fdgs)
+        merged += len(ags) - len(fdgs)
+    assert merged > 0

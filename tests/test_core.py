@@ -13,7 +13,8 @@ Covers:
   * verify_identities on a hand-built sample, including single-bit damage,
     and its exact report lines, in order, for damage to several bits
   * every public function that takes a labelling accepts a Labelling and a
-    plain list alike and rejects a wrong arity
+    plain list alike and rejects a wrong arity, and a map that is not a
+    sequence, with ValueError
 """
 
 import math
@@ -585,10 +586,11 @@ def test_labelling_takers_accept_both_forms_and_check_arity(name):
     call = _labelling_takers()[name]
     vmap = [1, 2, 0]
     assert _summary(call(Labelling(vmap))) == _summary(call(list(vmap)))
-    # short, a slot twice, out of range, not an integer; a Labelling
-    # cannot hold a slot twice
+    # short, a slot twice, out of range, not an integer, not a sequence;
+    # a Labelling cannot hold a slot twice
     for bad in ([1, 2], Labelling([1, 2]), [1, 1, 0], [1, 2, 3],
-                Labelling([1, 2, 3]), [0.5, 1, 2], Labelling([0.5, 1, 2])):
+                Labelling([1, 2, 3]), [0.5, 1, 2], Labelling([0.5, 1, 2]),
+                None):
         with pytest.raises(ValueError):
             call(bad)
 

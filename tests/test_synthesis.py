@@ -6,7 +6,7 @@ Covers:
   * single-graph synthesis (ag_to_fdg)
   * combining FDGs: grouping invariance and agreement with direct synthesis
   * one-at-a-time updates equal one-pass synthesis, exactly, field by field
-  * input validation
+  * input validation; a bad map among several names its graph
 """
 
 import numpy as np
@@ -402,3 +402,23 @@ def test_growing_lists_bins_in_one_pass_order():
             list(p.counts) for p in batch.vertex_pdfs]
         assert {ij: list(q.counts) for ij, q in f.arc_pdfs.items()} == {
             ij: list(q.counts) for ij, q in batch.arc_pdfs.items()}
+
+
+def test_a_bad_map_among_several_names_its_graph():
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(3)})
+    f = ag_to_fdg(g)
+    with pytest.raises(ValueError, match="^graph 1: labelling maps two "
+                       "vertices to one target$"):
+        CommonLabelling([[0, 1], [0, 0]], 2)
+    with pytest.raises(ValueError, match="^graph 1: labelling arity 1 does "
+                       "not match order 2$"):
+        synth_from_labelled_ags([g, g], CommonLabelling([[0, 1], [0]], 2))
+    with pytest.raises(ValueError, match="^graph 1: labelling arity 1 does "
+                       "not match order 2$"):
+        synth_from_labelled_fdgs([f, f], CommonLabelling([[0, 1], [0]], 2))
+    with pytest.raises(ValueError, match="^graph 1: vertex 1: slot 2 "
+                       "outside prototype order 2$"):
+        verify_identities(f, [g, g], [[0, 1], [0, 2]])
+    with pytest.raises(ValueError, match="^graph 0: labelling None is not "
+                       "a sequence$"):
+        verify_identities(f, [g], [None])
