@@ -9,17 +9,20 @@ endpoint dies dies with it.  Insertion and deletion costs are constants, the
 substitution costs are pluggable functions of the two attribute tuples.  The
 optional planar flag applies the matcher's cyclic-order constraint.
 
-edit_distance builds cost tables once per pair, and search._map_search, the
-bounded depth-first search bnb_distance and forg_distance run on too, finds
-the cheapest map on them.  Its lower bound charges every vertex not yet
-mapped and every arc not yet paid for, so a pair that cannot come within
-the caller's upper_bound is refused at the root, before its arc tables are
-built.
+With the default substitutions, edit_distance first works out the root
+bound of search._map_search, the bounded search bnb_distance and
+forg_distance run on too, from set lookups, and refuses a pair that cannot
+come within the caller's upper_bound before any substitution or table.
+Any other pair gets its cost tables, and the search the cheapest map on
+them.
 """
 
 import math
 
-from .search import _map_search, _planar_vet
+import numpy as np
+
+from .search import (_SLACK, _arc_floors, _bound, _map_search, _pair_tables,
+                     _planar_vet)
 
 
 def _exact_mismatch(a, b):
@@ -41,10 +44,8 @@ class EditCosts:
                             ("C_vd", C_vd), ("C_ed", C_ed)):
             if not value >= 0:
                 raise ValueError("%s must be non-negative" % name)
-        self.C_vi = float(C_vi)
-        self.C_ei = float(C_ei)
-        self.C_vd = float(C_vd)
-        self.C_ed = float(C_ed)
+        self.C_vi, self.C_ei, self.C_vd, self.C_ed = map(
+            float, (C_vi, C_ei, C_vd, C_ed))
         self.vertex_sub = vertex_sub or _exact_mismatch
         self.arc_sub = arc_sub or _exact_mismatch
 
@@ -54,13 +55,10 @@ def squared_threshold(k_a=4.0, k_b=4.0):
     squared difference of the first attribute components exceeds the noise
     threshold (k_a for vertices, k_b for arcs) and nothing otherwise."""
 
-    def vs(a, b):
-        return 1.0 if (a.values[0] - b.values[0]) ** 2 > k_a else 0.0
+    def over(k):
+        return lambda a, b: float((a.values[0] - b.values[0]) ** 2 > k)
 
-    def es(a, b):
-        return 1.0 if (a.values[0] - b.values[0]) ** 2 > k_b else 0.0
-
-    return EditCosts(vertex_sub=vs, arc_sub=es)
+    return EditCosts(vertex_sub=over(k_a), arc_sub=over(k_b))
 
 
 def abs_threshold():
@@ -70,13 +68,31 @@ def abs_threshold():
 
     def sub(a, b):
         d = abs(a.values[0] - b.values[0])
-        if d > 10:
-            return 1.0
-        if d >= 5:
-            return 0.5
-        return 0.0
+        return 1.0 if d > 10 else 0.5 if d >= 5 else 0.0
 
     return EditCosts(vertex_sub=sub, arc_sub=sub)
+
+
+def _cheap_root(g1, g2, c):
+    """_map_search's root bound on edit_distance's tables, or None unless
+    both substitutions are _exact_mismatch: a vertex's cheapest option (an
+    arc's floor) is its deletion or 0 or 1, as its values occur in g2's."""
+    if not c.vertex_sub is c.arc_sub is _exact_mismatch:
+        return None
+
+    def floor(cost, values, pool):
+        return min(cost, 0.0 if values in pool else 1.0) if pool else cost
+
+    n1, n2 = g1.order, g2.order
+    arcs1, arcs2 = g1.present_arcs(), g2.present_arcs()
+    arc_values = {b.values for _, b in arcs2}
+    a_floor = {ij: floor(c.C_ed, b.values, arc_values) for ij, b in arcs1}
+    values = {a.values for a in g2.vertices}
+    v_floor = sum(floor(c.C_vd, a.values, values) for a in g1.vertices)
+    owed = _bound(n1, *_arc_floors(n1, a_floor), [0], [0.0], [v_floor],
+                  (c.C_vd if n1 else 0.0, c.C_vi if n2 else 0.0,
+                   c.C_ed if arcs1 else 0.0, c.C_ei if arcs2 else 0.0))
+    return owed(0, (1 << n2) - 1, len(arcs2), 0)
 
 
 def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
@@ -85,48 +101,40 @@ def edit_distance(g1, g2, costs=None, planar=False, upper_bound=math.inf):
     Returns (cost, Labelling); the labelling sends each g1 vertex to a g2
     vertex index or to None for a deletion.  The result is the optimum when
     it lies strictly below upper_bound, and (inf, None) otherwise.  Raises
-    ValueError when a vertex or arc substitution costs less than nothing or
-    is NaN, and when upper_bound is NaN.
+    ValueError when upper_bound is NaN, and when a vertex or arc
+    substitution costs less than nothing or is NaN.
+
+    A pair cut at the root bound (_cheap_root) calls no substitution;
+    rates[a][q, r] is what g1's a-th arc (0: none) pays on g2's (q, r).
     """
     c = costs or EditCosts()
-    C_ei, C_ed = c.C_ei, c.C_ed
+    if math.isnan(upper_bound):
+        raise ValueError("upper_bound must not be NaN")
+    if upper_bound < math.inf:
+        root = _cheap_root(g1, g2, c)
+        if root is not None and root * _SLACK >= upper_bound:
+            return math.inf, None
     n1, n2 = g1.order, g2.order
     vs = [[c.vertex_sub(a, b) for b in g2.vertices] for a in g1.vertices]
-    arcs1 = dict(g1.present_arcs())
-    arcs2 = dict(g2.present_arcs())
-    subs = {(e1, e2): c.arc_sub(b1, b2)
-            for e1, b1 in arcs1.items() for e2, b2 in arcs2.items()}
-    if any(not x >= 0 for row in vs for x in row) or \
-            any(not x >= 0 for x in subs.values()):
+    arcs1, arcs2 = dict(g1.present_arcs()), dict(g2.present_arcs())
+    q, r = np.reshape(np.array(list(arcs2), dtype=int), (-1, 2)).T
+    rates = np.full((len(arcs1) + 1, n2, n2), c.C_ed)
+    rates[0] = 0.0
+    rates[0, q, r] = c.C_ei
+    rates[1:, q, r] = np.reshape(
+        [[c.arc_sub(a, b) for b in arcs2.values()] for a in arcs1.values()],
+        (len(arcs1), len(arcs2)))
+    if any(not x >= 0 for row in vs for x in row) or not (rates >= 0).all():
         raise ValueError("substitution costs must be non-negative")
-
-    def one(e1, q, r):
-        # g1 arc e1 (None when absent) against the ordered g2 pair (q, r)
-        if (q, r) in arcs2:
-            return C_ei if e1 is None else subs[e1, (q, r)]
-        return 0.0 if e1 is None else C_ed
-
-    def arc():
-        # arc[p][s][q][r], s < p: both arcs between g1 vertices p and s
-        # against both arcs between q and r
-        inserts_only = [[one(None, q, r) + one(None, r, q) for r in range(n2)]
-                        for q in range(n2)]
-        tables = [[None] * p for p in range(n1)]
-        for p in range(n1):
-            for s in range(p):
-                ps = (p, s) if (p, s) in arcs1 else None
-                sp = (s, p) if (s, p) in arcs1 else None
-                tables[p][s] = inserts_only if ps is None and sp is None \
-                    else [[one(ps, q, r) + one(sp, r, q) for r in range(n2)]
-                          for q in range(n2)]
-        return tables
-
-    a_floor = {e1: min([C_ed] + [subs[e1, e2] for e2 in arcs2])
-               for e1 in arcs1}
-
-    res = _map_search(vs, [c.C_vd] * n1, [c.C_vi] * n2, arc,
-                      dict.fromkeys(arcs1, C_ed), a_floor,
-                      dict.fromkeys(arcs2, C_ei), upper_bound,
+    arc_id = np.zeros((n1, n1), dtype=int)
+    for a, ij in enumerate(arcs1, 1):
+        arc_id[ij] = a
+    res = _map_search(vs, [c.C_vd] * n1, [c.C_vi] * n2,
+                      lambda: _pair_tables(rates, arc_id),
+                      dict.fromkeys(arcs1, c.C_ed),
+                      dict(zip(arcs1, rates[1:].min(
+                          axis=(1, 2), initial=c.C_ed).tolist())),
+                      dict.fromkeys(arcs2, c.C_ei), upper_bound,
                       _planar_vet(g1) if planar else None)
     return res.distance, res.labelling
 

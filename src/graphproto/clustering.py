@@ -16,7 +16,7 @@
 
 The distance producing the hierarchical table is pluggable and defaults to
 the edit distance between AGs, bounded just above d_alpha: a pair that
-cannot come within d_alpha is not searched to its optimum and sits in the
+cannot come within d_alpha (most are refused before any table) sits in the
 table at infinity, without a labelling.  Under either linkage such a pair
 never merges, so the result is that of the unbounded table.
 """

@@ -337,8 +337,8 @@ class Labelling:
 
 
 def _slot_list(labelling, order, m):
-    """A vertex map of `order` vertices into m slots as a new list, each
-    slot None or an int; ValueError unless it keeps Conventions' rule."""
+    """A vertex map of `order` vertices (None: any) into m slots as a new
+    list, each slot None or an int; ValueError unless it keeps the rule."""
     if isinstance(labelling, Labelling):
         labelling = labelling.vertex_map
     try:
@@ -346,7 +346,7 @@ def _slot_list(labelling, order, m):
     except TypeError:
         raise ValueError("labelling %r is not a sequence"
                          % (labelling,)) from None
-    if len(vmap) != order:
+    if order is not None and len(vmap) != order:
         raise ValueError("labelling arity %d does not match order %d"
                          % (len(vmap), order))
     for i, q in enumerate(vmap):

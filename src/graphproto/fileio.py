@@ -410,7 +410,7 @@ def _pairs_token(vmap):
 
 def write_labelling(maps, path):
     """One line per AG, each map a vertex map; every vertex is listed."""
-    lines = [_pairs_token(_slot_list(vmap, len(vmap), math.inf))
+    lines = [_pairs_token(_slot_list(vmap, None, math.inf))
              for vmap in maps]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

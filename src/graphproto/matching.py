@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import _RELATIONS, CostWeights, Labelling, _pair_ends, _slot_list
 from .search import (_MARGIN, _SLACK, MatchResult, _arc_floors, _bound,
-                     _map_search, _planar_ok, _planar_vet)
+                     _map_search, _pair_tables, _planar_ok, _planar_vet)
 
 
 def _trunc(pr, k_pr):
@@ -394,35 +394,13 @@ def _greedy_cost(g, f, t, rows=None):
 
 
 def _arc_tables(t, rows):
-    """arc[p][s][q][r] (s < p) for _map_search: the rates of the AG pairs
-    (p, s) and (s, p) on the slot pairs (q, r) and (r, q), plus the vertex
-    antagonism term of (q, r), K3 in relaxed mode and infinite in
-    restricted mode.  Vertex pairs with no AG arc between them share one
-    table.  With rows, a table holds only the rows its vertex p may take,
-    and none is built for a vertex that may take no slot."""
-    w = t.w
+    """_map_search's arc tables on rows (_pair_tables): the pair's rates
+    plus the vertex antagonism term of (q, r), K3 in relaxed mode and
+    infinite in restricted mode."""
     pair = np.zeros((t.m, t.m))
     a, b = t.rel[:2, t.rel[2] == 0]
-    pair[a, b] = pair[b, a] = math.inf if w.mode == "restricted" else w.K3
-    shared = (t.ce_absent + t.ce_absent.T + pair).tolist()
-    arc = [[shared] * p for p in range(t.n)]
-    P, S = np.nonzero(t.pn | t.pn.T)
-    keep = P > S
-    if rows is not None:
-        some = np.array([bool(row) for row in rows], dtype=bool)
-        keep &= some[P] & some[S]
-    P, S = P[keep], S[keep]
-    tabs = (t.rates[t.arc_id[P, S]]
-            + t.rates[t.arc_id[S, P]].transpose(0, 2, 1) + pair)
-    if rows is None:
-        for p, s, tab in zip(P.tolist(), S.tolist(), tabs.tolist()):
-            arc[p][s] = tab
-        return arc
-    for p, s, tab in zip(P.tolist(), S.tolist(), tabs):
-        arc[p][s] = full = [None] * t.m
-        for q, row in zip(rows[p], tab[rows[p]].tolist()):
-            full[q] = row
-    return arc
+    pair[a, b] = pair[b, a] = math.inf if t.w.mode == "restricted" else t.w.K3
+    return _pair_tables(t.rates, t.arc_id, pair, rows)
 
 
 def _row_lists(mask):

@@ -3,13 +3,15 @@
 _map_search finds the cheapest injective partial map of one graph's vertices
 into another's on cost tables its caller builds: bnb_distance (AG to FDG),
 edit_distance (AG to AG) and forg_distance (FORG to FORG) all run on it.
-It tests its root bound once, before the arc tables are built; bnb_distance
-tests the same bound first, before it builds any table (_cheap_root).
-_planar_ok is the cyclic arc-order constraint the AG searches can impose.
+It tests its root bound once, before the arc tables are built; the AG
+searches test it first, before any table (_cheap_root), assemble their arc
+tables by _pair_tables and can impose the cyclic arc order (_planar_ok).
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from .core import Labelling
 
@@ -119,6 +121,31 @@ def _bound(n1, a1, e_floor, x1, x_floor, v_floor, costs):
         return h + v_h
 
     return owed
+
+
+def _pair_tables(rates, arc_id, pair=0.0, rows=None):
+    """_map_search's arc[p][s] (s < p): with rates[a][q, r] what the first
+    side's arc a (arc_id[i, j] for (i, j), 0 for none) pays on (q, r), the
+    table rates[arc_id[p, s]] + rates[arc_id[s, p]].T + pair, shared by all
+    pairs with no arc or an empty row; with rows, only p's rows are built."""
+    shared = (rates[0] + rates[0].T + pair).tolist()
+    arc = [[shared] * p for p in range(len(arc_id))]
+    P, S = np.nonzero(arc_id + arc_id.T)
+    keep = P > S
+    if rows is not None:
+        some = np.array([bool(row) for row in rows], dtype=bool)
+        keep &= some[P] & some[S]
+    P, S = P[keep], S[keep]
+    tabs = rates[arc_id[P, S]] + rates[arc_id[S, P]].transpose(0, 2, 1) + pair
+    if rows is None:
+        for p, s, tab in zip(P.tolist(), S.tolist(), tabs.tolist()):
+            arc[p][s] = tab
+        return arc
+    for p, s, tab in zip(P.tolist(), S.tolist(), tabs):
+        arc[p][s] = full = [None] * len(tab)
+        for q, row in zip(rows[p], tab[rows[p]].tolist()):
+            full[q] = row
+    return arc
 
 
 def _map_search(vs, v_del, v_ins, arc, a_del, a_floor, a_ins, upper_bound,

@@ -38,9 +38,11 @@ class CommonLabelling:
     __slots__ = ("maps", "n")
 
     def __init__(self, maps, n):
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
+            raise ValueError("frame order %r must be an integer >= 0" % (n,))
         self.n = int(n)
         maps = list(maps)
-        self.maps = _slot_lists(maps, [len(m) for m in maps], self.n)
+        self.maps = _slot_lists(maps, [None] * len(maps), self.n)
 
     @classmethod
     def identity(cls, orders, n=None):

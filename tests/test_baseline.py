@@ -8,11 +8,15 @@
 * the two thresholded substitution presets
 * nearest-neighbour voting with its two-stage tie break
 * negative substitution costs are refused instead of mis-pruned, and so
-  are NaN substitution costs, NaN constant costs and a NaN upper bound
+  are NaN substitution costs (also under a finite upper bound, where a
+  default-cost pair may be cut before any substitution), NaN constant
+  costs and a NaN upper bound
 * property test of the upper bound on random AGs, costs (infinite
   insertion and deletion costs among them) and the planar flag: below the
   optimum (inf, None) comes back, above it the unbounded distance and
-  labelling do, and the unbounded distance is the brute-force one
+  labelling do, and the unbounded distance is the brute-force one; the
+  same with the default substitutions, whose pairs a finite bound cuts at
+  a root worked out without tables
 * infinite insertion or deletion costs where nothing need be inserted or
   deleted, and references at infinite distance in the nearest-neighbour
   vote
@@ -239,8 +243,11 @@ def test_negative_substitution_costs_are_refused(graphs):
         g1 = AttributedGraph([attr(0), attr(0)], {(0, 1): attr(2)})
         g2 = AttributedGraph([attr(0), attr(0)], {(1, 0): attr(3)})
         c = EditCosts(arc_sub=minus_two)
-    with pytest.raises(ValueError, match="non-negative"):
-        edit_distance(g1, g2, c)
+    # a custom substitution gets no table-free root cut: a finite bound
+    # still meets the check
+    for u in (math.inf, 0.5):
+        with pytest.raises(ValueError, match="non-negative"):
+            edit_distance(g1, g2, c, upper_bound=u)
 
 
 @pytest.mark.parametrize("graphs", ["vertices", "arcs"])
@@ -251,8 +258,9 @@ def test_nan_substitution_costs_are_refused(graphs):
     g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(3)})
     c = EditCosts(vertex_sub=nan) if graphs == "vertices" \
         else EditCosts(arc_sub=nan)
-    with pytest.raises(ValueError, match="non-negative"):
-        edit_distance(g, g, c)
+    for u in (math.inf, 0.5):
+        with pytest.raises(ValueError, match="non-negative"):
+            edit_distance(g, g, c, upper_bound=u)
 
 
 def test_nan_upper_bound_is_refused():
@@ -287,10 +295,9 @@ _edit_costs = st.builds(
     _unit, _unit)
 
 
-@_PROPERTY
-@given(pair=_ag_pairs(), c=_edit_costs, planar=st.booleans())
-def test_upper_bound_keeps_the_edit_optimum_below_it(pair, c, planar):
-    g1, g2 = pair
+def _check_bounds(g1, g2, c, planar):
+    """The unbounded distance is the brute force's; below it (inf, None)
+    comes back, above it the unbounded distance and labelling do."""
     d, lab = edit_distance(g1, g2, c, planar=planar)
     assert d == pytest.approx(_brute_edit(g1, g2, c, planar), abs=1e-12)
     for u in (d - 1.0, math.nextafter(d, -math.inf), d,
@@ -303,6 +310,27 @@ def test_upper_bound_keeps_the_edit_optimum_below_it(pair, c, planar):
         else:
             assert got == math.inf
             assert got_lab is None
+
+
+@_PROPERTY
+@given(pair=_ag_pairs(), c=_edit_costs, planar=st.booleans())
+def test_upper_bound_keeps_the_edit_optimum_below_it(pair, c, planar):
+    _check_bounds(*pair, c, planar)
+
+
+_default_costs = st.builds(
+    lambda ins, dels: EditCosts(C_vi=ins[0], C_ei=ins[1], C_vd=dels[0],
+                                C_ed=dels[1]),
+    st.tuples(_constant, _constant), st.tuples(_constant, _constant))
+
+
+@_PROPERTY
+@given(pair=_ag_pairs(), c=_default_costs, planar=st.booleans())
+def test_upper_bound_keeps_the_default_cost_optimum_below_it(pair, c,
+                                                              planar):
+    # _exact_mismatch substitutions on values from 0..3: a finite bound
+    # meets the table-free root cut first
+    _check_bounds(*pair, c, planar)
 
 
 def test_infinite_costs_keep_the_optimum():

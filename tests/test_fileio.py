@@ -5,7 +5,9 @@
 * FDG round-trips preserve pdfs (counts recovered from probabilities and
   totals), z, u and all six relation matrices; FORG files drop relations and
   reading one yields the neutral matrices
-* labelling and distance-record round-trips
+* labelling and distance-record round-trips; write_labelling refuses a
+  map read_labelling would refuse, or one that is no sequence, with
+  ValueError and leaves no file
 * malformed input raises ParseError with the offending location, and a
   truncated file never yields a partial value; a non-finite attribute is
   reported by the parser, with its line, before the tuple is built
@@ -286,7 +288,7 @@ def test_labelling_accepts_labelling_objects(tmp_path):
     assert read_labelling(p) == [{0: 2, 1: None}]
 
 
-@pytest.mark.parametrize("maps", [[[0, 0]], [[-1]]])
+@pytest.mark.parametrize("maps", [[[0, 0]], [[-1]], [None]])
 def test_write_labelling_refuses_what_read_labelling_refuses(tmp_path, maps):
     p = tmp_path / "lab.txt"
     with pytest.raises(ValueError):

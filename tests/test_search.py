@@ -8,7 +8,9 @@ the optimal map at one of them; a brute force over every map shows it.
 A pair whose root bound already reaches the upper bound is decided with
 one walk and builds no arc tables, also when only its candidate rows
 raise the bound that far; bnb_distance decides it before building any
-cost table.
+cost table, and edit_distance (default substitutions) before calling any
+substitution or searching.  The root both work out without tables is the
+very float the search tests its root by.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphproto import AttributedGraph, CostWeights, attr
-from graphproto import baseline, forg, matching
+from graphproto import baseline, forg, matching, search
 from graphproto.baseline import EditCosts, edit_distance
 from graphproto.efficient import METHODS, match_by_method
 from graphproto.forg import forg_distance
@@ -266,10 +268,69 @@ def test_a_pair_decided_at_the_root_builds_no_arc_tables(
     assert bnb_distance(g, f).valid
     assert arc_table_builds == [1, 1]
 
-    out, res, _, _ = _captured(
-        baseline, lambda: edit_distance(g, far, upper_bound=0.5))
-    assert out == (math.inf, None)
-    assert (res.explored_nodes, res.leaves) == (1, 0)
+    # edit_distance decides the pair before it calls a substitution or
+    # searches; unbounded, it calls every one and searches once
+    subs, searches = [], []
+    exact, search = baseline._exact_mismatch, baseline._map_search
+    monkeypatch.setattr(baseline, "_exact_mismatch",
+                        lambda a, b: subs.append(1) or exact(a, b))
+    monkeypatch.setattr(baseline, "_map_search",
+                        lambda *args: searches.append(1) or search(*args))
+    assert edit_distance(g, far, upper_bound=0.5) == (math.inf, None)
+    assert subs == searches == []
+    assert edit_distance(g, far)[0] == 5.0
+    assert (len(subs), searches) == (3 * 3 + 2 * 2, [1])
+
+
+def test_edit_cheap_root_is_the_search_root(monkeypatch):
+    # the root edit_distance works out from set lookups, with no table, is
+    # the very float its search first tests its root by
+    bound = search._bound
+    tested = []
+
+    def spy(*args):
+        owed = bound(*args)
+
+        def first(*at):
+            tested.append(owed(*at))
+            return tested[-1]
+
+        return first
+
+    monkeypatch.setattr(search, "_bound", spy)
+    rng = np.random.default_rng(2031)
+    constants = [0.0, 0.3, 1.0, math.inf]
+    seen = dict.fromkeys(("order 0", "order 1", "no arcs", "vertex floor 0",
+                          "arc floor 0", "arc floor 1", "planar",
+                          "not planar"), 0)
+    seen.update(("%s = %r" % (name, x), 0) for name in
+                ("C_vi", "C_ei", "C_vd", "C_ed") for x in constants)
+    for trial in range(400):
+        g1, g2 = _random_ag(rng), _random_ag(rng)
+        if trial % 10 == 0:
+            g1, g2 = (AttributedGraph(g.vertices, {}) for g in (g1, g2))
+        names = ("C_vi", "C_ei", "C_vd", "C_ed")
+        picked = dict(zip(names, (float(x) for x in rng.choice(constants, 4))))
+        planar = trial % 2 == 0
+        c = EditCosts(**picked)
+        cheap = baseline._cheap_root(g1, g2, c)
+        del tested[:]
+        edit_distance(g1, g2, c, planar=planar)
+        assert tested[0] == cheap
+        values = {a.values for a in g2.vertices}
+        arc_values = {b.values for _, b in g2.present_arcs()}
+        arcs1 = [b.values for _, b in g1.present_arcs()]
+        seen["order 0"] += 0 in (g1.order, g2.order)
+        seen["order 1"] += 1 in (g1.order, g2.order)
+        seen["no arcs"] += not arcs1 and not arc_values
+        seen["vertex floor 0"] += any(a.values in values for a in g1.vertices)
+        seen["arc floor 0"] += any(v in arc_values for v in arcs1)
+        seen["arc floor 1"] += bool(arc_values) and any(
+            v not in arc_values for v in arcs1)
+        seen["planar" if planar else "not planar"] += 1
+        for name, x in picked.items():
+            seen["%s = %r" % (name, x)] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_a_root_cut_only_on_the_mask_counts_one_walk(arc_table_builds):

@@ -6,7 +6,9 @@ Covers:
   * single-graph synthesis (ag_to_fdg)
   * combining FDGs: grouping invariance and agreement with direct synthesis
   * one-at-a-time updates equal one-pass synthesis, exactly, field by field
-  * input validation; a bad map among several names its graph
+  * input validation; a bad map among several names its graph, a map
+    that is no sequence is a ValueError, and so is a frame order that is
+    not an integer >= 0
 """
 
 import numpy as np
@@ -422,3 +424,27 @@ def test_a_bad_map_among_several_names_its_graph():
     with pytest.raises(ValueError, match="^graph 0: labelling None is not "
                        "a sequence$"):
         verify_identities(f, [g], [None])
+
+
+def test_common_labelling_refuses_a_map_that_is_no_sequence():
+    with pytest.raises(ValueError, match="^graph 0: labelling None is not "
+                       "a sequence$"):
+        CommonLabelling([None], 2)
+    with pytest.raises(ValueError, match="^graph 1: labelling 3 is not a "
+                       "sequence$"):
+        CommonLabelling([[0], 3], 2)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), "2", None, -1],
+                         ids=["2.5", "2.0", "float64", "str", "None", "-1"])
+def test_common_labelling_refuses_a_frame_order_that_is_no_count(n):
+    with pytest.raises(ValueError, match="^frame order .* must be an "
+                       "integer >= 0$"):
+        CommonLabelling([[0]], n)
+
+
+def test_common_labelling_takes_integer_frame_orders():
+    for n in (0, 3, np.int64(3)):
+        lab = CommonLabelling([[]], n)
+        assert lab.n == n and type(lab.n) is int
+    assert CommonLabelling.identity([2, 3]).n == 3
