@@ -12,7 +12,8 @@ no tables and no filter.  The masks:
     threshold tau.  With tau = 1 and unit weights nothing is forbidden, so
     the search stays exact.  forbid_matrix reads the stars off the tables
     and runs the alignment DP only where a lower bound (_star_bound) does
-    not decide the pair, bit-identical to expanded_vertex_distance.
+    not decide the pair, up to the first rotation within the threshold:
+    the mask is the one the exact distances give.
   * "relax-v" and "relax-ev", probabilistic relaxation, iterate a
     support-driven update on a vertex-to-slot probability matrix and keep
     the entries above a threshold t_p (plus each row's best candidate, so
@@ -60,19 +61,15 @@ class ExpandedVertex:
 def split_into_expanded_vertices(x):
     """Expanded vertices of an AG (attribute items) or an FDG (pdf items)."""
     if isinstance(x, AttributedGraph):
-        out = []
-        for i in range(x.order):
-            items = [(x.arcs[(i, j)], x.vertices[j]) for j in x.out_targets(i)]
-            out.append(ExpandedVertex(x.vertices[i], items, i))
-        return out
+        vs = x.vertices
+        return [ExpandedVertex(v, [(x.arcs[(i, j)], vs[j])
+                                   for j in x.out_targets(i)], i)
+                for i, v in enumerate(vs)]
     if isinstance(x, Fdg):
         vp, ap = x.vertex_pdfs, x.arc_pdfs
-        out = []
-        for i in range(x.order):
-            items = [(ap[(i, j)], vp[j])
-                     for j in range(x.order) if j != i and x.existable(i, j)]
-            out.append(ExpandedVertex(vp[i], items, i))
-        return out
+        return [ExpandedVertex(p, [(ap[(i, j)], vp[j]) for j in range(x.order)
+                                   if j != i and x.existable(i, j)], i)
+                for i, p in enumerate(vp)]
     raise ValueError("expected an AttributedGraph or an Fdg, got %r"
                      % type(x).__name__)
 
@@ -103,17 +100,19 @@ def expanded_vertex_distance(ev_g, ev_f, weights=None):
             for (_, a) in ev_g.items]
     asub = [[w.K2 * arc_cost(b, q, False, k_pr) for (q, _) in ev_f.items]
             for (b, _) in ev_g.items]
-    return _align(central, w.K1 + w.K2, delc, vsub, asub)
+    return _align(central, w.K1 + w.K2, delc, vsub, asub, 0, len(delc))
 
 
-def _align(central, ins, delc, vsub, asub):
-    """The alignment DP of expanded_vertex_distance: AG item l matched to
-    FDG item k costs vsub[l][k] + asub[l][k], added in that order; an AG
-    item left over costs ins, FDG item k left over delc[k]."""
-    np_, mp = len(vsub), len(delc)
+def _align(central, ins, delc, vsub, asub, lo, hi, stop=-math.inf):
+    """The alignment DP of expanded_vertex_distance on FDG items lo:hi: AG
+    item l matched to FDG item k costs vsub[l][k] + asub[l][k], added in
+    that order; an AG item left over costs ins, FDG item k left over
+    delc[k].  The least cost over the rotations, except that the first
+    rotation costing at most stop is returned at once."""
+    np_ = len(vsub)
     first = [central]
-    for k in range(mp):
-        first.append(first[k] + delc[k])
+    for k in range(lo, hi):
+        first.append(first[-1] + delc[k])
     best = math.inf
     for s in range(max(1, np_)):
         prev = first
@@ -123,10 +122,10 @@ def _align(central, ins, delc, vsub, asub):
             last = prev[0] + ins
             cur = [last]
             # min(match, leave the AG item, leave the FDG item), ties to
-            # the first
-            for k in range(mp):
-                c = prev[k] + vs[k] + arcs[k]
-                x = prev[k + 1] + ins
+            # the first; prev and cur hold column k at k - lo
+            for k in range(lo, hi):
+                c = prev[k - lo] + vs[k] + arcs[k]
+                x = prev[k - lo + 1] + ins
                 if x < c:
                     c = x
                 x = last + delc[k]
@@ -135,8 +134,10 @@ def _align(central, ins, delc, vsub, asub):
                 cur.append(c)
                 last = c
             prev = cur
-        if prev[mp] < best:
-            best = prev[mp]
+        if prev[-1] < best:
+            best = prev[-1]
+            if best <= stop:
+                break
     return best
 
 
@@ -161,8 +162,10 @@ def _star_bound(t):
         src, dst = np.array(t.pn_pairs).T
         # pair[a, e]: AG arc a = (i, x) against existable pair e
         pair = t.vc[dst][:, rs] + t.ce_ex
+        # js ascends, so each slot's star is one run of pair's columns
         least = np.full((len(src), m), np.inf)
-        np.minimum.at(least, (slice(None), js), pair)
+        slots, runs = np.unique(js, return_index=True)
+        least[:, slots] = np.minimum.reduceat(pair, runs, axis=1)
         # pn_pairs run in order of source vertex
         heads, starts = np.unique(src, return_index=True)
         ag_side[heads] = np.add.reduceat(
@@ -179,11 +182,12 @@ def _expanded_distances(g, t, limit=None):
     sizes of the AG vertices and of the slots.
 
     With an (n, m) array `limit`, the alignment DP runs only where the
-    _star_bound of the pair does not exceed limit + _EPS; elsewhere the
-    entry is that bound, a lower bound still above the limit.  So every
-    entry at or below the limit is exact, and comparing the entries with
-    the limit gives the same answer as the exact distances.  Without a
-    limit every entry is exact."""
+    _star_bound of the pair does not exceed limit + _EPS, up to the first
+    rotation that costs at most the limit; elsewhere the entry is that
+    bound, a lower bound still above the limit.  So an entry is at most
+    its limit exactly when the distance is, but need not be the distance,
+    and comparing the entries with the limit gives the same answer as the
+    exact distances.  Without a limit every entry is exact."""
     n, m = t.n, t.m
     vc, ins = t.vc_list, t.w.K1 + t.w.K2
     # slot j's star is bounds[j]:bounds[j + 1] of each existable-pair list
@@ -192,11 +196,12 @@ def _expanded_distances(g, t, limit=None):
     star_del = t.del_v[ex_r].tolist()
     vc_ex = t.vc[:, ex_r].tolist()
     if limit is None:
-        dist = np.empty((n, m))
-        run = np.ones((n, m), bool)
+        dist, run = np.empty((n, m)), np.ones((n, m), bool)
+        limit = np.full((n, m), -math.inf)
     else:
         dist = _star_bound(t)
         run = dist <= limit + _EPS
+    stops = limit.tolist()
     # each AG vertex's targets in cyclic order, as g.out_targets gives them
     targets = [[] for _ in range(n)]
     for i, x in t.pn_pairs:
@@ -207,10 +212,8 @@ def _expanded_distances(g, t, limit=None):
         rates = [t.ce_pn_list[(i, x)] for x in targets[i]]
         items = [vc_ex[x] for x in targets[i]]
         for j in runs[i]:
-            star = slice(bounds[j], bounds[j + 1])
-            dist[i, j] = _align(vc[i][j], ins, star_del[star],
-                                [row[star] for row in items],
-                                [rate[star] for rate in rates])
+            dist[i, j] = _align(vc[i][j], ins, star_del, items, rates,
+                                bounds[j], bounds[j + 1], stops[i][j])
     return dist, 1 + t.pn.sum(axis=1), 1 + t.ex.sum(axis=1)
 
 
@@ -220,8 +223,9 @@ def forbid_matrix(g, f, tau, weights=None, _tables=None):
 
     The limit tau * cap + _EPS is passed to _expanded_distances, so the
     alignment DP runs only for the pairs whose lower bound does not
-    already prove them struck off; the mask is the one the exact
-    distances give.  A NaN tau raises ValueError."""
+    already prove them struck off, and only until a rotation proves them
+    kept: the mask is the one the exact distances give.  A NaN tau raises
+    ValueError."""
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     w = weights or CostWeights()
@@ -280,8 +284,9 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
     with j running over the AG neighbours of i and b over the slots wired to
     a by an existable arc in either direction.  P <- P * (1 + Q), rows
     renormalised; stops after `iterations` passes or when the largest entry
-    change drops below _RELAX_TOL.
+    change drops below _RELAX_TOL.  iterations must be an integer >= 0.
     """
+    _check_iterations(iterations)
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
     n, m = t.n, t.m
@@ -326,15 +331,22 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
     return ProbMatrix(P)
 
 
-def _check_method(method, tau, t_p):
-    """Refuse an unknown method and a NaN tau or t_p where it is used,
-    before a root cut can skip the filter that would refuse them."""
+def _check_iterations(iterations):
+    if not (isinstance(iterations, (int, np.integer)) and iterations >= 0):
+        raise ValueError("iterations %r is no integer >= 0" % (iterations,))
+
+
+def _check_method(method, tau, t_p, iterations=20):
+    """Refuse an unknown method, and a NaN tau or t_p or a bad iterations
+    where it is used, before a root cut skips the filter that refuses it."""
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     if method == "noniter" and math.isnan(tau):
         raise ValueError("tau must not be NaN")
-    if method.startswith("relax-") and math.isnan(t_p):
-        raise ValueError("t_p must not be NaN")
+    if method.startswith("relax-"):
+        if math.isnan(t_p):
+            raise ValueError("t_p must not be NaN")
+        _check_iterations(iterations)
 
 
 def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
@@ -352,7 +364,7 @@ def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,
     not below upper_bound comes back as valid=False.  Every argument is
     checked first; the mask goes to bnb_distance unbuilt (its _mask).
     """
-    _check_method(method, tau, t_p)
+    _check_method(method, tau, t_p, iterations)
     w = weights or CostWeights()
     mask = None
     if method == "noniter":

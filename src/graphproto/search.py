@@ -127,24 +127,27 @@ def _pair_tables(rates, arc_id, pair=0.0, rows=None):
     """_map_search's arc[p][s] (s < p): with rates[a][q, r] what the first
     side's arc a (arc_id[i, j] for (i, j), 0 for none) pays on (q, r), the
     table rates[arc_id[p, s]] + rates[arc_id[s, p]].T + pair, shared by all
-    pairs with no arc or an empty row; with rows, only p's rows are built."""
+    pairs with no arc.  With rows, a pair's table maps each q in rows[p]
+    to its row, all gathered at once."""
     shared = (rates[0] + rates[0].T + pair).tolist()
     arc = [[shared] * p for p in range(len(arc_id))]
     P, S = np.nonzero(arc_id + arc_id.T)
     keep = P > S
-    if rows is not None:
-        some = np.array([bool(row) for row in rows], dtype=bool)
-        keep &= some[P] & some[S]
     P, S = P[keep], S[keep]
-    tabs = rates[arc_id[P, S]] + rates[arc_id[S, P]].transpose(0, 2, 1) + pair
+    fwd, back = arc_id[P, S], arc_id[S, P]
     if rows is None:
+        tabs = rates[fwd] + rates[back].transpose(0, 2, 1) + pair
         for p, s, tab in zip(P.tolist(), S.tolist(), tabs.tolist()):
             arc[p][s] = tab
         return arc
-    for p, s, tab in zip(P.tolist(), S.tolist(), tabs):
-        arc[p][s] = full = [None] * len(tab)
-        for q, row in zip(rows[p], tab[rows[p]].tolist()):
-            full[q] = row
+    P, S = P.tolist(), S.tolist()
+    # row q of pair k, for each q in rows[P[k]], in that order
+    ks = np.repeat(np.arange(len(P)), [len(rows[p]) for p in P])
+    qs = np.array([q for p in P for q in rows[p]], dtype=int)
+    gathered = iter((rates[fwd[ks], qs] + rates[back[ks], :, qs]
+                     + np.broadcast_to(pair, rates.shape[1:])[qs]).tolist())
+    for p, s in zip(P, S):
+        arc[p][s] = dict(zip(rows[p], gathered))
     return arc
 
 

@@ -5,6 +5,9 @@
 * the cyclic edit distance agrees with a brute-force minimum over rotations
   and monotone item alignments
 * the distance cap holds at unit weights, so tau = 1 forbids nothing
+* the alignment DP on a column range of longer rows is the same float as
+  on the sliced rows; with a stop it returns at most the stop exactly when
+  the minimum over the rotations is, and the minimum itself above it
 * the star bound, read off the existable slot pairs only, is bit for bit
   the former formula over every (arc, slot, slot) triple
 * forbid masks are nested as tau shrinks
@@ -21,7 +24,8 @@
 * a NaN tau or t_p is refused by the filter, the mask and the dispatcher
 * a pair whose root is cut before its mask is built builds none and gives
   the search on the full mask; a noniter classify filters only the winner
-* argument errors are raised even where the root would be cut
+* argument errors are raised even where the root would be cut, a pass
+  count that is no integer >= 0 included, and relaxation refuses one
 * a relaxation match builds its pair's cost tables once
 """
 
@@ -55,6 +59,7 @@ from graphproto.efficient import (
     METHODS,
     ExpandedVertex,
     ProbMatrix,
+    _align,
     _expanded_distances,
     _star_bound,
     expanded_max_distance,
@@ -228,6 +233,40 @@ def test_unit_weight_cap_and_open_mask():
         assert not forbid_matrix(g, f, 1.0).any()
 
 
+def test_align_stops_at_the_first_rotation_within_the_stop():
+    rng = np.random.default_rng(67)
+    seen = dict.fromkeys(("stopped early", "stop below the minimum"), 0)
+
+    def draw(*shape):
+        # halves tie often, so rotations of equal cost are met
+        return np.where(rng.random(shape) < 0.5, rng.integers(0, 3, shape) / 2,
+                        rng.random(shape)).tolist()
+
+    for trial in range(400):
+        n_items, m_items = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        lo = int(rng.integers(0, 3))
+        hi = lo + m_items
+        width = hi + int(rng.integers(0, 3))
+        central, ins = float(rng.random()), float(rng.uniform(0.5, 2.0))
+        delc, vsub, asub = draw(width), draw(n_items, width), \
+            draw(n_items, width)
+        exact = _align(central, ins, delc, vsub, asub, lo, hi)
+        cut = slice(lo, hi)
+        assert exact == _align(central, ins, delc[cut],
+                               [row[cut] for row in vsub],
+                               [row[cut] for row in asub], 0, m_items)
+        for stop in (exact, math.nextafter(exact, -math.inf),
+                     math.nextafter(exact, math.inf), exact + 1.0, math.inf):
+            got = _align(central, ins, delc, vsub, asub, lo, hi, stop)
+            assert (got <= stop) == (exact <= stop)
+            assert got >= exact
+            if exact > stop:
+                assert got == exact
+                seen["stop below the minimum"] += 1
+            seen["stopped early"] += got > exact
+    assert min(seen.values()) >= 20, seen
+
+
 def test_forbid_masks_nest_with_tau():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -306,7 +345,7 @@ def test_pruned_filter_matches_exact_rule_at_benchmark_size():
             largest = max(largest, *size_g, *size_f)
             cap = np.array([[expanded_max_distance(a, b) for b in size_f]
                             for a in size_g], float)
-            for tau in (0.25, 0.5):
+            for tau in (0.0, 0.25, 0.5, 1.0):
                 assert np.array_equal(forbid_matrix(g, f, tau),
                                       dist > tau * cap + 1e-9)
     # the random inputs of test_cost_tables keep every star under six items
@@ -479,6 +518,36 @@ def test_argument_errors_come_before_the_root_test():
                         upper_bound=1.0)
     with pytest.raises(ValueError, match="2 x 2"):
         bnb_distance(g, f, allowed=np.ones((2, 3), bool), upper_bound=1.0)
+    # cut at the root, these came back as an unrefused inf
+    for method in ("relax-v", "relax-ev"):
+        for bad in (2.5, "3", None, -1):
+            with pytest.raises(ValueError, match="iterations"):
+                match_by_method(g, f, method=method, iterations=bad,
+                                upper_bound=1.0)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", None, -1, np.float64(2.0)])
+def test_a_pass_count_that_is_no_count_is_refused(bad):
+    # a float, str or None raised TypeError once the root survived, and
+    # -1 ran no pass at all
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(10)})
+    f = ag_to_fdg(g)
+    with pytest.raises(ValueError, match="iterations"):
+        relax_probabilities(g, f, iterations=bad)
+    for method in ("relax-v", "relax-ev"):
+        with pytest.raises(ValueError, match="iterations"):
+            match_by_method(g, f, method=method, iterations=bad)
+
+
+def test_integer_pass_counts_are_taken():
+    g = AttributedGraph([attr(1), attr(2)], {(0, 1): attr(10)})
+    f = ag_to_fdg(g)
+    for count in (0, 3, np.int64(3)):
+        relax_probabilities(g, f, iterations=count)
+        assert match_by_method(g, f, method="relax-ev",
+                               iterations=count).distance == 0.0
+    # noniter and optimal run no relaxation, so the count is not read
+    assert match_by_method(g, f, method="noniter", iterations=None).valid
 
 
 def test_relaxation_rows_are_distributions():

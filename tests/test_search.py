@@ -10,7 +10,9 @@ one walk and builds no arc tables, also when only its candidate rows
 raise the bound that far; bnb_distance decides it before building any
 cost table, and edit_distance (default substitutions) before calling any
 substitution or searching.  The root both work out without tables is the
-very float the search tests its root by.
+very float the search tests its root by.  Arc tables built on candidate
+rows hold, on every pair of rows the search can read, the entries of the
+full build.
 """
 
 import itertools
@@ -344,3 +346,32 @@ def test_a_root_cut_only_on_the_mask_counts_one_walk(arc_table_builds):
     assert (res.distance, res.labelling, res.valid) == (math.inf, None, False)
     assert (res.explored_nodes, res.leaves) == (1, 0)
     assert arc_table_builds == [1]
+
+
+def test_row_restricted_arc_tables_equal_the_full_build():
+    rng = np.random.default_rng(61)
+    seen = dict.fromkeys(("empty row", "full row", "entries"), 0)
+    for trial in range(300):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        arc_id = np.zeros((n, n), dtype=int)
+        arcs = [(i, j) for i in range(n) for j in range(n)
+                if i != j and rng.random() < 0.4]
+        for a, ij in enumerate(arcs, 1):
+            arc_id[ij] = a
+        rates = rng.random((len(arcs) + 1, m, m))
+        pair = np.where(rng.random((m, m)) < 0.7, rng.random((m, m)), 0.0)
+        mask = rng.random((n, m)) < rng.choice([0.2, 0.5, 0.8])
+        mask[rng.random(n) < 0.2] = False
+        mask[rng.random(n) < 0.2] = True
+        rows = matching._row_lists(mask)
+        full = search._pair_tables(rates, arc_id, pair)
+        got = search._pair_tables(rates, arc_id, pair, rows)
+        for p in range(n):
+            for s in range(p):
+                for q in rows[p]:
+                    for r in rows[s]:
+                        assert got[p][s][q][r] == full[p][s][q][r]
+                        seen["entries"] += bool(arc_id[p, s] or arc_id[s, p])
+        seen["empty row"] += not mask.any(axis=1).all()
+        seen["full row"] += mask.all(axis=1).any()
+    assert min(seen.values()) >= 50, seen
