@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .core import _check_count
 from .search import (_SLACK, _arc_floors, _bound, _map_search, _pair_tables,
                      _planar_vet)
 
@@ -148,8 +149,7 @@ def knn_classify(test, refs, k=5, costs=None, planar=False):
     """
     if not refs:
         raise ValueError("refs must be non-empty")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_count(k, "k", 1)
     scored = []
     for idx, (g, label) in enumerate(refs):
         d, _ = edit_distance(test, g, costs, planar=planar)

@@ -5,10 +5,13 @@ record), classify (nearest-neighbour vote over labelled reference AGs),
 cluster (unsupervised prototypes, one FDG file per cluster plus a manifest),
 bench (synthetic experiment sweep -> CSV).
 
-Every flag has a config twin: `--config FILE` names a flat key=value text
-file whose keys are the long flag names (dashes become underscores); a flag
-given on the command line wins over its config value.  List-valued twins
-(input files, bench sweeps) separate items with commas.
+_COMMANDS declares each subcommand's settings once: name, converter of the
+config value, default and flag keywords.  The parser is built from it, and
+_fill takes each setting from its flag, else its config twin, else its
+default.  `--config FILE` names a flat key=value text file whose keys are
+the settings' names (the long flag names, dashes become underscores), each
+given once.  List-valued twins (input files, bench sweeps) separate items
+with commas.  A bad config value is a ParseError naming file, line and key.
 """
 
 import argparse
@@ -26,12 +29,9 @@ from .fileio import (ParseError, _read_labelling, format_dist_record,
 from .harness import (CSV_COLUMNS, GeneratorConfig, csv_row, run_experiment)
 from .synthesis import CommonLabelling, synth_from_labelled_ags
 
-_WEIGHT_FLAGS = [("k1", 1.0), ("k2", 1.0), ("k3", 1.0), ("k4", 0.0),
-                 ("k5", 0.0), ("k6", 0.0), ("k7", 0.0), ("k8", 0.0)]
 
-
-def read_config(path):
-    """Flat key=value pairs; `#` starts a comment, blank lines are skipped."""
+def _read_config(path):
+    """{key: (line number, value)} of a config file."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -40,15 +40,22 @@ def read_config(path):
                 continue
             if "=" not in line:
                 raise ParseError(path, lineno, "expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (s.strip() for s in line.split("=", 1))
+            if key in out:
+                raise ParseError(path, lineno, "%s given again (first on "
+                                 "line %d)" % (key, out[key][0]))
+            out[key] = (lineno, val)
     return out
 
 
+def read_config(path):
+    """Flat key=value pairs; `#` starts a comment, blank lines are skipped,
+    and a line without `=` or a key given twice is a ParseError."""
+    return {key: val for key, (_, val) in _read_config(path).items()}
+
+
 def _bool(raw):
-    if isinstance(raw, bool):
-        return raw
-    low = str(raw).strip().lower()
+    low = raw.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
@@ -56,43 +63,53 @@ def _bool(raw):
     raise ValueError("not a boolean: %r" % (raw,))
 
 
-def _strings(raw):
-    if isinstance(raw, str):
-        return [t for t in (s.strip() for s in raw.split(",")) if t]
-    return list(raw)
+def _list(conv):
+    """Converter of a comma-separated list; empty items are skipped."""
+    return lambda raw: [conv(t) for t in (s.strip() for s in raw.split(","))
+                        if t]
 
 
-def _fill(args, spec):
-    """Resolve each field from the command line, its config twin or its
-    default, in that order, and return the config ({} without one)."""
-    cfg = read_config(args.config) if args.config else {}
-    for name, conv, default in spec:
+def _count(least):
+    """Converter of an integer setting >= least, for flag and config."""
+    def count(raw):
+        try:
+            if int(raw) >= least:
+                return int(raw)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r"
+                                         % (least, raw))
+    return count
+
+
+def _fill(args):
+    """Resolve each setting of the subcommand from its flag, its config twin
+    or its default, in that order."""
+    cfg = _read_config(args.config) if args.config else {}
+    for name, conv, default, flag in _COMMANDS[args.command][2]:
         if getattr(args, name, None) is not None:
             continue
-        raw = cfg.get(name)
-        setattr(args, name, default if raw is None else conv(raw))
-    return cfg
+        if name not in cfg:
+            setattr(args, name, default)
+            continue
+        lineno, raw = cfg[name]
+        choices = (flag or {}).get("choices")
+        try:
+            value = conv(raw)
+            if choices and value not in choices:
+                raise ValueError("%r is not one of %s"
+                                 % (value, ", ".join(choices)))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ParseError(args.config, lineno, "%s: %s" % (name, exc))
+        setattr(args, name, value)
 
 
 def _weights(args, mode="relaxed", planar=False):
-    ks = {name.upper(): getattr(args, name) for name, _ in _WEIGHT_FLAGS}
+    ks = {name.upper(): getattr(args, name) for name, *_ in _WEIGHTS[:-1]}
     return CostWeights(K_pr=args.kpr, planar=planar, mode=mode, **ks)
 
 
-def _add_weight_flags(sub):
-    for name, _ in _WEIGHT_FLAGS:
-        sub.add_argument("--" + name, type=float, metavar="W")
-    sub.add_argument("--kpr", type=float, metavar="P")
-
-
-_WEIGHT_SPEC = [(name, float, default) for name, default in _WEIGHT_FLAGS] \
-    + [("kpr", float, 1e-4)]
-
-
 def cmd_synth(args):
-    _fill(args, [("ag", _strings, []), ("labelling", str, ""),
-                 ("order", int, 0), ("bin_width", float, 1.0),
-                 ("out", str, "")])
     if not args.ag:
         raise ValueError("synth needs at least one --ag file")
     if not args.out:
@@ -130,11 +147,6 @@ def cmd_synth(args):
 
 
 def cmd_dist(args):
-    _fill(args, [("ag", str, ""), ("fdg", str, ""),
-                 ("mode", str, "relaxed"), ("planar", _bool, False),
-                 ("method", str, "optimal"), ("tau", float, 1.0),
-                 ("tp", float, 0.0), ("iters", int, 20),
-                 ("out", str, "")] + _WEIGHT_SPEC)
     if not args.ag or not args.fdg:
         raise ValueError("dist needs --ag and --fdg")
     g = read_ag(args.ag)
@@ -149,22 +161,11 @@ def cmd_dist(args):
     return 0
 
 
-def _preset(name):
-    if name == "unit":
-        return EditCosts()
-    if name == "squared":
-        return squared_threshold()
-    if name == "abs":
-        return abs_threshold()
-    raise ValueError("unknown preset %r (unit, squared, abs)" % (name,))
+_PRESETS = {"unit": EditCosts, "squared": squared_threshold,
+            "abs": abs_threshold}
 
 
 def cmd_classify(args):
-    _fill(args, [("test", str, ""), ("ref", _strings, []),
-                 ("method", str, "knn"), ("k", int, 5),
-                 ("costs", str, "unit"), ("planar", _bool, False)])
-    if args.method != "knn":
-        raise ValueError("unknown method %r" % (args.method,))
     if not args.test:
         raise ValueError("classify needs --test")
     if not args.ref:
@@ -176,16 +177,13 @@ def cmd_classify(args):
             raise ValueError("--ref wants CLASS:FILE, got %r" % (item,))
         refs.append((read_ag(path), int(label)))
     test = read_ag(args.test)
-    label = knn_classify(test, refs, k=args.k, costs=_preset(args.costs),
+    label = knn_classify(test, refs, k=args.k, costs=_PRESETS[args.costs](),
                          planar=args.planar)
     print(label)
     return 0
 
 
 def cmd_cluster(args):
-    _fill(args, [("ag", _strings, []), ("method", str, "incremental"),
-                 ("dalpha", float, None), ("out", str, ""),
-                 ("bin_width", float, 1.0)])
     if not args.ag:
         raise ValueError("cluster needs at least one --ag file")
     if args.dalpha is None:
@@ -197,12 +195,10 @@ def cmd_cluster(args):
         fdgs, members = incremental_clustering(
             ags, args.dalpha, bin_width=args.bin_width,
             return_assignments=True)
-    elif args.method in ("complete", "single"):
+    else:
         fdgs, members = hierarchical_clustering(
             ags, args.dalpha, linkage=args.method,
             bin_width=args.bin_width, return_assignments=True)
-    else:
-        raise ValueError("unknown method %r" % (args.method,))
     os.makedirs(args.out, exist_ok=True)
     manifest = ["method %s" % args.method, "dalpha %r" % args.dalpha,
                 "inputs %d clusters %d" % (len(ags), len(fdgs))]
@@ -217,33 +213,18 @@ def cmd_cluster(args):
     return 0
 
 
-# each sweepable config key, its converter and its default
-_SWEEPS = [("NR", int, 2), ("nd", int, 0), ("nl", int, 0),
-           ("sigma", float, 0.0), ("structural", int, 0), ("tau", float, 1.0),
-           ("tp", float, 0.0), ("method", str, "optimal")]
-
-
 def cmd_bench(args):
-    cfg = _fill(args, [("seed", int, 0), ("reps", int, 1),
-                       ("out", str, "results.csv")] + _WEIGHT_SPEC)
-    base = {"nFDG": int(cfg.get("nFDG", 2)), "NT": int(cfg.get("NT", 2)),
-            "nv": int(cfg.get("nv", 5)), "ne": int(cfg.get("ne", 8))}
-    noise = cfg.get("noise", "delete_distort")
     weights = _weights(args)
-    grid = [[default] if cfg.get(key) is None
-            else [conv(tok) for tok in _strings(cfg[key])]
-            for key, conv, default in _SWEEPS]
     rows = []
-    for NR, nd, nl, sigma, structural, tau, tp, method in \
-            itertools.product(*grid):
-        gen = GeneratorConfig(nFDG=base["nFDG"], NT=base["NT"], NR=NR,
-                              nv=base["nv"], ne=base["ne"], nd=nd, nl=nl,
-                              seed=args.seed)
+    for NR, nd, nl, sigma, structural, tau, tp, method in itertools.product(
+            args.NR, args.nd, args.nl, args.sigma, args.structural, args.tau,
+            args.tp, args.method):
+        gen = GeneratorConfig(nFDG=args.nFDG, NT=args.NT, NR=NR, nv=args.nv,
+                              ne=args.ne, nd=nd, nl=nl, seed=args.seed)
         rep = run_experiment(gen, weights, method=method,
-                             repetitions=args.reps, noise=noise,
+                             repetitions=args.reps, noise=args.noise,
                              sigma=sigma, structural=structural,
-                             tau=tau, t_p=tp,
-                             bin_width=float(cfg.get("bin_width", 1.0)))
+                             tau=tau, t_p=tp, bin_width=args.bin_width)
         rows.append(rep)
         print("method=%s NR=%d sigma=%g structural=%d correctness=%.3f "
               "nodes=%.1f ms=%.2f"
@@ -259,70 +240,79 @@ def cmd_bench(args):
     return 0
 
 
+# A setting: (name, converter of its config value, default, keywords of its
+# flag --name, dashes for underscores, or None for a config-only setting).
+# The flag's type is the converter, unless that is str or there is an action.
+_FILE, _N, _W = {"metavar": "FILE"}, {"metavar": "N"}, {"metavar": "W"}
+_FILES = {"action": "append", "metavar": "FILE"}
+_SWITCH = {"action": "store_const", "const": True}
+_WEIGHTS = [("k%d" % i, float, 1.0 if i <= 3 else 0.0, _W)
+            for i in range(1, 9)] + [("kpr", float, 1e-4, {"metavar": "P"})]
+
+_COMMANDS = {
+    "synth": ("build an FDG from AG files", cmd_synth, [
+        ("ag", _list(str), [], _FILES), ("labelling", str, "", _FILE),
+        ("order", _count(0), 0, _N), ("bin_width", float, 1.0, _W),
+        ("out", str, "", _FILE)]),
+    "dist": ("distance from an AG to an FDG", cmd_dist, [
+        ("ag", str, "", _FILE), ("fdg", str, "", _FILE),
+        ("mode", str, "relaxed", {"choices": ["restricted", "relaxed"]}),
+        *_WEIGHTS, ("planar", _bool, False, _SWITCH),
+        ("method", str, "optimal", {"choices": METHODS}),
+        ("tau", float, 1.0, {}), ("tp", float, 0.0, {}),
+        ("iters", _count(0), 20, {}), ("out", str, "", _FILE)]),
+    "classify": ("nearest-neighbour vote over labelled AGs", cmd_classify, [
+        ("test", str, "", _FILE),
+        ("ref", _list(str), [], {"action": "append", "metavar": "CLASS:FILE"}),
+        ("method", str, "knn", {"choices": ["knn"]}), ("k", int, 5, _N),
+        ("costs", str, "unit", {"choices": list(_PRESETS)}),
+        ("planar", _bool, False, _SWITCH)]),
+    "cluster": ("group AGs into FDG prototypes", cmd_cluster, [
+        ("ag", _list(str), [], _FILES),
+        ("method", str, "incremental",
+         {"choices": ["incremental", "complete", "single"]}),
+        ("dalpha", float, None, {"metavar": "X"}),
+        ("out", str, "", {"metavar": "DIR"}), ("bin_width", float, 1.0, _W)]),
+    "bench": ("synthetic recognition experiment", cmd_bench, [
+        ("seed", int, 0, _N), ("reps", _count(1), 1, {"metavar": "R"}),
+        ("out", str, "results.csv", _FILE),
+        *[(name, conv, default, None) for name, conv, default, _ in _WEIGHTS],
+        ("nFDG", int, 2, None), ("NT", int, 2, None), ("nv", int, 5, None),
+        ("ne", int, 8, None), ("noise", str, "delete_distort", None),
+        ("bin_width", float, 1.0, None),
+        # the sweeps: one CSV row per point of their product
+        ("NR", _list(int), [2], None), ("nd", _list(int), [0], None),
+        ("nl", _list(int), [0], None), ("sigma", _list(float), [0.0], None),
+        ("structural", _list(int), [0], None),
+        ("tau", _list(float), [1.0], None), ("tp", _list(float), [0.0], None),
+        ("method", _list(str), ["optimal"], None)]),
+}
+
+
 def _parser():
     top = argparse.ArgumentParser(
         prog="graphproto",
         description="Learn probabilistic graph prototypes and match "
                     "attributed graphs against them.")
     subs = top.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("synth", help="build an FDG from AG files")
-    p.add_argument("--ag", action="append", metavar="FILE")
-    p.add_argument("--labelling", metavar="FILE")
-    p.add_argument("--order", type=int, metavar="N")
-    p.add_argument("--bin-width", dest="bin_width", type=float, metavar="W")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--config", metavar="FILE")
-    p.set_defaults(func=cmd_synth)
-
-    p = subs.add_parser("dist", help="distance from an AG to an FDG")
-    p.add_argument("--ag", metavar="FILE")
-    p.add_argument("--fdg", metavar="FILE")
-    p.add_argument("--mode", choices=["restricted", "relaxed"])
-    _add_weight_flags(p)
-    p.add_argument("--planar", action="store_const", const=True)
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--tp", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--config", metavar="FILE")
-    p.set_defaults(func=cmd_dist)
-
-    p = subs.add_parser("classify",
-                        help="nearest-neighbour vote over labelled AGs")
-    p.add_argument("--test", metavar="FILE")
-    p.add_argument("--ref", action="append", metavar="CLASS:FILE")
-    p.add_argument("--method", choices=["knn"])
-    p.add_argument("--k", type=int, metavar="N")
-    p.add_argument("--costs", choices=["unit", "squared", "abs"])
-    p.add_argument("--planar", action="store_const", const=True)
-    p.add_argument("--config", metavar="FILE")
-    p.set_defaults(func=cmd_classify)
-
-    p = subs.add_parser("cluster", help="group AGs into FDG prototypes")
-    p.add_argument("--ag", action="append", metavar="FILE")
-    p.add_argument("--method",
-                   choices=["incremental", "complete", "single"])
-    p.add_argument("--dalpha", type=float, metavar="X")
-    p.add_argument("--out", metavar="DIR")
-    p.add_argument("--bin-width", dest="bin_width", type=float, metavar="W")
-    p.add_argument("--config", metavar="FILE")
-    p.set_defaults(func=cmd_cluster)
-
-    p = subs.add_parser("bench", help="synthetic recognition experiment")
-    p.add_argument("--config", metavar="FILE")
-    p.add_argument("--seed", type=int, metavar="N")
-    p.add_argument("--reps", type=int, metavar="R")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_bench)
-
+    for command, (text, func, settings) in _COMMANDS.items():
+        p = subs.add_parser(command, help=text)
+        for name, conv, _, flag in settings:
+            if flag is None:
+                continue
+            kw = dict(flag)
+            if conv is not str and "action" not in kw:
+                kw["type"] = conv
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **kw)
+        p.add_argument("--config", metavar="FILE")
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        _fill(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -336,6 +336,13 @@ class Labelling:
         return "Labelling(%s)" % (self.vertex_map,)
 
 
+def _check_count(value, name, least=0):
+    """ValueError unless value is an int or numpy integer >= least."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError("%s %r must be an integer >= %d"
+                         % (name, value, least))
+
+
 def _slot_list(labelling, order, m):
     """A vertex map of `order` vertices (None: any) into m slots as a new
     list, each slot None or an int; ValueError unless it keeps the rule."""

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import AttributedGraph, CostWeights, Fdg
+from .core import AttributedGraph, CostWeights, Fdg, _check_count
 from .matching import (_CostTables, _row_lists, _trunc, arc_cost,
                        bnb_distance, vertex_cost)
 
@@ -286,7 +286,7 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
     renormalised; stops after `iterations` passes or when the largest entry
     change drops below _RELAX_TOL.  iterations must be an integer >= 0.
     """
-    _check_iterations(iterations)
+    _check_count(iterations, "iterations")
     w = weights or CostWeights()
     t = _tables if _tables is not None else _CostTables(g, f, w)
     n, m = t.n, t.m
@@ -331,11 +331,6 @@ def relax_probabilities(g, f, weights=None, iterations=20, init="vertex",
     return ProbMatrix(P)
 
 
-def _check_iterations(iterations):
-    if not (isinstance(iterations, (int, np.integer)) and iterations >= 0):
-        raise ValueError("iterations %r is no integer >= 0" % (iterations,))
-
-
 def _check_method(method, tau, t_p, iterations=20):
     """Refuse an unknown method, and a NaN tau or t_p or a bad iterations
     where it is used, before a root cut skips the filter that refuses it."""
@@ -346,7 +341,7 @@ def _check_method(method, tau, t_p, iterations=20):
     if method.startswith("relax-"):
         if math.isnan(t_p):
             raise ValueError("t_p must not be NaN")
-        _check_iterations(iterations)
+        _check_count(iterations, "iterations")
 
 
 def match_by_method(g, f, weights=None, method="optimal", tau=1.0, t_p=0.0,

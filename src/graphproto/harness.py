@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .core import PHI, AttributedGraph, CostWeights, Pdf, attr
+from .core import PHI, AttributedGraph, CostWeights, Pdf, _check_count, attr
 from .efficient import _check_method, match_by_method
 from .fileio import read_ag, read_fdg, write_ag, write_fdg
 from .matching import _binned, _cheap_root
@@ -49,8 +49,10 @@ class GeneratorConfig:
     __slots__ = ("nFDG", "NT", "NR", "nv", "ne", "nd", "nl", "seed")
 
     def __init__(self, nFDG=1, NT=1, NR=1, nv=5, ne=10, nd=0, nl=0, seed=0):
-        if min(nFDG, NT, NR) < 1 or nv < 1 or min(ne, nd, nl) < 0:
-            raise ValueError("counts out of range")
+        for name, value, least in (
+                ("nFDG", nFDG, 1), ("NT", NT, 1), ("NR", NR, 1), ("nv", nv, 1),
+                ("ne", ne, 0), ("nd", nd, 0), ("nl", nl, 0)):
+            _check_count(value, name, least)
         if ne > nv * (nv - 1):
             raise ValueError("ne %d exceeds the %d ordered pairs of %d "
                              "vertices" % (ne, nv * (nv - 1), nv))
@@ -120,6 +122,8 @@ def perturb(model, mode, seed, nd=0, nl=0, sigma=0.0, structural=0):
     through one arc in a random direction to a random vertex) or deleting
     one.
     """
+    for name, value in (("nd", nd), ("nl", nl), ("structural", structural)):
+        _check_count(value, name)
     rng = np.random.default_rng(seed)
     n = model.order
     if mode == "delete_distort":
@@ -296,8 +300,7 @@ def run_experiment(cfg, weights=None, method="optimal", repetitions=1,
     A test AG that no prototype admits is a miss and enters no confusion
     cell.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+    _check_count(repetitions, "repetitions", 1)
     if noise not in ("delete_distort", "gaussian"):
         raise ValueError("unknown noise %r" % (noise,))
     w = weights or CostWeights()

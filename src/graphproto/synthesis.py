@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     BinStore,
     Fdg,
+    _check_count,
     _pair_ends,
     _seat,
     _slot_list,
@@ -38,8 +39,7 @@ class CommonLabelling:
     __slots__ = ("maps", "n")
 
     def __init__(self, maps, n):
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
-            raise ValueError("frame order %r must be an integer >= 0" % (n,))
+        _check_count(n, "frame order")
         self.n = int(n)
         maps = list(maps)
         self.maps = _slot_lists(maps, [None] * len(maps), self.n)

@@ -6,7 +6,8 @@
   injective partial maps, cost recomputed from scratch
 * symmetry under symmetric cost settings
 * the two thresholded substitution presets
-* nearest-neighbour voting with its two-stage tie break
+* nearest-neighbour voting with its two-stage tie break; a k that is no
+  integer >= 1 is refused, a numpy integer is taken
 * negative substitution costs are refused instead of mis-pruned, and so
   are NaN substitution costs (also under a finite upper bound, where a
   default-cost pair may be cut before any substitution), NaN constant
@@ -228,6 +229,19 @@ def test_knn_validation():
         knn_classify(g, [], k=1)
     with pytest.raises(ValueError):
         knn_classify(g, [(g, 0)], k=0)
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, "1", None])
+def test_knn_refuses_a_k_that_is_no_integer(k):
+    # k=1.5 raised TypeError from slicing the ranked references
+    g = AttributedGraph([attr(1)], {})
+    with pytest.raises(ValueError, match="^k .* must be an integer >= 1$"):
+        knn_classify(g, [(g, 0)], k=k)
+
+
+def test_knn_takes_a_numpy_integer_k():
+    g, h = AttributedGraph([attr(1)], {}), AttributedGraph([attr(9)], {})
+    assert knn_classify(g, [(h, 1), (g, 0)], k=np.int64(1)) == 0
 
 
 @pytest.mark.parametrize("graphs", ["vertices", "arcs"])

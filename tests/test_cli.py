@@ -17,17 +17,26 @@
   naming both files and the vertex; a slot listed twice on a line or at
   or beyond --order exits 2 naming the labelling file and line
 - a boolean config value is read from its spellings; any other exits 2
+- every flag's config twin parses to the flag's value, and the flag wins
+  over it; bench's config-only keys, sweeps included, parse to their
+  types and keep their defaults; --help exits 0 for every subcommand
+- a count flag (--iters, --reps, --order) below its least value or no
+  integer is refused by argparse naming the flag; a bad config value (a
+  count, a number, a value outside its setting's choices, a key given
+  twice) exits 2 naming the file, the line and the key
 """
 
+import argparse
 import csv
 
 import pytest
 
-from graphproto.cli import main, read_config
+from graphproto.cli import _fill, _parser, main, read_config
 from graphproto.core import AttributedGraph, CostWeights, attr
 from graphproto.efficient import METHODS, match_by_method
-from graphproto.fileio import (format_dist_record, parse_dist_record,
-                               read_ag, read_fdg, write_ag, write_labelling)
+from graphproto.fileio import (ParseError, format_dist_record,
+                               parse_dist_record, read_ag, read_fdg, write_ag,
+                               write_labelling)
 from graphproto.harness import CSV_COLUMNS
 from graphproto.synthesis import CommonLabelling, ag_to_fdg, \
     synth_from_labelled_ags
@@ -375,9 +384,195 @@ def test_dist_reads_planar_from_config(tmp_path, capsys, value, rc):
     assert main(["dist", "--config", str(cfg)]) == rc
     captured = capsys.readouterr()
     if rc:
-        assert captured.err == "error: not a boolean: 'maybe'\n"
+        assert captured.err == "error: %s:3: planar: not a boolean: " \
+            "'maybe'\n" % cfg
         assert captured.out == ""
     else:
         want = match_by_method(_g1(), read_fdg(tmp_path / "f.fdg"),
                                CostWeights(planar=True))
         assert captured.out == format_dist_record(want)
+
+
+# Per subcommand, each setting that has a flag: the flag's arguments, its
+# config value, the value both parse to, and another config value that
+# the flag must win over.
+_WEIGHT_TWINS = [("k%d" % i, ["--k%d" % i, "0.5"], "0.5", 0.5, "2")
+                 for i in range(1, 9)] + \
+    [("kpr", ["--kpr", "0.01"], "0.01", 0.01, "0.02")]
+_TWINS = {
+    "synth": [
+        ("ag", ["--ag", "a.ag", "--ag", "b.ag"], "a.ag, b.ag",
+         ["a.ag", "b.ag"], "c.ag"),
+        ("labelling", ["--labelling", "l.txt"], "l.txt", "l.txt", "m.txt"),
+        ("order", ["--order", "4"], "4", 4, "5"),
+        ("bin_width", ["--bin-width", "2.5"], "2.5", 2.5, "3"),
+        ("out", ["--out", "o.fdg"], "o.fdg", "o.fdg", "p.fdg"),
+    ],
+    "dist": [
+        ("ag", ["--ag", "g.ag"], "g.ag", "g.ag", "h.ag"),
+        ("fdg", ["--fdg", "f.fdg"], "f.fdg", "f.fdg", "e.fdg"),
+        ("mode", ["--mode", "restricted"], "restricted", "restricted",
+         "relaxed"),
+        *_WEIGHT_TWINS,
+        ("planar", ["--planar"], "yes", True, "no"),
+        ("method", ["--method", "relax-ev"], "relax-ev", "relax-ev",
+         "noniter"),
+        ("tau", ["--tau", "0.25"], "0.25", 0.25, "0.75"),
+        ("tp", ["--tp", "0.05"], "0.05", 0.05, "0.1"),
+        ("iters", ["--iters", "7"], "7", 7, "8"),
+        ("out", ["--out", "r.txt"], "r.txt", "r.txt", "s.txt"),
+    ],
+    "classify": [
+        ("test", ["--test", "t.ag"], "t.ag", "t.ag", "u.ag"),
+        ("ref", ["--ref", "0:a.ag", "--ref", "1:b.ag"], "0:a.ag,1:b.ag",
+         ["0:a.ag", "1:b.ag"], "2:c.ag"),
+        ("method", ["--method", "knn"], "knn", "knn", "knn"),
+        ("k", ["--k", "3"], "3", 3, "4"),
+        ("costs", ["--costs", "abs"], "abs", "abs", "squared"),
+        ("planar", ["--planar"], "on", True, "off"),
+    ],
+    "cluster": [
+        ("ag", ["--ag", "x.ag"], "x.ag", ["x.ag"], "y.ag,z.ag"),
+        ("method", ["--method", "single"], "single", "single", "complete"),
+        ("dalpha", ["--dalpha", "1.5"], "1.5", 1.5, "2"),
+        ("out", ["--out", "dir"], "dir", "dir", "other"),
+        ("bin_width", ["--bin-width", "0.5"], "0.5", 0.5, "2"),
+    ],
+    "bench": [
+        ("seed", ["--seed", "9"], "9", 9, "10"),
+        ("reps", ["--reps", "2"], "2", 2, "3"),
+        ("out", ["--out", "b.csv"], "b.csv", "b.csv", "c.csv"),
+    ],
+}
+
+
+def _settings(tmp_path, command, argv, config):
+    path = tmp_path / "twin.cfg"
+    path.write_text(config)
+    args = _parser().parse_args([command, "--config", str(path)] + argv)
+    _fill(args)
+    return args
+
+
+def _flag_dests(command):
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help",
+                                                              "config"}
+
+
+@pytest.mark.parametrize("command", sorted(_TWINS))
+def test_every_flag_has_a_twin_entry(command):
+    assert _flag_dests(command) == {name for name, *_ in _TWINS[command]}
+
+
+@pytest.mark.parametrize("command, name, argv, raw, want, other", [
+    (command,) + entry for command in _TWINS for entry in _TWINS[command]])
+def test_config_twin_parses_to_the_flag_value_and_the_flag_wins(
+        tmp_path, command, name, argv, raw, want, other):
+    line = "%s=%s\n" % (name, raw)
+    for got in (_settings(tmp_path, command, argv, ""),
+                _settings(tmp_path, command, [], "# twin\n" + line),
+                _settings(tmp_path, command, argv, "%s=%s\n" % (name, other))):
+        value = getattr(got, name)
+        assert value == want and type(value) is type(want)
+
+
+# bench's config-only keys: their defaults, and a value with what it parses
+# to; the sweeps are comma lists
+_BENCH_KEYS = [
+    *[("k%d" % i, float(i <= 3), "0.5", 0.5) for i in range(1, 9)],
+    ("kpr", 1e-4, "0.01", 0.01),
+    ("nFDG", 2, "3", 3), ("NT", 2, "1", 1), ("nv", 5, "6", 6),
+    ("ne", 8, "9", 9), ("noise", "delete_distort", "gaussian", "gaussian"),
+    ("bin_width", 1.0, "2.5", 2.5),
+    ("NR", [2], "1, 3", [1, 3]), ("nd", [0], "0,1", [0, 1]),
+    ("nl", [0], "1", [1]), ("sigma", [0.0], "0.5,2", [0.5, 2.0]),
+    ("structural", [0], "0,2,", [0, 2]), ("tau", [1.0], "0.5", [0.5]),
+    ("tp", [0.0], "0.05,0.1", [0.05, 0.1]),
+    ("method", ["optimal"], "optimal,relax-v", ["optimal", "relax-v"]),
+]
+
+
+def _same_typed(a, b):
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_typed, a, b))
+    return a == b and type(a) is type(b)
+
+
+@pytest.mark.parametrize("name, default, raw, want", _BENCH_KEYS)
+def test_bench_config_only_keys_parse_to_their_types(tmp_path, name,
+                                                     default, raw, want):
+    assert name not in _flag_dests("bench")
+    assert _same_typed(getattr(_settings(tmp_path, "bench", [], ""), name),
+                       default)
+    got = _settings(tmp_path, "bench", [], "%s=%s\n" % (name, raw))
+    assert _same_typed(getattr(got, name), want)
+
+
+@pytest.mark.parametrize("command", sorted(_TWINS))
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: graphproto " + command)
+
+
+@pytest.mark.parametrize("argv, least", [
+    (["dist", "--iters", "-1"], 0),
+    (["dist", "--method", "relax-v", "--iters", "-1"], 0),
+    (["dist", "--iters", "2.5"], 0),
+    (["bench", "--reps", "0"], 1),
+    (["synth", "--order", "-1"], 0),
+])
+def test_a_bad_count_flag_names_the_flag(capsys, argv, least):
+    # --iters -1 was refused by relax methods only, naming the library's
+    # argument; --reps 0 and --order -1 failed in the library too
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a in ("--iters", "--reps", "--order"))
+    value = argv[argv.index(flag) + 1]
+    assert "error: argument %s: expected an integer >= %d, got %r\n" \
+        % (flag, least, value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("dist", "iters=-1", "iters: expected an integer >= 0, got '-1'"),
+    ("bench", "reps=0", "reps: expected an integer >= 1, got '0'"),
+    ("synth", "order=x", "order: expected an integer >= 0, got 'x'"),
+    ("bench", "nv=2.5", "nv: invalid literal for int() with base 10: '2.5'"),
+    ("bench", "NR=1,x", "NR: invalid literal for int() with base 10: 'x'"),
+    ("dist", "tau=abc", "tau: could not convert string to float: 'abc'"),
+    ("dist", "method=fast",
+     "method: 'fast' is not one of %s" % ", ".join(METHODS)),
+    ("dist", "mode=loose",
+     "mode: 'loose' is not one of restricted, relaxed"),
+    ("classify", "method=svm", "method: 'svm' is not one of knn"),
+    ("classify", "costs=cheap",
+     "costs: 'cheap' is not one of unit, squared, abs"),
+    ("cluster", "method=average",
+     "method: 'average' is not one of incremental, complete, single"),
+    ("bench", "nv=4\nnv=5", "nv given again (first on line 2)"),
+])
+def test_a_bad_config_value_names_file_line_and_key(tmp_path, capsys,
+                                                    command, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# settings\n%s\n" % line)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)] * (command != "classify")) == 2
+    lineno = 1 + line.count("\n") + 1
+    assert capsys.readouterr() == ("", "error: %s:%d: %s\n"
+                                   % (cfg, lineno, message))
+    assert not out.exists()
+
+
+def test_read_config_refuses_a_key_given_twice(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("a = 1\nb=2 # two\n\na=3\n")
+    with pytest.raises(ParseError, match=r":4: a given again \(first on "
+                       r"line 1\)$"):
+        read_config(str(cfg))
+    cfg.write_text("a = 1\nb=2 # two\n\nc=x=y\n")
+    assert read_config(str(cfg)) == {"a": "1", "b": "2", "c": "x=y"}

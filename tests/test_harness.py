@@ -1,6 +1,8 @@
 """Synthetic pipeline checks.
 
-- generator: shape, determinism, attribute range, config validation
+- generator: shape, determinism, attribute range, config validation (a
+  count that is no integer too; numpy integers are taken)
+- perturb refuses a negative or non-integer nd, nl or structural
 - delete_distort: no-op case, survivor counts, determinism
 - gaussian: exact no-op at sigma 0, structural order drift bounds
 - compact_ag drops nulls and renumbers arcs
@@ -16,7 +18,8 @@
   filtered search bins each attribute of the test AG once per prototype;
   under an upper bound that no prototype beats, the bounded search
   reports no winner and abandons every prototype
-- run_experiment: zero noise scores 1.0, confusion row sums, determinism,
+- run_experiment: a repetition count that is no integer >= 1 is refused;
+  zero noise scores 1.0, confusion row sums, determinism,
   noniter at tau 1 matches optimal, csv rows line up with CSV_COLUMNS
 - when no prototype admits a valid labelling, fdg_classify returns
   (None, inf) and run_experiment counts a miss in no confusion cell
@@ -145,6 +148,57 @@ def test_perturb_unknown_mode():
     g = generate_models(GeneratorConfig(nv=3, ne=2, seed=0))[0]
     with pytest.raises(ValueError):
         perturb(g, "salt_and_pepper", seed=0)
+
+
+@pytest.mark.parametrize("mode, kw", [
+    ("delete_distort", dict(nd=-1)),      # nulled 4 of 5 vertices
+    ("delete_distort", dict(nl=-1)),      # redrew 4 of 5
+    ("delete_distort", dict(nd=1.5)),     # TypeError from a slice
+    ("delete_distort", dict(nl=1.5)),
+    ("gaussian", dict(structural=-1)),    # was taken as 0
+    ("gaussian", dict(structural=1.5)),
+])
+def test_perturb_refuses_a_count_that_is_no_count(mode, kw):
+    g = generate_models(GeneratorConfig(nv=5, ne=8, seed=3))[0]
+    (name, value), = kw.items()
+    with pytest.raises(ValueError, match="^%s %r must be an integer >= 0$"
+                       % (name, value)):
+        perturb(g, mode, 1, **kw)
+
+
+def test_perturb_takes_numpy_integer_counts():
+    g = generate_models(GeneratorConfig(nv=5, ne=8, seed=3))[0]
+    assert _same_ag(perturb(g, "delete_distort", 1, nd=np.int64(1),
+                            nl=np.int32(2)),
+                    perturb(g, "delete_distort", 1, nd=1, nl=2))
+    assert _same_ag(perturb(g, "gaussian", 1, sigma=1.0,
+                            structural=np.int64(2)),
+                    perturb(g, "gaussian", 1, sigma=1.0, structural=2))
+
+
+@pytest.mark.parametrize("kw", [dict(nv=2.5, ne=1), dict(nFDG=2.0),
+                                dict(NT="1"), dict(NR=None), dict(ne=1.0),
+                                dict(nd=0.5), dict(nl=1.5)])
+def test_config_refuses_a_count_that_is_no_integer(kw):
+    # nv=2.5 was accepted, and generate_models raised TypeError later
+    with pytest.raises(ValueError, match="must be an integer"):
+        GeneratorConfig(**kw)
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = GeneratorConfig(nFDG=np.int64(2), nv=np.int32(4), ne=np.int64(5),
+                          nd=np.int64(1))
+    assert len(generate_models(cfg)) == 2
+
+
+def test_experiment_refuses_a_repetition_count_that_is_no_integer():
+    cfg = GeneratorConfig(nv=3, ne=3)
+    for reps in (1.5, 1.0, "1", 0):
+        with pytest.raises(ValueError, match="^repetitions .* must be an "
+                           "integer >= 1$"):
+            run_experiment(cfg, repetitions=reps)
+    assert run_experiment(cfg, repetitions=np.int64(1)).params[
+        "repetitions"] == 1
 
 
 def test_compact_ag():
